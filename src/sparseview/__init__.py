@@ -36,7 +36,6 @@ from .sampler import (
     dfs_subsample,
     generate_batches,
     greedy_step,
-    sample_batch,
     sample_partition,
 )
 from .steiner import SteinerResult, WeightMode, approximate_steiner_tree, select_terminals

@@ -3,7 +3,7 @@
 Subcommands: parse, stats, communities, partition, sample, coverage,
 filter-depth, pose-eval, synth. Exit codes: 0 success, 1 input/usage error,
 2 internal invariant violation. All outputs are deterministic given the
-inputs and --seed.
+inputs and, where a subcommand takes it, --seed.
 """
 
 from __future__ import annotations
@@ -18,17 +18,11 @@ from . import community as community_mod
 from . import metrics as metrics_mod
 from . import synth as synth_mod
 from .depth_filter import FilterConfig, filter_depth
-from .errors import SparseViewError
+from .errors import InvariantViolation, SparseViewError
 from .partition import partition_round_robin
 from .pfm import read_pfm, write_pfm
 from .recon_io import load_scene_dir, parse_images, write_reconstruction
-from .sampler import (
-    Preset,
-    SamplingConfig,
-    derive_seed,
-    generate_batches,
-    prepare_scene,
-)
+from .sampler import Preset, SamplingConfig, generate_batches, prepare_scene
 from .steiner import WeightMode
 from .view_graph import build_graph, compute_stats, prune_edges
 
@@ -55,20 +49,46 @@ def _write_out(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    parser.add_argument("--threads", type=int, default=1, help="max parallel workers")
+def _at_least(low: int):
+    """argparse type: an integer no smaller than `low`."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
+    return parse
+
+
+def _thresholds(text: str) -> list[int]:
+    """argparse type: comma-separated whole degrees, each >= 1."""
+    return [_at_least(1)(t) for t in text.split(",") if t]
+
+
+def _add_common(parser: argparse.ArgumentParser, seed: bool = False) -> None:
+    if seed:
+        parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     parser.add_argument("--quiet", action="store_true", help="suppress log output")
     parser.add_argument("--out", help="output path (default stdout)")
 
 
-def _add_scene_flags(parser: argparse.ArgumentParser) -> None:
+def _add_scene_flags(parser: argparse.ArgumentParser, prune: bool = True) -> None:
     parser.add_argument("--scene", required=True, help="scene directory with cameras.txt/images.txt")
     parser.add_argument("--matches", help="match edge list (default <scene>/matches.txt)")
+    if prune:
+        parser.add_argument("--prune-threshold", type=_at_least(0), default=50)
 
 
 def _load_scene(args):
     return load_scene_dir(args.scene, matches_path=args.matches)
+
+
+def _load_graph(args):
+    """The scene and its view graph pruned at --prune-threshold."""
+    scene = _load_scene(args)
+    return scene, prune_edges(build_graph(scene), args.prune_threshold)
 
 
 def cmd_parse(args) -> int:
@@ -93,8 +113,7 @@ def _fmt(x) -> str:
 
 
 def cmd_stats(args) -> int:
-    scene = _load_scene(args)
-    graph = prune_edges(build_graph(scene), args.prune_threshold)
+    scene, graph = _load_graph(args)
     stats = compute_stats(graph)
     lines = [
         f"scene {scene.scene_id}",
@@ -121,8 +140,7 @@ def cmd_stats(args) -> int:
 
 
 def cmd_communities(args) -> int:
-    scene = _load_scene(args)
-    graph = prune_edges(build_graph(scene), args.prune_threshold)
+    _, graph = _load_graph(args)
     assignment = community_mod.louvain(graph, args.seed, resolution=args.resolution)
     _log(args, f"seed {args.seed}")
     _log(args, f"modularity {assignment.modularity!r} levels {assignment.level_count}")
@@ -132,11 +150,10 @@ def cmd_communities(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    scene = _load_scene(args)
-    graph = prune_edges(build_graph(scene), args.prune_threshold)
-    communities = community_mod.louvain(graph, derive_seed(args.seed, "louvain"))
+    config = SamplingConfig(prune_threshold=args.prune_threshold, seed=args.seed)
+    ctx = prepare_scene(_load_scene(args), config)
     _log(args, f"seed {args.seed}")
-    parts = partition_round_robin(graph, args.ncc, args.seed, communities)
+    parts = partition_round_robin(ctx.pruned, args.ncc, args.seed, ctx.communities)
     lines = [f"{v} {parts.assignment[v]}" for v in sorted(parts.assignment)]
     _write_out(args, "".join(line + "\n" for line in lines))
     return 0
@@ -154,7 +171,7 @@ def cmd_sample(args) -> int:
         preset=Preset(args.preset) if args.preset else None,
     )
     _log(args, f"seed {args.seed}")
-    result = generate_batches(scene, config, args.batches, threads=args.threads)
+    result = generate_batches(scene, config, args.batches)
     truncated = sum(1 for b in result if b.truncated)
     if truncated:
         _log(args, f"warning: {truncated} of {len(result)} batches truncated")
@@ -166,8 +183,7 @@ def cmd_sample(args) -> int:
 
 
 def cmd_coverage(args) -> int:
-    scene = _load_scene(args)
-    graph = prune_edges(build_graph(scene), args.prune_threshold)
+    scene, graph = _load_graph(args)
     positions = scene.positions()
     nodes = sorted(graph.adjacency)
     loaded = batches_io.read_batches(args.batches)
@@ -235,14 +251,13 @@ def cmd_pose_eval(args) -> int:
     except KeyError as exc:
         raise SparseViewError(f"prediction missing view {exc}") from exc
     gt_list = [gt[i] for i in ids]
-    thresholds = [int(t) for t in args.thresholds.split(",") if t]
-    errors = metrics_mod.pose_pair_errors(pred_list, gt_list, thresholds)
+    errors = metrics_mod.pose_pair_errors(pred_list, gt_list, args.thresholds)
     lines = [f"pairs {len(errors.rotation_errors)}"]
-    for t in thresholds:
+    for t in args.thresholds:
         lines.append(f"rra@{t} {_fmt(errors.rra_at[t])}")
-    for t in thresholds:
+    for t in args.thresholds:
         lines.append(f"rta@{t} {_fmt(errors.rta_at[t])}")
-    for t in thresholds:
+    for t in args.thresholds:
         lines.append(f"auc@{t} {_fmt(errors.auc_at[t])}")
     lines.append(f"mre {_fmt(errors.mre)}")
     lines.append(f"mte {_fmt(errors.mte)}")
@@ -289,29 +304,26 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("parse", help="parse a scene and print a summary")
-    _add_scene_flags(p)
+    _add_scene_flags(p, prune=False)
     _add_common(p)
     p.set_defaults(func=cmd_parse)
 
     p = sub.add_parser("stats", help="view-graph statistics report")
     _add_scene_flags(p)
-    p.add_argument("--prune-threshold", type=int, default=50)
     p.add_argument("--gravity", choices=("y", "z"), default="y")
     _add_common(p)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("communities", help="Louvain community labels")
     _add_scene_flags(p)
-    p.add_argument("--prune-threshold", type=int, default=50)
     p.add_argument("--resolution", type=float, default=1.0)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_communities)
 
     p = sub.add_parser("partition", help="round-robin BFS partition labels")
     _add_scene_flags(p)
     p.add_argument("--ncc", type=int, required=True, help="number of partitions")
-    p.add_argument("--prune-threshold", type=int, default=50)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_partition)
 
     p = sub.add_parser("sample", help="generate sampled batches (jsonl)")
@@ -320,21 +332,19 @@ def build_parser() -> _Parser:
     p.add_argument("--ncc", type=int, default=1, help="max connected components")
     p.add_argument("--depth", type=int, default=24, help="greedy search depth")
     p.add_argument("--preset", choices=[m.value for m in Preset])
-    p.add_argument("--batches", type=int, default=1, help="number of batches")
-    p.add_argument("--prune-threshold", type=int, default=50)
+    p.add_argument("--batches", type=_at_least(1), default=1, help="number of batches")
     p.add_argument(
         "--weight-mode",
         choices=[m.value for m in WeightMode],
         default=WeightMode.UNIT_HOP.value,
     )
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("coverage", help="coverage/sparsity report for batches")
     _add_scene_flags(p)
     p.add_argument("--batches", required=True, help="batches.jsonl path")
-    p.add_argument("--k", type=int, default=2, help="hop radius for coverage")
-    p.add_argument("--prune-threshold", type=int, default=50)
+    p.add_argument("--k", type=_at_least(0), default=2, help="hop radius for coverage")
     _add_common(p)
     p.set_defaults(func=cmd_coverage)
 
@@ -345,15 +355,15 @@ def build_parser() -> _Parser:
     p.add_argument("--tau-grad", type=float, default=0.10)
     p.add_argument("--out", dest="out_pfm", required=True, help="filtered depth (pfm)")
     p.add_argument("--report", help="write a json report here")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--threads", type=int, default=1)
     p.add_argument("--quiet", action="store_true")
     p.set_defaults(func=cmd_filter_depth)
 
     p = sub.add_parser("pose-eval", help="pairwise pose errors pred vs gt")
     p.add_argument("--pred", required=True, help="predicted poses (images.txt format)")
     p.add_argument("--gt", required=True, help="ground-truth poses (images.txt format)")
-    p.add_argument("--thresholds", default="5,10,15,30", help="degrees, comma-separated")
+    p.add_argument(
+        "--thresholds", type=_thresholds, default=[5, 10, 15, 30], help="degrees, comma-separated"
+    )
     _add_common(p)
     p.set_defaults(func=cmd_pose_eval)
 
@@ -365,7 +375,7 @@ def build_parser() -> _Parser:
     p.add_argument("--inter", type=int, default=60)
     p.add_argument("--radius", type=float, default=10.0)
     p.add_argument("--noise", type=float, default=0.0)
-    _add_common(p)
+    _add_common(p, seed=True)
     p.set_defaults(func=cmd_synth)
 
     return parser
@@ -388,7 +398,7 @@ def run(argv: list[str]) -> int:
     except (SparseViewError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except AssertionError as exc:
+    except InvariantViolation as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - CLI boundary

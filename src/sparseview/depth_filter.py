@@ -17,11 +17,10 @@ their original (unscaled) depth values.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .errors import DimensionMismatch, NoValidOverlap, TooSmall
+from .errors import DimensionMismatch, InvalidSpec, NoValidOverlap, TooSmall
 
 
 @dataclass
@@ -51,20 +50,16 @@ class DepthMap:
         return cls(width=values.shape[1], height=values.shape[0], values=values)
 
 
-class GradientScheme(Enum):
-    CENTRAL_DIFFERENCE = "central-difference"
-
-
 @dataclass(frozen=True)
 class FilterConfig:
     # thresholds are implementation defaults tuned on the synthetic fixtures
     tau_depth: float = 0.25
     tau_grad: float = 0.10
-    gradient_scheme: GradientScheme = GradientScheme.CENTRAL_DIFFERENCE
 
     def __post_init__(self):
-        if self.tau_depth <= 0 or self.tau_grad <= 0:
-            raise ValueError("thresholds must be positive")
+        for name in ("tau_depth", "tau_grad"):
+            if not getattr(self, name) > 0:
+                raise InvalidSpec(f"{name} must be positive, got {getattr(self, name)!r}")
 
 
 @dataclass

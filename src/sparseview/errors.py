@@ -7,6 +7,11 @@ class SparseViewError(Exception):
     """Base class for all input/usage errors raised by this package."""
 
 
+class InvariantViolation(Exception):
+    """A guarantee failed to hold: a bug, not bad input, so not a
+    SparseViewError. Raised, not asserted, so `python -O` keeps the check."""
+
+
 class MalformedLine(SparseViewError):
     def __init__(self, line_no: int, reason: str, path: str | None = None):
         self.line_no = line_no

@@ -20,13 +20,14 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from enum import Enum
 
 from .batches import BatchConfig, Phase, SampledBatch, ViewProvenance
 from .community import CommunityAssignment, louvain
-from .errors import EmptyPartition, InsufficientViews, InvalidK, UnknownNode
+from .errors import (
+    EmptyPartition, InsufficientViews, InvalidK, InvalidSpec, InvariantViolation, UnknownNode,
+)
 from .partition import partition_round_robin
 from .recon_io import SceneReconstruction
 from .steiner import WeightMode, approximate_steiner_tree, select_terminals
@@ -52,11 +53,11 @@ class SamplingConfig:
 
     def __post_init__(self):
         if self.n_views < 2:
-            raise ValueError("n_views must be >= 2")
+            raise InvalidSpec(f"n_views must be >= 2, got {self.n_views}")
         if not 1 <= self.max_components <= self.n_views:
-            raise ValueError("max_components must be in [1, n_views]")
+            raise InvalidSpec(f"max_components must be in [1, n_views], got {self.max_components}")
         if self.search_depth < 1:
-            raise ValueError("search_depth must be >= 1")
+            raise InvalidSpec(f"search_depth must be >= 1, got {self.search_depth}")
 
 
 def derive_seed(seed: int, *parts) -> int:
@@ -336,34 +337,20 @@ def _sample_one(
         ctx.scene_id, resolved, views, prov, truncated=len(views) < resolved.n_views
     )
     got = induced_component_count(ctx.pruned, views)
-    assert got <= n_cc, f"sampled {got} components, bound is {n_cc}"
+    if got > n_cc:
+        raise InvariantViolation(f"sampled {got} components, bound is {n_cc}")
     return batch
-
-
-def sample_batch(
-    scene: SceneReconstruction,
-    config: SamplingConfig,
-    batch_index: int = 0,
-    allow_truncated: bool = True,
-) -> SampledBatch:
-    ctx = prepare_scene(scene, config)
-    seed = derive_seed(config.seed, "batch", batch_index)
-    return _sample_one(ctx, config, seed, allow_truncated=allow_truncated)
 
 
 def generate_batches(
     scene: SceneReconstruction,
     config: SamplingConfig,
     count: int,
-    threads: int = 1,
     allow_truncated: bool = True,
 ) -> list[SampledBatch]:
     """Offline batch generation; communities are computed once and reused."""
     ctx = prepare_scene(scene, config)
     seeds = [derive_seed(config.seed, "batch", i) for i in range(count)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(lambda s: _sample_one(ctx, config, s, allow_truncated), seeds))
     return [_sample_one(ctx, config, s, allow_truncated=allow_truncated) for s in seeds]
 
 

@@ -38,10 +38,10 @@ from sparseview.sampler import (
     Preset,
     SamplingConfig,
     derive_seed,
+    generate_batches,
     greedy_step,
     induced_component_count,
     prepare_scene,
-    sample_batch,
     _sample_one,
 )
 from sparseview.steiner import WeightMode, approximate_steiner_tree
@@ -120,12 +120,16 @@ def test_phase_accounting():
         intra_weight=100, inter_weight=60, noise_sigma=0.05, seed=0,
     )
     scene = gen_ring_scene(spec)
-    full = sample_batch(scene, SamplingConfig(n_views=24, max_components=1, search_depth=24, seed=1))
+    full = generate_batches(
+        scene, SamplingConfig(n_views=24, max_components=1, search_depth=24, seed=1), 1
+    )[0]
     assert len(full.views) == 24
     assert all(
         p.phase in (Phase.TERMINAL, Phase.STEINER, Phase.GREEDY) for p in full.provenance
     )
-    half = sample_batch(scene, SamplingConfig(n_views=24, max_components=1, search_depth=12, seed=1))
+    half = generate_batches(
+        scene, SamplingConfig(n_views=24, max_components=1, search_depth=12, seed=1), 1
+    )[0]
     assert len(half.views) == 24
     assert sum(1 for p in half.provenance if p.phase is Phase.FILL) == 12
 

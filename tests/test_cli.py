@@ -1,11 +1,22 @@
+import os
 import subprocess
 import sys
 
 import pytest
 
-from sparseview.batches import read_batches
+import sparseview
+from sparseview import sampler
+from sparseview.batches import Phase, ViewProvenance, read_batches
 from sparseview.cli import run
 from sparseview.recon_io import load_scene_dir
+
+# child interpreters import sparseview from this checkout and test_cli from here
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(sparseview.__file__)), os.path.dirname(__file__)]
+    ),
+}
 
 
 @pytest.fixture
@@ -43,6 +54,90 @@ class TestExitCodes:
     def test_invalid_ncc_is_input_error(self, ring_dir, capsys):
         code = run(["partition", "--scene", str(ring_dir), "--ncc", "0"])
         assert code == 1
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A ring scene, a depth fixture and a batch file, for argv templates."""
+    root = tmp_path_factory.mktemp("inputs")
+    ring, fix, batches = root / "ring", root / "fix", root / "batches.jsonl"
+    assert run(["synth", "--kind", "ring", "--noise", "0.05", "--seed", "3",
+                "--out", str(ring), "--quiet"]) == 0
+    assert run(["synth", "--kind", "depth", "--seed", "5", "--out", str(fix), "--quiet"]) == 0
+    assert run(["sample", "--scene", str(ring), "--n", "6", "--out", str(batches), "--quiet"]) == 0
+    return {"ring": str(ring), "fix": str(fix), "batches": str(batches)}
+
+
+# one valid call per subcommand; a case below appends one bad flag to it
+VALID_ARGV = {
+    "parse": ["parse", "--scene", "{ring}"],
+    "stats": ["stats", "--scene", "{ring}"],
+    "communities": ["communities", "--scene", "{ring}"],
+    "partition": ["partition", "--scene", "{ring}", "--ncc", "2"],
+    "sample": ["sample", "--scene", "{ring}", "--n", "6", "--out", "{tmp}/b.jsonl"],
+    "coverage": ["coverage", "--scene", "{ring}", "--batches", "{batches}"],
+    "filter-depth": ["filter-depth", "--geom", "{fix}/geom.pfm", "--mono", "{fix}/mono.pfm",
+                     "--out", "{tmp}/f.pfm"],
+    "pose-eval": ["pose-eval", "--pred", "{ring}/images.txt", "--gt", "{ring}/images.txt"],
+    "synth": ["synth", "--out", "{tmp}/synth"],
+}
+
+# (subcommand, bad flag and value, text the error message must contain)
+BAD_FLAGS = [
+    ("sample", ["--n", "1"], "n_views"),
+    ("sample", ["--ncc", "0"], "max_components"),
+    ("sample", ["--n", "4", "--ncc", "5"], "max_components"),
+    ("sample", ["--depth", "0"], "search_depth"),
+    ("sample", ["--batches", "-3"], "--batches"),
+    ("stats", ["--prune-threshold", "-1"], "--prune-threshold"),
+    ("coverage", ["--k", "-1"], "--k"),
+    ("filter-depth", ["--tau-depth", "-1"], "tau_depth"),
+    ("filter-depth", ["--tau-grad", "nan"], "tau_grad"),
+    ("pose-eval", ["--thresholds", "5,x"], "--thresholds"),
+    ("pose-eval", ["--thresholds", "0"], "--thresholds"),
+    *[(cmd, ["--threads", "2"], "--threads") for cmd in VALID_ARGV],
+    *[(cmd, ["--seed", "1"], "--seed")
+      for cmd in ("parse", "stats", "coverage", "pose-eval", "filter-depth")],
+]
+
+
+@pytest.mark.parametrize(
+    "cmd,bad,names", BAD_FLAGS, ids=[f"{c}{''.join(b)}" for c, b, _ in BAD_FLAGS]
+)
+def test_bad_flag_exits_1_and_names_it(inputs, tmp_path, capsys, cmd, bad, names):
+    argv = [a.format(tmp=tmp_path, **inputs) for a in VALID_ARGV[cmd]] + ["--quiet"]
+    assert run(argv) == 0
+    capsys.readouterr()
+    assert run(argv + bad) == 1
+    err = capsys.readouterr().err
+    assert names in err
+    assert "internal" not in err
+
+
+def disconnected_pair(graph, part, quota, depth, communities, positions, seed, **_):
+    """Stand-in for sample_partition that breaks the component bound: two
+    views of the part with no edge between them."""
+    first = min(part)
+    near = {v for v, _ in graph.adjacency[first]}
+    second = next(v for v in sorted(part) if v != first and v not in near)
+    return [(v, ViewProvenance(0, communities.labels[v], Phase.FILL)) for v in (first, second)]
+
+
+def test_component_bound_violation_exits_2_even_under_O(inputs, tmp_path, monkeypatch):
+    argv = ["sample", "--scene", inputs["ring"], "--n", "2", "--ncc", "1",
+            "--out", str(tmp_path / "b.jsonl"), "--quiet"]
+    monkeypatch.setattr(sampler, "sample_partition", disconnected_pair)
+    assert run(argv) == 2
+    script = (
+        "import sys; from sparseview import cli, sampler; import test_cli\n"
+        "if not sys.flags.optimize: sys.exit('not optimized')\n"
+        "sampler.sample_partition = test_cli.disconnected_pair; sys.exit(cli.run(sys.argv[1:]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, *argv], capture_output=True, env=CHILD_ENV
+    )
+    assert proc.returncode == 2, proc.stderr.decode()
+    assert b"invariant violation" in proc.stderr
 
 
 class TestSubcommands:
@@ -153,16 +248,6 @@ class TestDeterminism:
             outs.append(read(out))
         assert outs[0] == outs[1]
 
-    def test_threads_do_not_change_output(self, ring_dir, tmp_path):
-        outs = []
-        for name, threads in (("a", "1"), ("b", "4")):
-            out = tmp_path / f"{name}.jsonl"
-            run(["sample", "--scene", str(ring_dir), "--n", "12", "--ncc", "2", "--depth", "8",
-                 "--batches", "6", "--seed", "3", "--threads", threads,
-                 "--out", str(out), "--quiet"])
-            outs.append(read(out))
-        assert outs[0] == outs[1]
-
     def test_synth_byte_identical(self, tmp_path):
         dirs = []
         for name in ("a", "b"):
@@ -180,6 +265,7 @@ def test_console_entry_point(tmp_path):
         [sys.executable, "-m", "sparseview.cli", "synth", "--kind", "ring",
          "--out", str(out), "--quiet"],
         capture_output=True,
+        env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert (out / "cameras.txt").exists()

@@ -9,7 +9,7 @@ from sparseview.depth_filter import (
     gradient_discrepancy,
     median_scale,
 )
-from sparseview.errors import DimensionMismatch, NoValidOverlap, TooSmall
+from sparseview.errors import DimensionMismatch, InvalidSpec, NoValidOverlap, TooSmall
 from sparseview.synth import SynthKind, SynthSpec, gen_depth_fixture
 
 
@@ -178,7 +178,7 @@ class TestFilterDepth:
 
 
 def test_config_rejects_nonpositive_thresholds():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec):
         FilterConfig(tau_depth=0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec):
         FilterConfig(tau_grad=-1.0)

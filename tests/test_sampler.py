@@ -7,7 +7,7 @@ from conftest import graph_of, random_graph, random_positions
 from oracles import greedy_choice
 from sparseview.batches import Phase
 from sparseview.community import CommunityAssignment, louvain
-from sparseview.errors import EmptyPartition, InsufficientViews, InvalidK, UnknownNode
+from sparseview.errors import EmptyPartition, InsufficientViews, InvalidK, InvalidSpec, UnknownNode
 from sparseview.sampler import (
     Preset,
     SamplingConfig,
@@ -16,7 +16,6 @@ from sparseview.sampler import (
     greedy_step,
     induced_component_count,
     prepare_scene,
-    sample_batch,
     sample_partition,
 )
 from sparseview.synth import SynthKind, SynthSpec, gen_ring_scene
@@ -149,7 +148,7 @@ class TestSampleBatch:
     def test_quota_conservation(self):
         scene = ring_scene()
         cfg = SamplingConfig(n_views=24, max_components=4, search_depth=24, seed=5)
-        batch = sample_batch(scene, cfg)
+        batch = generate_batches(scene, cfg, 1)[0]
         assert len(batch.views) == 24
         per_part = Counter(p.partition for p in batch.provenance)
         assert sorted(per_part) == [0, 1, 2, 3]
@@ -160,7 +159,7 @@ class TestSampleBatch:
         scene = ring_scene()
         cfg = SamplingConfig(n_views=24, max_components=1, search_depth=5, seed=2)
         ctx = prepare_scene(scene, cfg)
-        batch = sample_batch(scene, cfg)
+        batch = generate_batches(scene, cfg, 1)[0]
         assert induced_component_count(ctx.pruned, batch.views) == 1
 
     def test_component_bound_over_seeds(self):
@@ -175,7 +174,7 @@ class TestSampleBatch:
     def test_truncation_flag_on_small_scene(self):
         scene = clique_scene(size=6)
         cfg = SamplingConfig(n_views=10, max_components=2, search_depth=10, seed=1)
-        batch = sample_batch(scene, cfg)
+        batch = generate_batches(scene, cfg, 1)[0]
         assert batch.truncated
         assert len(batch.views) == 6
 
@@ -183,7 +182,7 @@ class TestSampleBatch:
         scene = clique_scene(size=6)
         cfg = SamplingConfig(n_views=10, max_components=2, search_depth=10, seed=1)
         with pytest.raises(InsufficientViews) as exc:
-            sample_batch(scene, cfg, allow_truncated=False)
+            generate_batches(scene, cfg, 1, allow_truncated=False)
         assert exc.value.available == 6
         assert exc.value.requested == 10
 
@@ -193,11 +192,6 @@ class TestSampleBatch:
         a = generate_batches(scene, cfg, 4)
         b = generate_batches(scene, cfg, 4)
         assert a == b
-
-    def test_threads_match_sequential(self):
-        scene = ring_scene(6, 6)
-        cfg = SamplingConfig(n_views=12, max_components=2, search_depth=8, seed=9)
-        assert generate_batches(scene, cfg, 6, threads=4) == generate_batches(scene, cfg, 6)
 
     def test_mixed_preset_resolves_in_range(self):
         scene = ring_scene(8, 6)
@@ -212,7 +206,7 @@ class TestSampleBatch:
     def test_random_preset_uniform_choice(self):
         scene = ring_scene(6, 6)
         cfg = SamplingConfig(n_views=12, seed=3, preset=Preset.RANDOM)
-        batch = sample_batch(scene, cfg)
+        batch = generate_batches(scene, cfg, 1)[0]
         assert len(batch.views) == 12
         assert all(p.phase is Phase.FILL for p in batch.provenance)
 
@@ -222,7 +216,7 @@ class TestDfsSubsample:
         scene = ring_scene(6, 6)
         cfg = SamplingConfig(n_views=18, max_components=1, search_depth=18, seed=seed)
         ctx = prepare_scene(scene, cfg)
-        return sample_batch(scene, cfg), ctx.pruned
+        return generate_batches(scene, cfg, 1)[0], ctx.pruned
 
     def test_full_k_is_permutation(self):
         batch, graph = self.make_batch()
@@ -262,9 +256,9 @@ class TestDfsSubsample:
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec):
         SamplingConfig(n_views=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec):
         SamplingConfig(n_views=4, max_components=5)
-    with pytest.raises(ValueError):
+    with pytest.raises(InvalidSpec):
         SamplingConfig(search_depth=0)
