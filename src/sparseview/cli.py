@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -60,6 +61,17 @@ def _at_least(low: int):
 
     parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value"
     return parse
+
+
+def _positive_float(text: str) -> float:
+    """argparse type: a finite float > 0."""
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return value
+
+
+_positive_float.__name__ = "float"  # argparse reports a non-number as "invalid float value"
 
 
 def _thresholds(text: str) -> list[int]:
@@ -160,6 +172,8 @@ def cmd_partition(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if not args.out:
+        raise _UsageError("--out is required for sample")
     scene = _load_scene(args)
     config = SamplingConfig(
         n_views=args.n,
@@ -175,8 +189,6 @@ def cmd_sample(args) -> int:
     truncated = sum(1 for b in result if b.truncated)
     if truncated:
         _log(args, f"warning: {truncated} of {len(result)} batches truncated")
-    if not args.out:
-        raise _UsageError("--out is required for sample")
     batches_io.write_batches(result, args.out)
     _log(args, f"wrote {len(result)} batches to {args.out}")
     return 0
@@ -316,7 +328,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("communities", help="Louvain community labels")
     _add_scene_flags(p)
-    p.add_argument("--resolution", type=float, default=1.0)
+    p.add_argument("--resolution", type=_positive_float, default=1.0)
     _add_common(p, seed=True)
     p.set_defaults(func=cmd_communities)
 

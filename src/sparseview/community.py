@@ -7,11 +7,12 @@ Ties between candidate communities are broken toward the lowest community id.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import EmptyGraph
+from .errors import EmptyGraph, InvalidSpec
 from .view_graph import ViewGraph
 
 
@@ -138,7 +139,10 @@ def louvain(graph: ViewGraph, seed: int, resolution: float = 1.0) -> CommunityAs
 
     Levels alternate local moves with graph aggregation until a level makes
     no move. Modularity (on the input graph) is recorded after each level.
+    `resolution` must be a finite number > 0 (InvalidSpec otherwise).
     """
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise InvalidSpec(f"resolution must be a finite number > 0, got {resolution}")
     if graph.node_count == 0:
         raise EmptyGraph("louvain needs at least one node")
     nodes = sorted(graph.adjacency)

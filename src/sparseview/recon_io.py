@@ -186,6 +186,13 @@ def _content_lines(path):
             yield line_no, line
 
 
+def _finite(values: tuple[float, ...], line_no: int, path: str) -> tuple[float, ...]:
+    """`values`, unless one is nan or infinite: then MalformedLine."""
+    if not all(map(math.isfinite, values)):
+        raise MalformedLine(line_no, f"non-finite number in {values}", path)
+    return values
+
+
 def parse_cameras(path: str) -> dict[int, CameraIntrinsics]:
     cameras: dict[int, CameraIntrinsics] = {}
     for line_no, line in _content_lines(path):
@@ -196,7 +203,7 @@ def parse_cameras(path: str) -> dict[int, CameraIntrinsics]:
             camera_id = int(toks[0])
             model = CameraModel(toks[1])
             width, height = int(toks[2]), int(toks[3])
-            params = tuple(float(t) for t in toks[4:])
+            params = _finite(tuple(float(t) for t in toks[4:]), line_no, path)
         except (ValueError, KeyError) as exc:
             raise MalformedLine(line_no, f"bad camera line: {exc}", path) from exc
         if camera_id in cameras:
@@ -228,8 +235,8 @@ def parse_images(path: str) -> dict[int, PosedView]:
                     raise MalformedLine(line_no, "pose line needs 10 fields", path)
                 try:
                     view_id = int(toks[0])
-                    q = tuple(float(t) for t in toks[1:5])
-                    t = tuple(float(x) for x in toks[5:8])
+                    pose = _finite(tuple(map(float, toks[1:8])), line_no, path)
+                    q, t = pose[:4], pose[4:]
                     camera_id = int(toks[8])
                     name = " ".join(toks[9:])
                 except ValueError as exc:
@@ -257,7 +264,7 @@ def parse_points(path: str) -> list[ScenePoint]:
             raise MalformedLine(line_no, "track must be (image_id, point2d_idx) pairs", path)
         try:
             point_id = int(toks[0])
-            xyz = (float(toks[1]), float(toks[2]), float(toks[3]))
+            xyz = _finite((float(toks[1]), float(toks[2]), float(toks[3])), line_no, path)
             track = tuple(int(toks[i]) for i in range(8, len(toks), 2))
         except ValueError as exc:
             raise MalformedLine(line_no, f"bad point line: {exc}", path) from exc

@@ -1,10 +1,11 @@
 """Approximate Steiner trees linking community representatives.
 
 Mehlhorn's construction: one multi-source shortest-path pass grows Voronoi
-regions around the terminals, boundary edges induce a terminal closure graph,
-and the MST of that closure is expanded back to graph paths. A final MST plus
-leaf pruning guarantees every leaf is a terminal. The result is within
-2(1 - 1/|T|) of the optimal Steiner weight.
+regions around the terminals and, in the same pass, keeps the cheapest
+boundary edge between each pair of regions; those edges form a terminal
+closure graph, and the MST of that closure is expanded back to graph paths.
+A final MST plus leaf pruning guarantees every leaf is a terminal. The result
+is within 2(1 - 1/|T|) of the optimal Steiner weight.
 """
 
 from __future__ import annotations
@@ -53,14 +54,21 @@ def _edge_length(w: int, mode: WeightMode) -> float:
 
 
 def _multi_source_dijkstra(graph: ViewGraph, sources, mode: WeightMode):
-    """Distances/predecessors/owning-source for every reachable node.
+    """Shortest-path predecessor of every reachable node (-1 at a source),
+    and the closure: the cheapest boundary edge per pair of Voronoi regions,
+    as {(source, source): (path length, low end, high end)}.
 
     Ties are resolved toward the smallest (distance, predecessor id) pair so
-    the Voronoi regions are deterministic.
+    the Voronoi regions are deterministic. An edge is weighed as a boundary
+    edge when its second endpoint settles, once `dist` and `src` are final at
+    both ends; per region pair the smallest (length, low end, high end) wins.
     """
+    unit_hop = mode is WeightMode.UNIT_HOP
+    inf = float("inf")
     dist: dict[int, float] = {}
     pred: dict[int, int] = {}
     src: dict[int, int] = {}
+    closure: dict[tuple[int, int], tuple[float, int, int]] = {}
     settled: set[int] = set()
     heap: list[tuple[float, int, int]] = []
     for t in sorted(sources):
@@ -70,19 +78,30 @@ def _multi_source_dijkstra(graph: ViewGraph, sources, mode: WeightMode):
         heapq.heappush(heap, (0.0, -1, t))
     while heap:
         d, p, u = heapq.heappop(heap)
-        if u in settled or d > dist.get(u, float("inf")) or (d == dist[u] and p > pred[u]):
+        if u in settled or d > dist[u] or (d == dist[u] and p > pred[u]):
             continue
         settled.add(u)
+        su = src[u]
         for v, w in graph.adjacency[u]:
+            length = 1.0 if unit_hop else _edge_length(w, mode)
             if v in settled:
+                sv = src[v]
+                if sv != su:
+                    lo, hi = (u, v) if u < v else (v, u)
+                    key = (su, sv) if su < sv else (sv, su)
+                    cand = (dist[lo] + length + dist[hi], lo, hi)
+                    if key not in closure or cand < closure[key]:
+                        closure[key] = cand
                 continue
-            nd = d + _edge_length(w, mode)
-            if nd < dist.get(v, float("inf")) or (nd == dist.get(v) and u < pred.get(v, u + 1)):
+            nd = d + length
+            dv = dist.get(v, inf)
+            # an unreached v has no pred, so a tie (nd == inf) does not reach it
+            if nd < dv or (nd == dv and u < pred.get(v, u)):
                 dist[v] = nd
                 pred[v] = u
-                src[v] = src[u]
+                src[v] = su
                 heapq.heappush(heap, (nd, u, v))
-    return dist, pred, src
+    return pred, closure
 
 
 class _UnionFind:
@@ -133,19 +152,7 @@ def approximate_steiner_tree(
     if unreachable:
         raise DisconnectedTerminals(unreachable)
 
-    dist, pred, src = _multi_source_dijkstra(graph, terminals, weight_mode)
-
-    # closure edges between Voronoi regions, cheapest bridge per terminal pair
-    closure: dict[tuple[int, int], tuple[float, int, int]] = {}
-    for u, v, w in graph.edges():
-        su, sv = src.get(u), src.get(v)
-        if su is None or sv is None or su == sv:
-            continue
-        key = (min(su, sv), max(su, sv))
-        cand = (dist[u] + _edge_length(w, weight_mode) + dist[v], min(u, v), max(u, v))
-        if key not in closure or cand < closure[key]:
-            closure[key] = cand
-
+    pred, closure = _multi_source_dijkstra(graph, terminals, weight_mode)
     closure_mst = _kruskal(
         sorted(terminals),
         ((wt, a, b) for (a, b), (wt, _, _) in closure.items()),
@@ -166,9 +173,9 @@ def approximate_steiner_tree(
         expanded.update(_path_to_source(u))
         expanded.update(_path_to_source(v))
 
-    weight_of = {}
-    for u, v, w in graph.edges():
-        weight_of[(u, v)] = _edge_length(w, weight_mode)
+    weight_of = {
+        (u, v): _edge_length(dict(graph.adjacency[u])[v], weight_mode) for u, v in expanded
+    }
     sub_nodes = sorted({n for e in expanded for n in e})
     final = _kruskal(sub_nodes, ((weight_of[e], e[0], e[1]) for e in sorted(expanded)))
 

@@ -82,7 +82,7 @@ def subgraph(graph: ViewGraph, keep) -> ViewGraph:
     """Induced subgraph on `keep`, preserving the prune threshold."""
     keep = set(keep)
     adj = {
-        v: tuple((u, w) for u, w in graph.adjacency[v] if u in keep)
+        v: tuple([e for e in graph.adjacency[v] if e[0] in keep])
         for v in sorted(keep)
         if v in graph.adjacency
     }

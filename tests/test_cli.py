@@ -1,11 +1,12 @@
 import os
+import shutil
 import subprocess
 import sys
 
 import pytest
 
 import sparseview
-from sparseview import sampler
+from sparseview import cli, sampler
 from sparseview.batches import Phase, ViewProvenance, read_batches
 from sparseview.cli import run
 from sparseview.recon_io import load_scene_dir
@@ -95,6 +96,9 @@ BAD_FLAGS = [
     ("filter-depth", ["--tau-grad", "nan"], "tau_grad"),
     ("pose-eval", ["--thresholds", "5,x"], "--thresholds"),
     ("pose-eval", ["--thresholds", "0"], "--thresholds"),
+    ("communities", ["--resolution", "nan"], "--resolution"),
+    ("communities", ["--resolution", "-1"], "--resolution"),
+    ("communities", ["--resolution", "inf"], "--resolution"),
     *[(cmd, ["--threads", "2"], "--threads") for cmd in VALID_ARGV],
     *[(cmd, ["--seed", "1"], "--seed")
       for cmd in ("parse", "stats", "coverage", "pose-eval", "filter-depth")],
@@ -111,6 +115,31 @@ def test_bad_flag_exits_1_and_names_it(inputs, tmp_path, capsys, cmd, bad, names
     assert run(argv + bad) == 1
     err = capsys.readouterr().err
     assert names in err
+    assert "internal" not in err
+
+
+def test_sample_without_out_fails_before_sampling(inputs, monkeypatch, capsys):
+    def no_sampling(*_):
+        raise AssertionError("sampled before checking --out")
+
+    monkeypatch.setattr(cli, "generate_batches", no_sampling)
+    assert run(["sample", "--scene", inputs["ring"], "--n", "6", "--quiet"]) == 1
+    assert "--out is required for sample" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["parse", "stats"])
+def test_nan_translation_exits_1_naming_file_and_line(inputs, tmp_path, capsys, cmd):
+    scene = tmp_path / "scene"
+    shutil.copytree(inputs["ring"], scene)
+    lines = (scene / "images.txt").read_text().splitlines(keepends=True)
+    line_no = next(i for i, line in enumerate(lines, 1) if not line.startswith("#"))
+    toks = lines[line_no - 1].split()
+    toks[5] = "nan"  # TX
+    lines[line_no - 1] = " ".join(toks) + "\n"
+    (scene / "images.txt").write_text("".join(lines))
+    assert run([cmd, "--scene", str(scene), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert f"images.txt:{line_no}:" in err
     assert "internal" not in err
 
 

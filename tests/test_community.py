@@ -5,7 +5,7 @@ import pytest
 from conftest import graph_of, random_graph
 from oracles import best_modularity_partition, modularity_direct
 from sparseview.community import louvain, modularity
-from sparseview.errors import EmptyGraph
+from sparseview.errors import EmptyGraph, InvalidSpec
 
 
 def two_cliques_with_bridge():
@@ -130,3 +130,10 @@ class TestLouvain:
             assert len(got.level_modularities) == got.level_count
             for a, b in zip(got.level_modularities, got.level_modularities[1:]):
                 assert b >= a - 1e-9
+
+
+@pytest.mark.parametrize("resolution", [float("nan"), -1.0, 0.0, float("inf")])
+def test_louvain_rejects_bad_resolution(resolution):
+    g = graph_of([(1, 2, 5), (2, 3, 5)])
+    with pytest.raises(InvalidSpec, match="resolution"):
+        louvain(g, 0, resolution=resolution)

@@ -237,3 +237,24 @@ class TestRoundTrip:
 def test_posed_view_rejects_non_unit_quaternion():
     with pytest.raises(ValueError):
         PosedView(1, 1, (1.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0), "a.jpg")
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+@pytest.mark.parametrize(
+    "parse,text,field",
+    [
+        pytest.param(parse_cameras, "# c\n1 PINHOLE 640 480 500 500 320 240\n", 6, id="param"),
+        pytest.param(parse_images, "# i\n1 1 0 0 0 0 0 0 1 a.jpg\n\n", 6, id="translation"),
+        pytest.param(parse_images, "# i\n1 1 0 0 0 0 0 0 1 a.jpg\n\n", 2, id="quaternion"),
+        pytest.param(parse_points, "# p\n7 1 2 3 255 0 0 0.5 1 0\n", 2, id="xyz"),
+    ],
+)
+def test_non_finite_number_names_file_and_line(tmp_path, parse, text, field, bad):
+    lines = text.split("\n")
+    toks = lines[1].split()
+    toks[field] = bad
+    lines[1] = " ".join(toks)
+    path = write(tmp_path, "f.txt", "\n".join(lines))
+    with pytest.raises(MalformedLine) as exc:
+        parse(path)
+    assert (exc.value.path, exc.value.line_no) == (path, 2)

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -153,3 +154,109 @@ class TestSteinerTree:
         except DisconnectedTerminals:
             return
         assert a == b
+
+
+# sha256 over every _golden_cases result in both weight modes; sampled batches
+# are built from these trees, so a new value here means new batch bytes
+GOLDEN_DIGEST = "2f97863b68148043e8f929c610109ebb748692830e36b7ec404a48da1ae026b5"
+
+
+def _lattice(rng, rows, cols, weights):
+    """rows x cols grid whose edge weights come from a small repeated set."""
+    edges = []
+    for r in range(rows):
+        for c in range(cols):
+            v = r * cols + c + 1
+            if c + 1 < cols:
+                edges.append((v, v + 1, rng.choice(weights)))
+            if r + 1 < rows:
+                edges.append((v, v + cols, rng.choice(weights)))
+    return edges, rows * cols
+
+
+def _golden_cases():
+    """200 seeded, tie-heavy inputs: equal-weight lattices (ties everywhere),
+    lattices over match counts whose inverse lengths round differently in
+    different sum orders, and random graphs over a few repeated counts with
+    zero (an infinite inverse length) among them. Each has a terminal-free
+    component beside the terminals' one."""
+    for seed in range(200):
+        rng = random.Random(seed)
+        kind = seed % 4
+        if kind == 0:
+            edges, n = _lattice(rng, rng.randint(2, 7), rng.randint(2, 7), (10,))
+        elif kind == 1:
+            edges, n = _lattice(rng, rng.randint(4, 10), rng.randint(4, 10), (3, 5, 6, 7, 10))
+        else:
+            n = rng.randint(4, 30)
+            counts = (0, 0, 1, 3) if kind == 2 else (0, 1, 2, 4, 4, 8)
+            edges = [
+                (u, v, rng.choice(counts))
+                for u in range(1, n + 1)
+                for v in range(u + 1, n + 1)
+                if rng.random() < 0.25
+            ]
+        extra = rng.randint(0, 8)
+        edges += [(n + i, n + i + 1, rng.choice((3, 6))) for i in range(1, extra)]
+        g = graph_of(edges, nodes=range(1, n + extra + 2))
+        terms = set(rng.sample(range(1, n + 1), rng.randint(2, min(n, 7))))
+        yield g, terms
+
+
+def test_golden_digest():
+    """Pins the exact trees, edge sets and weight sums (ties included) of
+    approximate_steiner_tree, so a rewrite of its internals cannot change
+    a sampled batch unnoticed."""
+    h = hashlib.sha256()
+    for g, terms in _golden_cases():
+        for mode in WeightMode:
+            try:
+                res = approximate_steiner_tree(g, terms, mode)
+            except DisconnectedTerminals as exc:
+                record = ("disconnected", exc.unreachable)
+            else:
+                record = (
+                    sorted(res.tree_nodes), sorted(res.tree_edges), repr(res.total_weight)
+                )
+            h.update(repr(record).encode())
+    assert h.hexdigest() == GOLDEN_DIGEST
+
+
+def test_networkx_mehlhorn_oracle():
+    """On graphs too large for the brute-force oracle, the tree is valid and
+    weighs at most 2(1 - 1/|T|) times networkx's Mehlhorn tree, which weighs
+    at least the optimum, so the bound is sound."""
+    nx = pytest.importorskip("networkx")
+    from networkx.algorithms.approximation import steiner_tree as nx_steiner_tree
+
+    rng = random.Random(2604)
+    for trial in range(16):
+        n = rng.randint(50, 300)
+        # a random spanning tree plus random chords keeps the graph connected
+        weights = {(rng.randint(1, v - 1), v): rng.randint(1, 100) for v in range(2, n + 1)}
+        for _ in range(rng.randint(n // 2, 3 * n)):
+            u, v = sorted(rng.sample(range(1, n + 1), 2))
+            weights[(u, v)] = rng.randint(1, 100)
+        g = graph_of([(u, v, w) for (u, v), w in weights.items()])
+        terms = set(rng.sample(range(1, n + 1), rng.randint(2, 12)))
+        mode = (WeightMode.UNIT_HOP, WeightMode.INVERSE_MATCH)[trial % 2]
+        length = {
+            e: 1.0 if mode is WeightMode.UNIT_HOP else 1.0 / w for e, w in weights.items()
+        }
+
+        res = approximate_steiner_tree(g, terms, mode)
+        assert is_tree(res.tree_nodes, res.tree_edges)
+        assert terms <= res.tree_nodes
+        assert res.tree_edges <= length.keys()
+        degree = {n: 0 for n in res.tree_nodes}
+        for u, v in res.tree_edges:
+            degree[u] += 1
+            degree[v] += 1
+        assert {n for n, d in degree.items() if d <= 1} <= terms
+        assert res.total_weight == pytest.approx(sum(length[e] for e in res.tree_edges))
+
+        nxg = nx.Graph()
+        nxg.add_weighted_edges_from((u, v, x) for (u, v), x in length.items())
+        ref = nx_steiner_tree(nxg, sorted(terms), weight="weight", method="mehlhorn")
+        bound = 2.0 * (1.0 - 1.0 / len(terms)) * ref.size(weight="weight")
+        assert res.total_weight <= bound * (1 + 1e-9)
