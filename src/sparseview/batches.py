@@ -14,10 +14,11 @@ identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from enum import Enum
 
 from .errors import MalformedLine
+from .recon_io import text_lines
 
 
 class Phase(Enum):
@@ -60,15 +61,13 @@ class SampledBatch:
             raise ValueError("one provenance record per view required")
 
 
+_CONFIG_KEYS = [k.name for k in fields(BatchConfig)]
+
+
 def _batch_to_record(batch: SampledBatch) -> dict:
     return {
         "scene_id": batch.scene_id,
-        "config": {
-            "n_views": batch.config.n_views,
-            "max_components": batch.config.max_components,
-            "search_depth": batch.config.search_depth,
-            "seed": batch.config.seed,
-        },
+        "config": asdict(batch.config),
         "views": list(batch.views),
         "provenance": [
             {"partition": p.partition, "community": p.community, "phase": p.phase.value}
@@ -78,22 +77,27 @@ def _batch_to_record(batch: SampledBatch) -> dict:
     }
 
 
-def _record_to_batch(record: dict) -> SampledBatch:
-    cfg = record["config"]
+def _typed(value, kind: type, what: str):
+    """`value` if its type is exactly `kind` (so a bool is no int), else ValueError."""
+    if type(value) is not kind:
+        raise ValueError(f"{what} must be {kind.__name__}, got {value!r}")
+    return value
+
+
+def _record_to_batch(record) -> SampledBatch:
+    record = _typed(record, dict, "record")
+    cfg = _typed(record["config"], dict, "config")
+    provenance = []
+    for p in _typed(record["provenance"], list, "provenance"):
+        p = _typed(p, dict, "provenance entry")
+        partition, community = (_typed(p[k], int, k) for k in ("partition", "community"))
+        provenance.append(ViewProvenance(partition, community, Phase(p["phase"])))
     return SampledBatch(
-        scene_id=record["scene_id"],
-        config=BatchConfig(
-            n_views=cfg["n_views"],
-            max_components=cfg["max_components"],
-            search_depth=cfg["search_depth"],
-            seed=cfg["seed"],
-        ),
-        views=list(record["views"]),
-        provenance=[
-            ViewProvenance(p["partition"], p["community"], Phase(p["phase"]))
-            for p in record["provenance"]
-        ],
-        truncated=record.get("truncated", False),
+        scene_id=_typed(record["scene_id"], str, "scene_id"),
+        config=BatchConfig(**{k: _typed(cfg[k], int, k) for k in _CONFIG_KEYS}),
+        views=[_typed(v, int, "view id") for v in _typed(record["views"], list, "views")],
+        provenance=provenance,
+        truncated=_typed(record.get("truncated", False), bool, "truncated"),
     )
 
 
@@ -106,13 +110,12 @@ def write_batches(batches: list[SampledBatch], path: str) -> None:
 
 def read_batches(path: str) -> list[SampledBatch]:
     batches = []
-    with open(path, "r") as f:
-        for line_no, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                batches.append(_record_to_batch(json.loads(line)))
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise MalformedLine(line_no, f"bad batch record: {exc}", path) from exc
+    for line_no, raw in text_lines(path):
+        line = raw.strip()
+        if not line:
+            continue
+        try:
+            batches.append(_record_to_batch(json.loads(line)))
+        except (KeyError, ValueError, RecursionError) as exc:  # RecursionError: deep nesting
+            raise MalformedLine(line_no, f"bad batch record: {exc}", path) from exc
     return batches

@@ -159,8 +159,14 @@ def louvain(graph: ViewGraph, seed: int, resolution: float = 1.0) -> CommunityAs
     while True:
         community = _one_level(work, rng, resolution)
         labels = {v: community[node_to_current[v]] for v in nodes}
-        level_mods.append(modularity(graph, labels, resolution))
-        if all(community[u] == u for u in work.adj):
+        settled = all(community[u] == u for u in work.adj)
+        # a level that moves nothing keeps the previous level's grouping, and
+        # modularity depends only on the grouping, so its score is the same
+        if settled and level_mods:
+            level_mods.append(level_mods[-1])
+        else:
+            level_mods.append(modularity(graph, labels, resolution))
+        if settled:
             break
         node_to_current = {v: community[node_to_current[v]] for v in nodes}
         work = work.aggregate(community)
@@ -172,5 +178,4 @@ def louvain(graph: ViewGraph, seed: int, resolution: float = 1.0) -> CommunityAs
         if c not in dense:
             dense[c] = len(dense)
         relabeled[v] = dense[c]
-    q = modularity(graph, relabeled, resolution)
-    return CommunityAssignment(relabeled, q, len(level_mods), tuple(level_mods))
+    return CommunityAssignment(relabeled, level_mods[-1], len(level_mods), tuple(level_mods))

@@ -13,12 +13,11 @@ class InvariantViolation(Exception):
 
 
 class MalformedLine(SparseViewError):
-    def __init__(self, line_no: int, reason: str, path: str | None = None):
+    def __init__(self, line_no: int, reason: str, path: str):
         self.line_no = line_no
         self.reason = reason
         self.path = path
-        where = f"{path}:{line_no}" if path else f"line {line_no}"
-        super().__init__(f"{where}: {reason}")
+        super().__init__(f"{path}:{line_no}: {reason}")
 
 
 class DuplicateId(SparseViewError):

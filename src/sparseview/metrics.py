@@ -119,11 +119,13 @@ def _azimuth_bin(vec, gravity_axis: str, bin_count: int) -> int | None:
     return int(angle * bin_count / 360.0) % bin_count
 
 
-def azimuth_coverage(
-    scene: SceneReconstruction, gravity_axis: str = "y", bin_count: int = 36
-) -> AzimuthCoverage:
+AZIMUTH_BINS = 36  # 10-degree bins
+
+
+def azimuth_coverage(scene: SceneReconstruction, gravity_axis: str = "y") -> AzimuthCoverage:
     """Occupancy of horizontal azimuth bins by camera positions (relative to
     the point-cloud centroid) and by camera viewing directions."""
+    bin_count = AZIMUTH_BINS
     if not scene.views:
         raise NoCameras("scene has no cameras")
     if not scene.points:

@@ -7,18 +7,21 @@ encoded as 0.0.
 
 from __future__ import annotations
 
+import math
+import os
+
 import numpy as np
 
 from .depth_filter import DepthMap
 from .errors import MalformedLine
 
 
-def _read_header_token(f) -> bytes:
+def _read_header_token(f, path: str) -> bytes:
     tok = b""
     while True:
         c = f.read(1)
         if not c:
-            raise MalformedLine(1, "truncated header")
+            raise MalformedLine(1, "truncated header", path)
         if c.isspace():
             if tok:
                 return tok
@@ -28,21 +31,25 @@ def _read_header_token(f) -> bytes:
 
 def read_pfm(path: str) -> DepthMap:
     with open(path, "rb") as f:
-        magic = _read_header_token(f)
+        magic = _read_header_token(f, path)
         if magic != b"Pf":
             raise MalformedLine(1, f"expected Pf header, got {magic!r}", path)
         try:
-            width = int(_read_header_token(f))
-            height = int(_read_header_token(f))
-            scale = float(_read_header_token(f))
+            width = int(_read_header_token(f, path))
+            height = int(_read_header_token(f, path))
+            scale = float(_read_header_token(f, path))
         except ValueError as exc:
             raise MalformedLine(2, f"bad dimensions or scale: {exc}", path) from exc
         if width <= 0 or height <= 0:
             raise MalformedLine(2, "nonpositive dimensions", path)
+        # the scale's sign gives the byte order; its magnitude is not used
+        if not math.isfinite(scale) or scale == 0:
+            raise MalformedLine(3, f"scale must be finite and nonzero, got {scale}", path)
         dtype = "<f4" if scale < 0 else ">f4"
-        data = f.read(4 * width * height)
-        if len(data) != 4 * width * height:
+        # checked before reading, so a header claiming a huge map allocates nothing
+        if 4 * width * height > os.fstat(f.fileno()).st_size - f.tell():
             raise MalformedLine(3, "truncated pixel data", path)
+        data = f.read(4 * width * height)
         grid = np.frombuffer(data, dtype=dtype).reshape(height, width)
     return DepthMap(width=width, height=height, values=np.flipud(grid).astype(np.float64))
 

@@ -14,6 +14,7 @@ center is -R^T t.
 
 from __future__ import annotations
 
+import io
 import math
 import os
 from dataclasses import dataclass, field
@@ -176,14 +177,26 @@ class SceneReconstruction:
         return (sx / n, sy / n, sz / n)
 
 
+def text_lines(path: str):
+    """(line_no, line) for each line of a UTF-8 text file, split as a
+    text-mode open() splits them; a byte that is not UTF-8 raises
+    MalformedLine naming its line."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return enumerate(io.StringIO(data.decode("utf-8"), newline=None), start=1)
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise MalformedLine(line_no, f"not UTF-8 text: {exc.reason}", path) from exc
+
+
 def _content_lines(path):
     """Yield (line_no, stripped_line) skipping comments and blank lines."""
-    with open(path, "r") as f:
-        for line_no, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            yield line_no, line
+    for line_no, raw in text_lines(path):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        yield line_no, line
 
 
 def _finite(values: tuple[float, ...], line_no: int, path: str) -> tuple[float, ...]:
@@ -222,35 +235,34 @@ def parse_images(path: str) -> dict[int, PosedView]:
     """
     views: dict[int, PosedView] = {}
     expect_pose = True
-    with open(path, "r") as f:
-        for line_no, raw in enumerate(f, start=1):
-            line = raw.strip()
-            if line.startswith("#"):
+    for line_no, raw in text_lines(path):
+        line = raw.strip()
+        if line.startswith("#"):
+            continue
+        if expect_pose:
+            if not line:
                 continue
-            if expect_pose:
-                if not line:
-                    continue
-                toks = line.split()
-                if len(toks) < 10:
-                    raise MalformedLine(line_no, "pose line needs 10 fields", path)
-                try:
-                    view_id = int(toks[0])
-                    pose = _finite(tuple(map(float, toks[1:8])), line_no, path)
-                    q, t = pose[:4], pose[4:]
-                    camera_id = int(toks[8])
-                    name = " ".join(toks[9:])
-                except ValueError as exc:
-                    raise MalformedLine(line_no, f"bad pose line: {exc}", path) from exc
-                if view_id in views:
-                    raise DuplicateId("view", view_id)
-                try:
-                    views[view_id] = PosedView(view_id, camera_id, q, t, name)
-                except ValueError as exc:
-                    raise MalformedLine(line_no, str(exc), path) from exc
-                expect_pose = False
-            else:
-                # observation line; content ignored
-                expect_pose = True
+            toks = line.split()
+            if len(toks) < 10:
+                raise MalformedLine(line_no, "pose line needs 10 fields", path)
+            try:
+                view_id = int(toks[0])
+                pose = _finite(tuple(map(float, toks[1:8])), line_no, path)
+                q, t = pose[:4], pose[4:]
+                camera_id = int(toks[8])
+                name = " ".join(toks[9:])
+            except ValueError as exc:
+                raise MalformedLine(line_no, f"bad pose line: {exc}", path) from exc
+            if view_id in views:
+                raise DuplicateId("view", view_id)
+            try:
+                views[view_id] = PosedView(view_id, camera_id, q, t, name)
+            except ValueError as exc:
+                raise MalformedLine(line_no, str(exc), path) from exc
+            expect_pose = False
+        else:
+            # observation line; content ignored
+            expect_pose = True
     return views
 
 

@@ -4,8 +4,14 @@ Mehlhorn's construction: one multi-source shortest-path pass grows Voronoi
 regions around the terminals and, in the same pass, keeps the cheapest
 boundary edge between each pair of regions; those edges form a terminal
 closure graph, and the MST of that closure is expanded back to graph paths.
-A final MST plus leaf pruning guarantees every leaf is a terminal. The result
-is within 2(1 - 1/|T|) of the optimal Steiner weight.
+That expansion is already the tree: a node and its shortest-path predecessor
+share a source, so each predecessor path stays inside one Voronoi region and
+each region adds a subtree of its shortest-path tree rooted at its terminal,
+while the closure MST joins the regions through one boundary edge each. The
+union is a forest whose every leaf is a terminal, and a tree when the closure
+MST spans the terminals; when it does not, DisconnectedTerminals names the
+terminals cut off. The result is within 2(1 - 1/|T|) of the optimal Steiner
+weight.
 """
 
 from __future__ import annotations
@@ -104,34 +110,6 @@ def _multi_source_dijkstra(graph: ViewGraph, sources, mode: WeightMode):
     return pred, closure
 
 
-class _UnionFind:
-    def __init__(self, items):
-        self.parent = {x: x for x in items}
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
-def _kruskal(nodes, edges):
-    """edges: iterable of (weight, u, v); returns list of chosen (u, v, weight)."""
-    uf = _UnionFind(nodes)
-    chosen = []
-    for w, u, v in sorted(edges):
-        if uf.union(u, v):
-            chosen.append((u, v, w))
-    return chosen
-
-
 def approximate_steiner_tree(
     graph: ViewGraph,
     terminals,
@@ -153,50 +131,38 @@ def approximate_steiner_tree(
         raise DisconnectedTerminals(unreachable)
 
     pred, closure = _multi_source_dijkstra(graph, terminals, weight_mode)
-    closure_mst = _kruskal(
-        sorted(terminals),
-        ((wt, a, b) for (a, b), (wt, _, _) in closure.items()),
-    )
+    # Kruskal over the closure; a zero match count has infinite length under
+    # INVERSE_MATCH, so a terminal may have no closure edge at all
+    root = {t: t for t in terminals}
 
-    # expand closure edges back into original-graph paths
-    def _path_to_source(node):
-        path = []
-        while node != -1 and pred[node] != -1:
-            path.append((min(node, pred[node]), max(node, pred[node])))
-            node = pred[node]
-        return path
+    def find(x):
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
 
+    closure_mst = []
+    for _, a, b in sorted((wt, a, b) for (a, b), (wt, _, _) in closure.items()):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            root[rb] = ra
+            closure_mst.append((a, b))
+    if len(closure_mst) < len(terminals) - 1:
+        raise DisconnectedTerminals(t for t in terminals if find(t) != find(first))
+
+    # expand each closure edge into its boundary edge plus both endpoints'
+    # predecessor paths back to their sources
     expanded: set[tuple[int, int]] = set()
-    for a, b, _ in closure_mst:
-        _, u, v = closure[(min(a, b), max(a, b))]
-        expanded.add((min(u, v), max(u, v)))
-        expanded.update(_path_to_source(u))
-        expanded.update(_path_to_source(v))
+    for a, b in closure_mst:
+        _, u, v = closure[(a, b)]
+        expanded.add((u, v))
+        for node in (u, v):
+            while pred[node] != -1:
+                expanded.add((min(node, pred[node]), max(node, pred[node])))
+                node = pred[node]
 
-    weight_of = {
-        (u, v): _edge_length(dict(graph.adjacency[u])[v], weight_mode) for u, v in expanded
-    }
-    sub_nodes = sorted({n for e in expanded for n in e})
-    final = _kruskal(sub_nodes, ((weight_of[e], e[0], e[1]) for e in sorted(expanded)))
-
-    # prune non-terminal leaves until all leaves are terminals
-    adj: dict[int, set[int]] = {n: set() for n in sub_nodes}
-    for u, v, _ in final:
-        adj[u].add(v)
-        adj[v].add(u)
-    changed = True
-    while changed:
-        changed = False
-        for n in sorted(adj):
-            if n in adj and n not in terminals and len(adj[n]) <= 1:
-                for nb in adj[n]:
-                    adj[nb].discard(n)
-                del adj[n]
-                changed = True
-
-    tree_nodes = frozenset(adj)
-    tree_edges = frozenset(
-        (min(u, v), max(u, v)) for u in adj for v in adj[u] if u < v
+    tree_nodes = frozenset(n for e in expanded for n in e)
+    total = sum(
+        _edge_length(dict(graph.adjacency[u])[v], weight_mode) for u, v in sorted(expanded)
     )
-    total = sum(weight_of[e] for e in sorted(tree_edges))
-    return SteinerResult(frozenset(terminals), tree_nodes, tree_edges, total)
+    return SteinerResult(frozenset(terminals), tree_nodes, frozenset(expanded), total)

@@ -49,21 +49,26 @@ class SynthSpec:
     def __post_init__(self):
         if self.cluster_count < 1 or self.cluster_size < 1:
             raise InvalidSpec("cluster counts must be >= 1")
+        if self.inter_weight < 0:
+            raise InvalidSpec(f"inter_weight must be >= 0, got {self.inter_weight}")
         if self.intra_weight < self.inter_weight:
             raise InvalidSpec("intra_weight must be >= inter_weight")
+        if not (math.isfinite(self.radius) and self.radius > 0):
+            raise InvalidSpec(f"radius must be a finite number > 0, got {self.radius}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise InvalidSpec(f"noise_sigma must be a finite number >= 0, got {self.noise_sigma}")
 
 
-def _look_at_quaternion(position, target, up=(0.0, 1.0, 0.0)):
+def _look_at_quaternion(position, target):
     """World-to-camera quaternion for a camera at `position` looking at
-    `target` (camera axes: x right, y down, z forward)."""
+    `target` (camera axes: x right, y down, z forward), world up +Y."""
     fwd = np.array(target, dtype=float) - np.array(position, dtype=float)
     norm = np.linalg.norm(fwd)
     if norm < 1e-12:
         fwd = np.array([0.0, 0.0, 1.0])
     else:
         fwd = fwd / norm
-    upv = np.array(up, dtype=float)
-    right = np.cross(upv, fwd)
+    right = np.cross(np.array([0.0, 1.0, 0.0]), fwd)
     rnorm = np.linalg.norm(right)
     if rnorm < 1e-12:
         right = np.array([1.0, 0.0, 0.0])
@@ -223,13 +228,14 @@ def gen_grid_scene(spec: SynthSpec) -> SceneReconstruction:
     return scene
 
 
-def gen_depth_fixture(
-    spec: SynthSpec,
-    width: int = 64,
-    height: int = 64,
-    blob_origin: tuple[int, int] = (20, 24),
-    blob_size: tuple[int, int] = (10, 12),
-) -> tuple[DepthMap, DepthMap, set[tuple[int, int]]]:
+# depth fixture geometry; the blob's origin and size are (row, col) pairs
+FIXTURE_WIDTH = 64
+FIXTURE_HEIGHT = 64
+BLOB_ORIGIN = (20, 24)
+BLOB_SIZE = (10, 12)
+
+
+def gen_depth_fixture(spec: SynthSpec) -> tuple[DepthMap, DepthMap, set[tuple[int, int]]]:
     """Smooth-ramp depth pair with a transient blob in the geometric map only.
 
     The blob doubles the geometric depth, so its normalized discrepancy after
@@ -240,11 +246,12 @@ def gen_depth_fixture(
     if spec.kind is not SynthKind.DEPTH_FIXTURE:
         raise InvalidSpec(f"expected depth spec, got {spec.kind}")
     rng = random.Random(spec.seed)
+    height, width = FIXTURE_HEIGHT, FIXTURE_WIDTH
     ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)
     base = 5.0 + 2.0 * xs / max(width - 1, 1) + 1.0 * ys / max(height - 1, 1)
     geom = base.copy()
-    r0, c0 = blob_origin
-    bh, bw = blob_size
+    r0, c0 = BLOB_ORIGIN
+    bh, bw = BLOB_SIZE
     blob = {
         (r, c)
         for r in range(r0, min(r0 + bh, height))

@@ -14,7 +14,6 @@ class ViewGraph:
     """Undirected weighted graph, adjacency lists sorted by neighbor id."""
 
     adjacency: dict[int, tuple[tuple[int, int], ...]]
-    prune_threshold: int = 0
 
     @property
     def nodes(self) -> list[int]:
@@ -47,18 +46,13 @@ class ViewGraph:
                     yield u, v, w
 
 
-def from_edge_weights(
-    nodes, edge_weights: dict[tuple[int, int], int], prune_threshold: int = 0
-) -> ViewGraph:
+def from_edge_weights(nodes, edge_weights: dict[tuple[int, int], int]) -> ViewGraph:
     """Build a ViewGraph from a {(u, v): weight} map; isolated nodes kept."""
     adj: dict[int, list[tuple[int, int]]] = {v: [] for v in sorted(nodes)}
     for (u, v), w in edge_weights.items():
         adj[u].append((v, w))
         adj[v].append((u, w))
-    return ViewGraph(
-        adjacency={v: tuple(sorted(nbrs)) for v, nbrs in adj.items()},
-        prune_threshold=prune_threshold,
-    )
+    return ViewGraph(adjacency={v: tuple(sorted(nbrs)) for v, nbrs in adj.items()})
 
 
 def build_graph(scene: SceneReconstruction) -> ViewGraph:
@@ -75,18 +69,18 @@ def prune_edges(graph: ViewGraph, threshold: int) -> ViewGraph:
         v: tuple((u, w) for u, w in nbrs if w >= threshold)
         for v, nbrs in graph.adjacency.items()
     }
-    return ViewGraph(adjacency=adj, prune_threshold=threshold)
+    return ViewGraph(adjacency=adj)
 
 
 def subgraph(graph: ViewGraph, keep) -> ViewGraph:
-    """Induced subgraph on `keep`, preserving the prune threshold."""
+    """Induced subgraph on `keep`."""
     keep = set(keep)
     adj = {
         v: tuple([e for e in graph.adjacency[v] if e[0] in keep])
         for v in sorted(keep)
         if v in graph.adjacency
     }
-    return ViewGraph(adjacency=adj, prune_threshold=graph.prune_threshold)
+    return ViewGraph(adjacency=adj)
 
 
 def connected_components(graph: ViewGraph) -> list[set[int]]:
@@ -143,16 +137,14 @@ def compute_stats(graph: ViewGraph) -> GraphStatsReport:
     )
 
 
-def bfs_distances(graph: ViewGraph, start: int, limit: int | None = None) -> dict[int, int]:
-    """Hop distances from start, optionally capped at `limit`."""
+def bfs_distances(graph: ViewGraph, start: int) -> dict[int, int]:
+    """Hop distances from start to every node it reaches."""
     if not graph.has_node(start):
         raise UnknownNode(start)
     dist = {start: 0}
     queue = deque([start])
     while queue:
         u = queue.popleft()
-        if limit is not None and dist[u] >= limit:
-            continue
         for v, _ in graph.adjacency[u]:
             if v not in dist:
                 dist[v] = dist[u] + 1

@@ -4,6 +4,16 @@ import pytest
 
 from sparseview.view_graph import ViewGraph, from_edge_weights
 
+try:
+    from hypothesis import settings
+except ImportError:  # the property tests skip themselves
+    pass
+else:
+    # the same examples on every run, so a property test cannot pass once and
+    # fail the next time; no example database is written
+    settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+    settings.load_profile("deterministic")
+
 
 def graph_of(edges, nodes=None):
     """ViewGraph from (u, v, w) triples; extra isolated nodes optional."""

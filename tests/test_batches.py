@@ -68,11 +68,28 @@ def test_view_order_preserved(tmp_path):
 
 
 def test_malformed_record_names_line(tmp_path):
+    good = ('{"config":{"max_components":1,"n_views":1,"search_depth":1,"seed":0},'
+            '"provenance":[{"community":0,"partition":0,"phase":"fill"}],'
+            '"scene_id":"s","truncated":false,"views":[1]}')
     path = tmp_path / "b.jsonl"
-    path.write_text('{"scene_id": "s"}\n')
-    with pytest.raises(MalformedLine) as exc:
+    for bad in (
+        '{"scene_id": "s"}',
+        "1",
+        "[]",
+        good.replace('"views":[1]', '"views":[1,[2]]'),
+        good.replace('"views":[1]', '"views":"1"'),
+        good.replace('"views":[1]', '"views":[true]'),
+        good.replace('"n_views":1', '"n_views":null'),
+        good.replace('"phase":"fill"}', '"phase":"fill"},3'),
+        "[" * 100000,
+    ):
+        path.write_text(f"{good}\n\n{bad}\n")
+        with pytest.raises(MalformedLine) as exc:
+            read_batches(str(path))
+        assert (exc.value.line_no, exc.value.path) == (3, str(path)), bad
+    path.write_bytes(f"{good}\n".encode() + b'{"scene_id": "\xff"}\n')
+    with pytest.raises(MalformedLine, match=r"b\.jsonl:2: not UTF-8"):
         read_batches(str(path))
-    assert exc.value.line_no == 1
 
 
 def test_duplicate_views_rejected():

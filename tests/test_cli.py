@@ -99,6 +99,12 @@ BAD_FLAGS = [
     ("communities", ["--resolution", "nan"], "--resolution"),
     ("communities", ["--resolution", "-1"], "--resolution"),
     ("communities", ["--resolution", "inf"], "--resolution"),
+    ("synth", ["--radius", "nan"], "radius"),
+    ("synth", ["--radius", "inf"], "radius"),
+    ("synth", ["--radius", "0"], "radius"),
+    ("synth", ["--noise", "nan"], "noise_sigma"),
+    ("synth", ["--noise", "-0.1"], "noise_sigma"),
+    ("synth", ["--inter", "-5"], "inter_weight"),
     *[(cmd, ["--threads", "2"], "--threads") for cmd in VALID_ARGV],
     *[(cmd, ["--seed", "1"], "--seed")
       for cmd in ("parse", "stats", "coverage", "pose-eval", "filter-depth")],

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from sparseview import synth
 from sparseview.depth_filter import (
     DepthMap,
     FilterConfig,
@@ -135,9 +136,10 @@ class TestFilterDepth:
         # only blob-border gradient pixels may go besides the blob itself
         assert outside <= 0.02 * (geom.values.size - len(blob))
 
-    def test_zero_area_blob_removes_nothing(self):
+    def test_zero_area_blob_removes_nothing(self, monkeypatch):
+        monkeypatch.setattr(synth, "BLOB_SIZE", (0, 0))
         spec = SynthSpec(kind=SynthKind.DEPTH_FIXTURE, seed=7)
-        geom, mono, blob = gen_depth_fixture(spec, blob_size=(0, 0))
+        geom, mono, blob = gen_depth_fixture(spec)
         assert blob == set()
         _, report = filter_depth(geom, mono)
         assert report.removed_total == 0

@@ -76,3 +76,22 @@ def test_truncated_payload(tmp_path):
     path.write_bytes(b"Pf\n2 2\n-1.0\n" + b"\x00" * 7)
     with pytest.raises(MalformedLine):
         read_pfm(str(path))
+
+
+@pytest.mark.parametrize(
+    "content,reason",
+    [
+        (b"Pf\n2 1", "truncated header"),
+        (b"Pf\n2 1\nnan\n" + b"\x00" * 8, "scale"),
+        (b"Pf\n2 1\ninf\n" + b"\x00" * 8, "scale"),
+        (b"Pf\n2 1\n0.0\n" + b"\x00" * 8, "scale"),
+        (b"Pf\n100000 100000\n-1.0\n" + b"\x00" * 8, "truncated pixel data"),
+    ],
+    ids=["truncated-header", "nan-scale", "inf-scale", "zero-scale", "oversized-claim"],
+)
+def test_malformed_header_names_file(tmp_path, content, reason):
+    path = tmp_path / "d.pfm"
+    path.write_bytes(content)
+    with pytest.raises(MalformedLine, match=reason) as exc:
+        read_pfm(str(path))
+    assert exc.value.path == str(path)

@@ -95,6 +95,16 @@ class TestSteinerTree:
             approximate_steiner_tree(g, {1, 3})
         assert exc.value.unreachable == [3]
 
+    def test_terminals_joined_only_by_zero_matches_are_disconnected(self):
+        # a zero match count has infinite length under INVERSE_MATCH, so no
+        # closure edge joins 1 and 3; an empty tree would leave both out
+        g = graph_of([(1, 2, 0), (2, 3, 0)])
+        with pytest.raises(DisconnectedTerminals) as exc:
+            approximate_steiner_tree(g, {1, 3}, WeightMode.INVERSE_MATCH)
+        assert exc.value.unreachable == [3]
+        res = approximate_steiner_tree(g, {1, 3}, WeightMode.UNIT_HOP)
+        assert res.tree_nodes == frozenset({1, 2, 3})
+
     def test_non_terminal_leaves_pruned(self, rng):
         for trial in range(40):
             g = random_graph(rng, 10, 0.35)
@@ -157,8 +167,8 @@ class TestSteinerTree:
 
 
 # sha256 over every _golden_cases result in both weight modes; sampled batches
-# are built from these trees, so a new value here means new batch bytes
-GOLDEN_DIGEST = "2f97863b68148043e8f929c610109ebb748692830e36b7ec404a48da1ae026b5"
+# are built from these trees, so a new value here can mean new batch bytes
+GOLDEN_DIGEST = "1c59d1c82341f6b89eab8c40bb467ab0acf4549c893577d28b18f3891006f56b"
 
 
 def _lattice(rng, rows, cols, weights):

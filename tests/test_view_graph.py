@@ -50,7 +50,6 @@ class TestPrune:
         pruned = prune_edges(g, 50)
         assert list(pruned.edges()) == [(1, 2, 60)]
         assert sorted(pruned.nodes) == [1, 2, 3]
-        assert pruned.prune_threshold == 50
 
     def test_zero_threshold_identity(self):
         g = graph_of([(1, 2, 60), (2, 3, 40)])
