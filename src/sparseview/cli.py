@@ -261,7 +261,7 @@ def cmd_pose_eval(args) -> int:
     try:
         pred_list = [pred[i] for i in ids]
     except KeyError as exc:
-        raise SparseViewError(f"prediction missing view {exc}") from exc
+        raise SparseViewError(f"{args.pred}: prediction missing view {exc}") from exc
     gt_list = [gt[i] for i in ids]
     errors = metrics_mod.pose_pair_errors(pred_list, gt_list, args.thresholds)
     lines = [f"pairs {len(errors.rotation_errors)}"]

@@ -20,11 +20,18 @@ class MalformedLine(SparseViewError):
         super().__init__(f"{path}:{line_no}: {reason}")
 
 
+def _at(where: str | None, message: str) -> str:
+    return f"{where}: {message}" if where else message
+
+
 class DuplicateId(SparseViewError):
-    def __init__(self, kind: str, id_: int):
+    """`where` is the `path:line` of the repeat, when a parser found it."""
+
+    def __init__(self, kind: str, id_: int, where: str | None = None):
         self.kind = kind
         self.id = id_
-        super().__init__(f"duplicate {kind} id {id_}")
+        self.where = where
+        super().__init__(_at(where, f"duplicate {kind} id {id_}"))
 
 
 class DanglingReference(SparseViewError):
@@ -35,9 +42,12 @@ class DanglingReference(SparseViewError):
 
 
 class SelfLoop(SparseViewError):
-    def __init__(self, view_id: int):
+    """`where` is the `path:line` of the edge, when a parser found it."""
+
+    def __init__(self, view_id: int, where: str | None = None):
         self.view_id = view_id
-        super().__init__(f"self-loop on view {view_id}")
+        self.where = where
+        super().__init__(_at(where, f"self-loop on view {view_id}"))
 
 
 class EmptyGraph(SparseViewError):

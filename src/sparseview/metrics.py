@@ -13,6 +13,7 @@ _trapezoid = getattr(np, "trapezoid", None) or np.trapz
 from .errors import (
     EmptySample,
     IdMismatch,
+    InvalidK,
     LengthMismatch,
     NoCameras,
     NoPoints,
@@ -32,7 +33,7 @@ def k_hop_coverage(graph: ViewGraph, sampled, k: int) -> float:
         if not graph.has_node(v):
             raise UnknownNode(v)
     if k < 0:
-        raise ValueError("k must be >= 0")
+        raise InvalidK(f"k={k} must be >= 0")
     reached = set(sampled)
     frontier = set(sampled)
     for _ in range(k):
@@ -53,10 +54,33 @@ def avg_nearest_sample_dist(positions, nodes, sampled) -> float:
     sampled = sorted(set(sampled))
     if not sampled:
         raise EmptySample("sampled set is empty")
-    total = 0.0
     nodes = sorted(nodes)
-    for u in nodes:
-        total += min(math.dist(positions[u], positions[v]) for v in sampled)
+    p = np.array([positions[u] for u in nodes], dtype=float)
+    s = np.array([positions[v] for v in sampled], dtype=float)
+    # squared distances one coordinate at a time into one reused buffer: no
+    # (N, n, dim) temporary, and at most two float (N, n) arrays alive
+    d2 = np.zeros((len(p), len(s)))
+    diff = np.empty_like(d2)
+    for c in range(p.shape[1]):
+        np.subtract(p[:, c, None], s[None, :, c], out=diff)
+        diff *= diff
+        d2 += diff
+    del diff
+    nearest = d2.argmin(axis=1).tolist()
+    # where a runner-up is within rounding of the minimum (equidistant
+    # samples are common on lattices), math.dist picks among the candidates,
+    # since the two roundings can order them differently
+    close = d2 <= d2.min(axis=1, keepdims=True) * (1 + 1e-9)
+    tied = set(np.flatnonzero(close.sum(axis=1) > 1).tolist())
+    total = 0.0
+    for i, u in enumerate(nodes):
+        if i in tied:
+            total += min(
+                math.dist(positions[u], positions[sampled[j]])
+                for j in np.flatnonzero(close[i]).tolist()
+            )
+        else:
+            total += math.dist(positions[u], positions[sampled[nearest[i]]])
     return total / len(nodes)
 
 
@@ -77,11 +101,12 @@ def dispersion(graph: ViewGraph, positions, sampled) -> DispersionResult:
         raise TooFewSamples("dispersion needs at least two samples")
     hop_sum, hop_pairs, excluded = 0.0, 0, 0
     eu_sum = 0.0
-    dist_maps = {u: bfs_distances(graph, u) for u in sampled}
-    for i, u in enumerate(sampled):
-        for v in sampled[i + 1 :]:
-            if v in dist_maps[u]:
-                hop_sum += dist_maps[u][v]
+    for i, u in enumerate(sampled[:-1]):
+        later = sampled[i + 1 :]
+        hops = bfs_distances(graph, u, later)
+        for v in later:
+            if v in hops:
+                hop_sum += hops[v]
                 hop_pairs += 1
             else:
                 excluded += 1
@@ -161,20 +186,55 @@ class PosePairErrors:
     mte: float
 
 
-def _rotation_angle_deg(r: np.ndarray) -> float:
-    """Rotation angle of a rotation matrix, stable near 0 and 180 degrees."""
-    axial = np.array(
-        [r[2, 1] - r[1, 2], r[0, 2] - r[2, 0], r[1, 0] - r[0, 1]]
+def _norms(x: np.ndarray) -> np.ndarray:
+    """Row norms of an (m, 3) array. Each is the stacked-matmul dot of the
+    row with itself, the same BLAS dot np.linalg.norm takes on one vector,
+    so the bits match a per-row norm (an axis= norm or einsum would not)."""
+    return np.sqrt(_dots(x, x))
+
+
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def _degrees_atan2(y: np.ndarray, x: np.ndarray) -> list[float]:
+    return [math.degrees(math.atan2(a, b)) for a, b in zip(y.tolist(), x.tolist())]
+
+
+def _rotation_angles_deg(r: np.ndarray) -> list[float]:
+    """Rotation angle of each (m, 3, 3) rotation matrix, stable near 0 and
+    180 degrees."""
+    axial = np.stack(
+        [r[:, 2, 1] - r[:, 1, 2], r[:, 0, 2] - r[:, 2, 0], r[:, 1, 0] - r[:, 0, 1]], axis=1
     )
-    s = float(np.linalg.norm(axial)) / 2.0
-    c = (float(np.trace(r)) - 1.0) / 2.0
-    return math.degrees(math.atan2(s, c))
+    s = _norms(axial) / 2.0
+    c = (np.trace(r, axis1=1, axis2=2) - 1.0) / 2.0
+    return _degrees_atan2(s, c)
 
 
-def _vector_angle_deg(a: np.ndarray, b: np.ndarray) -> float:
-    cross = float(np.linalg.norm(np.cross(a, b)))
-    dot = float(np.dot(a, b))
-    return math.degrees(math.atan2(cross, dot))
+_PAIR_BLOCK = 1 << 14  # pairs per stacked block in pose_pair_errors
+
+
+def _pair_errors(pred, gt, i: np.ndarray, j: np.ndarray) -> tuple[list[float], list[float]]:
+    """Rotation and translation-direction errors in degrees of the pairs
+    (i[k], j[k]); pred and gt are (rotations (n, 3, 3), translations (n, 3))."""
+    (rs_p, ts_p), (rs_g, ts_g) = pred, gt
+    rel_p = rs_p[j] @ rs_p[i].transpose(0, 2, 1)
+    rel_g = rs_g[j] @ rs_g[i].transpose(0, 2, 1)
+    rot = _rotation_angles_deg(rel_p @ rel_g.transpose(0, 2, 1))
+    tp = ts_p[j] - (rel_p @ ts_p[i][:, :, None])[:, :, 0]
+    tg = ts_g[j] - (rel_g @ ts_g[i][:, :, None])[:, :, 0]
+    norm_p, norm_g = _norms(tp), _norms(tg)
+    zero_p, zero_g = norm_p < 1e-12, norm_g < 1e-12
+    up = tp / np.where(zero_p, 1.0, norm_p)[:, None]
+    ug = tg / np.where(zero_g, 1.0, norm_g)[:, None]
+    angles = _degrees_atan2(_norms(np.cross(up, ug)), _dots(up, ug))
+    # a zero baseline has no direction: both zero -> 0, one zero -> 90
+    trans = [
+        0.0 if zp and zg else 90.0 if zp or zg else a
+        for zp, zg, a in zip(zero_p.tolist(), zero_g.tolist(), angles)
+    ]
+    return rot, trans
 
 
 def pose_pair_errors(
@@ -197,30 +257,25 @@ def pose_pair_errors(
         if p.view_id != g.view_id:
             raise IdMismatch(f"view {p.view_id} aligned against {g.view_id}")
 
-    def relatives(views):
-        rs = [np.array(rotation_matrix(v.rotation)) for v in views]
-        ts = [np.array(v.translation) for v in views]
+    def stacked(views):
+        rs = np.array([rotation_matrix(v.rotation) for v in views], dtype=float)
+        ts = np.array([v.translation for v in views], dtype=float)
         return rs, ts
 
-    rs_p, ts_p = relatives(views_pred)
-    rs_g, ts_g = relatives(views_gt)
+    pred, gt = stacked(views_pred), stacked(views_gt)
     n = len(views_pred)
+    views = np.arange(n)
+    rows = max(1, _PAIR_BLOCK // n)
     rot_errors: list[float] = []
     trans_errors: list[float] = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            rel_p = rs_p[j] @ rs_p[i].T
-            rel_g = rs_g[j] @ rs_g[i].T
-            rot_errors.append(_rotation_angle_deg(rel_p @ rel_g.T))
-            tp = ts_p[j] - rel_p @ ts_p[i]
-            tg = ts_g[j] - rel_g @ ts_g[i]
-            np_, ng = float(np.linalg.norm(tp)), float(np.linalg.norm(tg))
-            if np_ < 1e-12 and ng < 1e-12:
-                trans_errors.append(0.0)
-            elif np_ < 1e-12 or ng < 1e-12:
-                trans_errors.append(90.0)
-            else:
-                trans_errors.append(_vector_angle_deg(tp / np_, tg / ng))
+    # a block of whole rows i at a time, every j > i stacked: the pairs come
+    # in nested-loop order, a batch is one block, and a whole scene never
+    # holds more than max(n, _PAIR_BLOCK) pairs' matrices at once
+    for i0 in range(0, n - 1, rows):
+        i, j = np.nonzero(views[i0 : i0 + rows, None] < views)
+        rot, trans = _pair_errors(pred, gt, i + i0, j)
+        rot_errors += rot
+        trans_errors += trans
 
     rot = np.array(rot_errors)
     trans = np.array(trans_errors)

@@ -220,7 +220,7 @@ def parse_cameras(path: str) -> dict[int, CameraIntrinsics]:
         except (ValueError, KeyError) as exc:
             raise MalformedLine(line_no, f"bad camera line: {exc}", path) from exc
         if camera_id in cameras:
-            raise DuplicateId("camera", camera_id)
+            raise DuplicateId("camera", camera_id, f"{path}:{line_no}")
         try:
             cameras[camera_id] = CameraIntrinsics(camera_id, model, width, height, params)
         except ValueError as exc:
@@ -254,7 +254,7 @@ def parse_images(path: str) -> dict[int, PosedView]:
             except ValueError as exc:
                 raise MalformedLine(line_no, f"bad pose line: {exc}", path) from exc
             if view_id in views:
-                raise DuplicateId("view", view_id)
+                raise DuplicateId("view", view_id, f"{path}:{line_no}")
             try:
                 views[view_id] = PosedView(view_id, camera_id, q, t, name)
             except ValueError as exc:
@@ -281,7 +281,7 @@ def parse_points(path: str) -> list[ScenePoint]:
         except ValueError as exc:
             raise MalformedLine(line_no, f"bad point line: {exc}", path) from exc
         if point_id in points:
-            raise DuplicateId("point", point_id)
+            raise DuplicateId("point", point_id, f"{path}:{line_no}")
         points[point_id] = ScenePoint(point_id, xyz, track)
     return [points[pid] for pid in sorted(points)]
 
@@ -322,7 +322,7 @@ def parse_match_graph(path: str) -> list[MatchEdge]:
         except ValueError as exc:
             raise MalformedLine(line_no, f"bad match line: {exc}", path) from exc
         if a == b:
-            raise SelfLoop(a)
+            raise SelfLoop(a, f"{path}:{line_no}")
         if count < 0:
             raise MalformedLine(line_no, "negative match count", path)
         key = (min(a, b), max(a, b))

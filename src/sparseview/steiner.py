@@ -125,7 +125,7 @@ def approximate_steiner_tree(
         return SteinerResult(frozenset(terminals), frozenset(terminals), frozenset(), 0.0)
 
     first = min(terminals)
-    reach = bfs_distances(graph, first)
+    reach = bfs_distances(graph, first, terminals)
     unreachable = [t for t in terminals if t not in reach]
     if unreachable:
         raise DisconnectedTerminals(unreachable)

@@ -137,16 +137,24 @@ def compute_stats(graph: ViewGraph) -> GraphStatsReport:
     )
 
 
-def bfs_distances(graph: ViewGraph, start: int) -> dict[int, int]:
-    """Hop distances from start to every node it reaches."""
+def bfs_distances(graph: ViewGraph, start: int, targets) -> dict[int, int]:
+    """Hop distances from start, found in BFS order until every target has one.
+
+    Nodes farther out than the last target may be missing from the map. A
+    target that start cannot reach, or that is not in the graph, makes the
+    search exhaust start's component.
+    """
     if not graph.has_node(start):
         raise UnknownNode(start)
     dist = {start: 0}
     queue = deque([start])
-    while queue:
+    remaining = set(targets)
+    remaining.discard(start)
+    while queue and remaining:
         u = queue.popleft()
         for v, _ in graph.adjacency[u]:
             if v not in dist:
                 dist[v] = dist[u] + 1
                 queue.append(v)
+                remaining.discard(v)
     return dist

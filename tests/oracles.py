@@ -10,6 +10,8 @@ import heapq
 import itertools
 import math
 
+import numpy as np
+
 
 def union_find_components(nodes, edges):
     """Connected components via union-find; edges are (u, v) pairs."""
@@ -153,3 +155,76 @@ def hop_distance(adj, start, goal):
                     nxt.append(v)
         frontier = nxt
     return None
+
+
+def bfs_all(adj, start):
+    """Hop distance from start to every node it reaches. adj: node -> iterable."""
+    dist = {start: 0}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for v in adj[u]:
+                if v not in dist:
+                    dist[v] = dist[u] + 1
+                    nxt.append(v)
+        frontier = nxt
+    return dist
+
+
+def dispersion_full_bfs(adj, positions, sampled):
+    """(mean hop distance or None, mean Euclidean distance, unreachable pairs)
+    over sampled pairs u < v, from one full BFS per sampled view, summed in
+    pair order."""
+    sampled = sorted(set(sampled))
+    maps = {u: bfs_all(adj, u) for u in sampled}
+    hop_sum, hop_pairs, excluded, eu_sum = 0.0, 0, 0, 0.0
+    for i, u in enumerate(sampled):
+        for v in sampled[i + 1 :]:
+            if v in maps[u]:
+                hop_sum += maps[u][v]
+                hop_pairs += 1
+            else:
+                excluded += 1
+            eu_sum += math.dist(positions[u], positions[v])
+    n_pairs = len(sampled) * (len(sampled) - 1) // 2
+    return hop_sum / hop_pairs if hop_pairs else None, eu_sum / n_pairs, excluded
+
+
+def nearest_sample_dist_loop(positions, nodes, sampled):
+    """Mean over nodes (sorted) of the math.dist to the closest sampled node."""
+    sampled = sorted(set(sampled))
+    total = 0.0
+    for u in sorted(nodes):
+        total += min(math.dist(positions[u], positions[v]) for v in sampled)
+    return total / len(nodes)
+
+
+def pose_pair_errors_loop(rs_pred, ts_pred, rs_gt, ts_gt):
+    """Per-pair relative rotation and translation-direction errors in degrees,
+    pairs i < j in row-major order, one pair at a time with numpy 3x3 and
+    3-vector products. rs_*: 3x3 world-to-camera rotations, ts_*: translations."""
+    def angle(y, x):
+        return math.degrees(math.atan2(y, x))
+
+    rs_p, rs_g = [np.array(r) for r in rs_pred], [np.array(r) for r in rs_gt]
+    ts_p, ts_g = [np.array(t) for t in ts_pred], [np.array(t) for t in ts_gt]
+    rot, trans = [], []
+    for i in range(len(rs_p)):
+        for j in range(i + 1, len(rs_p)):
+            rel_p = rs_p[j] @ rs_p[i].T
+            rel_g = rs_g[j] @ rs_g[i].T
+            e = rel_p @ rel_g.T
+            axial = np.array([e[2, 1] - e[1, 2], e[0, 2] - e[2, 0], e[1, 0] - e[0, 1]])
+            rot.append(angle(float(np.linalg.norm(axial)) / 2.0, (float(np.trace(e)) - 1.0) / 2.0))
+            tp = ts_p[j] - rel_p @ ts_p[i]
+            tg = ts_g[j] - rel_g @ ts_g[i]
+            np_, ng = float(np.linalg.norm(tp)), float(np.linalg.norm(tg))
+            if np_ < 1e-12 and ng < 1e-12:
+                trans.append(0.0)
+            elif np_ < 1e-12 or ng < 1e-12:
+                trans.append(90.0)
+            else:
+                a, b = tp / np_, tg / ng
+                trans.append(angle(float(np.linalg.norm(np.cross(a, b))), float(np.dot(a, b))))
+    return rot, trans

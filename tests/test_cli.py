@@ -149,6 +149,38 @@ def test_nan_translation_exits_1_naming_file_and_line(inputs, tmp_path, capsys, 
     assert "internal" not in err
 
 
+# (file, lines appended to it, message): each repeats an id, or joins a view to itself
+DUPLICATES = [
+    ("matches.txt", ["3 3 10"], "self-loop on view 3"),
+    ("cameras.txt", ["1 SIMPLE_PINHOLE 640 480 500.0 320.0 240.0"], "duplicate camera id 1"),
+    ("images.txt", ["1 1 0 0 0 0 0 0 1 again.jpg", ""], "duplicate view id 1"),
+    ("points3D.txt", ["1 0 0 0 0 0 0 0 1 0"], "duplicate point id 1"),
+]
+
+
+@pytest.mark.parametrize("name,extra,reason", DUPLICATES, ids=[d[0] for d in DUPLICATES])
+def test_duplicate_or_self_loop_exits_1_naming_file_and_line(inputs, tmp_path, capsys,
+                                                             name, extra, reason):
+    scene = tmp_path / "scene"
+    shutil.copytree(inputs["ring"], scene)
+    path = scene / name
+    text = path.read_text()
+    line_no = text.count("\n") + 1  # the first appended line
+    path.write_text(text + "".join(line + "\n" for line in extra))
+    assert run(["parse", "--scene", str(scene)]) == 1
+    assert f"{path}:{line_no}: {reason}" in capsys.readouterr().err
+
+
+def test_pose_eval_missing_view_names_pred_file(inputs, tmp_path, capsys):
+    pred = tmp_path / "pred.txt"
+    with open(os.path.join(inputs["ring"], "images.txt")) as f:
+        lines = f.read().splitlines(keepends=True)
+    pred.write_text("".join(lines[:-2]))  # drop the last pose and its observation line
+    assert run(["pose-eval", "--pred", str(pred), "--gt", f"{inputs['ring']}/images.txt"]) == 1
+    err = capsys.readouterr().err
+    assert f"{pred}: prediction missing view" in err
+
+
 def disconnected_pair(graph, part, quota, depth, communities, positions, seed, **_):
     """Stand-in for sample_partition that breaks the component bound: two
     views of the part with no edge between them."""

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -5,10 +6,17 @@ import numpy as np
 import pytest
 
 from conftest import graph_of, random_graph, random_positions
-from oracles import hop_distance
+from oracles import (
+    dispersion_full_bfs,
+    hop_distance,
+    nearest_sample_dist_loop,
+    pose_pair_errors_loop,
+)
+from sparseview import metrics
 from sparseview.errors import (
     EmptySample,
     IdMismatch,
+    InvalidK,
     LengthMismatch,
     NoCameras,
     NoPoints,
@@ -51,6 +59,10 @@ class TestKHopCoverage:
     def test_empty_sample(self):
         with pytest.raises(EmptySample):
             k_hop_coverage(path_graph(3), set(), 1)
+
+    def test_negative_k(self):
+        with pytest.raises(InvalidK, match="k=-1"):
+            k_hop_coverage(path_graph(3), {1}, -1)
 
     def test_monotone_in_k_and_sample(self, rng):
         for _ in range(20):
@@ -227,17 +239,22 @@ class TestAzimuthCoverage:
             azimuth_coverage(scene)
 
 
-def random_pose(rng, vid):
+def random_unit_quaternion(rng):
     while True:
         q = [rng.gauss(0, 1) for _ in range(4)]
         norm = math.sqrt(sum(c * c for c in q))
         if norm > 1e-3:
-            break
-    q = tuple(c / norm for c in q)
-    center = [rng.uniform(-5, 5) for _ in range(3)]
+            return tuple(c / norm for c in q)
+
+
+def pose_at(vid, q, center):
     r = rotation_matrix(q)
     t = tuple(-sum(r[i][j] * center[j] for j in range(3)) for i in range(3))
     return PosedView(vid, 1, q, t, f"{vid}.jpg")
+
+
+def random_pose(rng, vid):
+    return pose_at(vid, random_unit_quaternion(rng), [rng.uniform(-5, 5) for _ in range(3)])
 
 
 def qmul(a, b):
@@ -324,3 +341,133 @@ class TestPosePairErrors:
         renamed = [PosedView(9, 1, views[0].rotation, views[0].translation, "x.jpg")] + views[1:]
         with pytest.raises(IdMismatch):
             pose_pair_errors(renamed, views)
+
+
+def pose_set(rng, n, centers):
+    """n views at centers drawn from `centers`: views that share a center
+    form zero-baseline pairs."""
+    return [pose_at(v, random_unit_quaternion(rng), rng.choice(centers)) for v in range(1, n + 1)]
+
+
+def pose_sets(rng):
+    """(pred, gt) pairs of 2-40 views: independent sets, and predictions that
+    perturb the ground truth while keeping its shared centers."""
+    for trial in range(78):
+        n = 2 + trial % 39
+        pool = [tuple(rng.uniform(-5, 5) for _ in range(3)) for _ in range(max(1, n // 3))]
+        gt = pose_set(rng, n, pool + [(0.0, 0.0, 0.0)])
+        if trial % 2:
+            pred = pose_set(rng, n, pool)
+        else:
+            pred = [
+                pose_at(v.view_id, qmul(random_unit_quaternion(rng), v.rotation)
+                        if rng.random() < 0.3 else v.rotation, v.position)
+                for v in gt
+            ]
+        yield pred, gt
+
+
+class TestExactAgainstScalarOracles:
+    """The metrics print repr(float), so they must equal the per-pair and
+    per-node scalar definitions bit for bit, not approximately."""
+
+    # pairs are stacked a block of whole rows at a time; blocks of 1 and 50
+    # pairs put block edges inside these 2-40 view sets
+    @pytest.mark.parametrize("block", [metrics._PAIR_BLOCK, 50, 1])
+    def test_pose_pair_errors(self, rng, monkeypatch, block):
+        monkeypatch.setattr(metrics, "_PAIR_BLOCK", block)
+        both_zero = one_zero = 0
+        for pred, gt in pose_sets(rng):
+            res = pose_pair_errors(pred, gt)
+            rot, trans = pose_pair_errors_loop(
+                [rotation_matrix(v.rotation) for v in pred], [v.translation for v in pred],
+                [rotation_matrix(v.rotation) for v in gt], [v.translation for v in gt],
+            )
+            assert res.rotation_errors == rot
+            assert res.translation_errors == trans
+            assert res.mre == float(np.array(rot).mean())
+            assert res.mte == float(np.array(trans).mean())
+            both_zero += trans.count(0.0)
+            one_zero += trans.count(90.0)
+        assert both_zero > 0 and one_zero > 0
+
+    def test_nearest_sample_dist_lattice_ties(self, rng):
+        # with steps that are not binary fractions, numpy's squared distance
+        # and math.dist can order two tied candidates differently
+        for step in (1.0, 0.1, 0.3, 0.7, 1.1):
+            nodes = list(range(12 * 12))
+            pos = {v: (step * (v % 12), step * (v // 12), 0.0) for v in nodes}
+            for _ in range(20):
+                sampled = rng.sample(nodes, rng.randint(1, 20))
+                got = avg_nearest_sample_dist(pos, nodes, sampled)
+                assert got == nearest_sample_dist_loop(pos, nodes, sampled)
+                # one node at a time too: a last-bit difference in one row
+                # is usually rounded away in the mean
+                for u in nodes:
+                    got = avg_nearest_sample_dist(pos, [u], sampled)
+                    assert got == nearest_sample_dist_loop(pos, [u], sampled)
+
+    def test_nearest_sample_dist_random_clouds(self, rng):
+        for _ in range(30):
+            nodes = rng.sample(range(1000), rng.randint(1, 120))
+            pos = random_positions(rng, nodes, scale=rng.choice([1e-3, 1.0, 1e4]))
+            sampled = rng.sample(nodes, rng.randint(1, len(nodes)))
+            got = avg_nearest_sample_dist(pos, nodes, sampled)
+            assert got == nearest_sample_dist_loop(pos, nodes, sampled)
+
+    def test_dispersion_several_components(self, rng):
+        excluded = 0
+        for _ in range(30):
+            # three random graphs on disjoint id ranges
+            edges, nodes = [], []
+            for base in (0, 100, 200):
+                g = random_graph(rng, rng.randint(2, 20), rng.uniform(0.05, 0.4))
+                edges += [(u + base, v + base, w) for u, v, w in g.edges()]
+                nodes += [v + base for v in g.nodes]
+            g = graph_of(edges, nodes=nodes)
+            pos = random_positions(rng, nodes)
+            sampled = rng.sample(nodes, rng.randint(2, min(12, len(nodes))))
+            res = dispersion(g, pos, sampled)
+            adj = {u: [v for v, _ in g.adjacency[u]] for u in g.nodes}
+            want = dispersion_full_bfs(adj, pos, sampled)
+            assert (res.graph_dispersion, res.euclidean_dispersion, res.excluded_pairs) == want
+            excluded += res.excluded_pairs
+        assert excluded > 0
+
+
+def _report_digests(root):
+    """sha256 of the coverage and pose-eval reports on a seeded ring scene:
+    48 views, pose noise 0.3, coverage at two prune thresholds (the second
+    one splits the clusters, so `excluded_pairs` > 0)."""
+    from sparseview.cli import run
+
+    noisy, clean, batches = root / "noisy", root / "clean", root / "b.jsonl"
+    for out, noise in ((noisy, "0.3"), (clean, "0")):
+        assert run(["synth", "--kind", "ring", "--clusters", "8", "--cluster-size", "6",
+                    "--noise", noise, "--seed", "11", "--out", str(out), "--quiet"]) == 0
+    assert run(["sample", "--scene", str(noisy), "--n", "12", "--ncc", "3", "--depth", "6",
+                "--batches", "4", "--seed", "5", "--out", str(batches), "--quiet"]) == 0
+    reports = {
+        "coverage": ["coverage", "--scene", str(noisy), "--batches", str(batches)],
+        "coverage-split": ["coverage", "--scene", str(noisy), "--batches", str(batches),
+                           "--prune-threshold", "70", "--k", "1"],
+        "pose-eval": ["pose-eval", "--pred", str(noisy / "images.txt"),
+                      "--gt", str(clean / "images.txt"), "--thresholds", "1,5,10"],
+    }
+    digests = {}
+    for name, argv in reports.items():
+        out = root / f"{name}.txt"
+        assert run(argv + ["--out", str(out), "--quiet"]) == 0
+        digests[name] = hashlib.sha256(out.read_bytes()).hexdigest()
+    return digests
+
+
+REPORT_DIGESTS = {
+    "coverage": "f36764affda4a0d6adf8b2e1412321e7ef99989a928f2dcd9d14d5ebb37227a4",
+    "coverage-split": "389bedf5f29365394308e49a70163983887e5c2c266cd789f85b3c76fcbaf37a",
+    "pose-eval": "7b179712f8bcd984ed87f1f30358f298965bbeed23e8dd67b2eb1e4af11ac6ba",
+}
+
+
+def test_reports_byte_stable(tmp_path):
+    assert _report_digests(tmp_path) == REPORT_DIGESTS

@@ -3,9 +3,10 @@ import random
 import pytest
 
 from conftest import graph_of, random_graph
-from oracles import union_find_components
+from oracles import bfs_all, union_find_components
 from sparseview.recon_io import MatchEdge, SceneReconstruction
 from sparseview.view_graph import (
+    bfs_distances,
     build_graph,
     compute_stats,
     connected_components,
@@ -133,3 +134,26 @@ def test_subgraph_restricts_both_sides():
     sub = subgraph(g, {2, 3})
     assert sorted(sub.nodes) == [2, 3]
     assert list(sub.edges()) == [(2, 3, 5)]
+
+
+class TestBfsTargets:
+    def test_targets_get_full_search_distances(self, rng):
+        for _ in range(40):
+            g = random_graph(rng, 30, rng.uniform(0.02, 0.15))
+            nodes = sorted(g.nodes)
+            start = rng.choice(nodes)
+            full = bfs_all({u: [v for v, _ in g.adjacency[u]] for u in nodes}, start)
+            targets = rng.sample(nodes, rng.randint(0, 6))
+            got = bfs_distances(g, start, targets)
+            assert all(full[v] == d for v, d in got.items())
+            if all(t in full for t in targets):
+                assert all(got[t] == full[t] for t in targets)
+            else:  # an unreachable target exhausts start's component
+                assert got == full
+
+    def test_stops_once_targets_are_reached(self):
+        g = graph_of([(i, i + 1, 5) for i in range(1, 10)])
+        assert bfs_distances(g, 1, [2]) == {1: 0, 2: 1}
+        assert bfs_distances(g, 5, [5]) == {5: 0}
+        assert bfs_distances(g, 5, []) == {5: 0}
+        assert bfs_distances(g, 1, [10]) == {v: v - 1 for v in range(1, 11)}
