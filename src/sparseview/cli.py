@@ -234,7 +234,10 @@ def cmd_filter_depth(args) -> int:
     geom = read_pfm(args.geom)
     mono = read_pfm(args.mono)
     config = FilterConfig(tau_depth=args.tau_depth, tau_grad=args.tau_grad)
-    filtered, report = filter_depth(geom, mono, config)
+    try:
+        filtered, report = filter_depth(geom, mono, config)
+    except SparseViewError as exc:  # a fault of the pair, so name both files
+        raise SparseViewError(f"{args.geom}, {args.mono}: {exc}") from exc
     write_pfm(args.out_pfm, filtered)
     if args.report:
         payload = {

@@ -12,6 +12,10 @@ or the normalized gradient discrepancy
 
 exceeds its threshold. The prior is guidance only: surviving pixels keep
 their original (unscaled) depth values.
+
+`filter_depth` works out each map's validity mask once; the discrepancy
+kernels compute on every pixel, and only pixels with a usable comparison
+count.
 """
 
 from __future__ import annotations
@@ -23,31 +27,32 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidSpec, NoValidOverlap, TooSmall
 
 
+def _valid(values: np.ndarray) -> np.ndarray:
+    return np.isfinite(values) & (values > 0)
+
+
 @dataclass
 class DepthMap:
     """Row-major depth grid; a pixel is valid iff its value is finite and > 0."""
 
-    width: int
-    height: int
     values: np.ndarray
 
     def __post_init__(self):
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("depth map dimensions must be positive")
         self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.shape != (self.height, self.width):
-            raise ValueError(
-                f"values shape {self.values.shape} != ({self.height}, {self.width})"
-            )
+        if self.values.ndim != 2 or self.values.size == 0:
+            raise ValueError(f"depth map must be a non-empty 2-D array, not {self.values.shape}")
+
+    @property
+    def height(self) -> int:
+        return self.values.shape[0]
+
+    @property
+    def width(self) -> int:
+        return self.values.shape[1]
 
     @property
     def valid_mask(self) -> np.ndarray:
-        return np.isfinite(self.values) & (self.values > 0)
-
-    @classmethod
-    def from_array(cls, values: np.ndarray) -> "DepthMap":
-        values = np.asarray(values, dtype=np.float64)
-        return cls(width=values.shape[1], height=values.shape[0], values=values)
+        return _valid(self.values)
 
 
 @dataclass(frozen=True)
@@ -71,49 +76,28 @@ class FilterReport:
     kept: int
 
 
-def _check_dims(a: DepthMap, b: DepthMap) -> None:
-    if (a.width, a.height) != (b.width, b.height):
-        raise DimensionMismatch(
-            f"{a.width}x{a.height} vs {b.width}x{b.height}"
-        )
-
-
-def median_scale(d_geom: DepthMap, d_mono: DepthMap) -> float:
+def median_scale(geom: np.ndarray, mono: np.ndarray, joint: np.ndarray) -> float:
     """Scale aligning geometric depth to the monocular prior,
-    med(mono)/med(geom) over the jointly valid pixel set."""
-    _check_dims(d_geom, d_mono)
-    joint = d_geom.valid_mask & d_mono.valid_mask
-    if not joint.any():
-        raise NoValidOverlap("no jointly valid pixels")
-    return float(np.median(d_mono.values[joint]) / np.median(d_geom.values[joint]))
+    med(mono)/med(geom) over the pixels `joint` selects (all valid in both)."""
+    return float(np.median(mono[joint]) / np.median(geom[joint]))
 
 
-def depth_discrepancy(d_geom_scaled: DepthMap, d_mono: DepthMap) -> np.ndarray:
-    """Normalized |scaled_geom - mono| / scaled_geom; NaN where either map
-    is invalid."""
-    _check_dims(d_geom_scaled, d_mono)
-    joint = d_geom_scaled.valid_mask & d_mono.valid_mask
-    out = np.full(d_geom_scaled.values.shape, np.nan)
-    g = d_geom_scaled.values[joint]
-    m = d_mono.values[joint]
-    out[joint] = np.abs(g - m) / g
-    return out
+def depth_discrepancy(geom: np.ndarray, mono: np.ndarray) -> np.ndarray:
+    """Normalized |geom - mono| / geom at every pixel; meaningful only where
+    both maps are valid."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.abs(geom - mono) / geom
 
 
 def _stencil_valid(valid: np.ndarray) -> np.ndarray:
     """Pixels whose central/one-sided difference stencil touches only valid
     pixels, along both axes."""
-    ok = np.zeros_like(valid)
+    ok = np.ones_like(valid)
     for axis in (0, 1):
-        v = np.moveaxis(valid, axis, 0)
-        o = np.empty_like(v)
-        o[1:-1] = v[2:] & v[:-2]
-        o[0] = v[0] & v[1]
-        o[-1] = v[-1] & v[-2]
-        if axis == 0:
-            ok = o
-        else:
-            ok &= np.moveaxis(o, 0, axis)
+        v, o = np.moveaxis(valid, axis, 0), np.moveaxis(ok, axis, 0)  # o is a view of ok
+        o[1:-1] &= v[2:] & v[:-2]
+        o[0] &= v[0] & v[1]
+        o[-1] &= v[-1] & v[-2]
     return ok
 
 
@@ -122,21 +106,12 @@ def _normalized_gradient(values: np.ndarray) -> np.ndarray:
     return np.hypot(gx, gy) / values
 
 
-def gradient_discrepancy(d_geom_scaled: DepthMap, d_mono: DepthMap) -> np.ndarray:
-    """Difference of normalized gradient magnitudes; NaN where invalid or
-    where the difference stencil touches an invalid pixel."""
-    _check_dims(d_geom_scaled, d_mono)
-    if d_geom_scaled.width < 2 or d_geom_scaled.height < 2:
-        raise TooSmall("gradients need width and height >= 2")
-    vg, vm = d_geom_scaled.valid_mask, d_mono.valid_mask
-    ok = vg & vm & _stencil_valid(vg) & _stencil_valid(vm)
+def gradient_discrepancy(geom: np.ndarray, mono: np.ndarray) -> np.ndarray:
+    """Difference of normalized gradient magnitudes at every pixel; meaningful
+    only where both maps are valid and so is every pixel of the difference
+    stencil. Both dimensions must be at least 2."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        rg = _normalized_gradient(d_geom_scaled.values)
-        rm = _normalized_gradient(d_mono.values)
-        delta = np.abs(rm - rg)
-    out = np.full(delta.shape, np.nan)
-    out[ok] = delta[ok]
-    return out
+        return np.abs(_normalized_gradient(mono) - _normalized_gradient(geom))
 
 
 def filter_depth(
@@ -148,22 +123,34 @@ def filter_depth(
     A pixel with no usable comparison (prior invalid there, or gradient
     stencil contaminated) is kept.
     """
-    s = median_scale(d_geom, d_mono)
-    scaled = DepthMap.from_array(d_geom.values * s)
-    delta = depth_discrepancy(scaled, d_mono)
-    delta_grad = gradient_discrepancy(scaled, d_mono)
+    geom, mono = d_geom.values, d_mono.values
+    if geom.shape != mono.shape:
+        raise DimensionMismatch(
+            f"{d_geom.width}x{d_geom.height} vs {d_mono.width}x{d_mono.height}"
+        )
+    valid_geom, valid_mono = d_geom.valid_mask, d_mono.valid_mask
+    joint = valid_geom & valid_mono
+    if not joint.any():
+        raise NoValidOverlap("no jointly valid pixels")
+    if min(geom.shape) < 2:
+        raise TooSmall("gradients need width and height >= 2")
 
-    by_depth = ~np.isnan(delta) & (delta > config.tau_depth)
-    by_grad = ~np.isnan(delta_grad) & (delta_grad > config.tau_grad)
+    s = median_scale(geom, mono, joint)
+    scaled = geom * s
+    valid_scaled = _valid(scaled)
+    # scaling can overflow or underflow a pixel out of the valid set
+    joint = valid_scaled & valid_mono
+    by_depth = joint & (depth_discrepancy(scaled, mono) > config.tau_depth)
+    by_grad = joint & _stencil_valid(valid_scaled) & _stencil_valid(valid_mono)
+    by_grad &= gradient_discrepancy(scaled, mono) > config.tau_grad
     removed = by_depth | by_grad
 
-    out_values = np.where(removed, 0.0, d_geom.values)
-    initially_valid = int(d_geom.valid_mask.sum())
+    removed_total = int(removed.sum())
     report = FilterReport(
         scale_s=s,
         removed_by_depth=int(by_depth.sum()),
         removed_by_grad=int(by_grad.sum()),
-        removed_total=int(removed.sum()),
-        kept=initially_valid - int(removed.sum()),
+        removed_total=removed_total,
+        kept=int(valid_geom.sum()) - removed_total,
     )
-    return DepthMap.from_array(out_values), report
+    return DepthMap(np.where(removed, 0.0, geom)), report

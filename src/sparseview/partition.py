@@ -24,14 +24,9 @@ class Partitioning:
 
 
 def _pick_seeds(
-    graph: ViewGraph,
-    n_cc: int,
-    rng: random.Random,
-    communities: CommunityAssignment | None,
+    graph: ViewGraph, n_cc: int, rng: random.Random, communities: CommunityAssignment
 ) -> list[int]:
     nodes = sorted(graph.adjacency)
-    if communities is None:
-        return rng.sample(nodes, n_cc)
     members: dict[int, list[int]] = {}
     for v in nodes:
         members.setdefault(communities.labels[v], []).append(v)
@@ -47,25 +42,12 @@ def _pick_seeds(
 
 
 def partition_round_robin(
-    graph: ViewGraph,
-    n_cc: int,
-    seed: int,
-    communities: CommunityAssignment | None = None,
-    seed_nodes: list[int] | None = None,
+    graph: ViewGraph, n_cc: int, seed: int, communities: CommunityAssignment
 ) -> Partitioning:
-    """Split the graph into up to n_cc connected parts by round-robin BFS.
-
-    `seed_nodes` overrides the random seed choice (mainly for tests).
-    """
+    """Split the graph into up to n_cc connected parts by round-robin BFS."""
     if n_cc < 1 or n_cc > graph.node_count:
         raise InvalidNcc(f"n_cc={n_cc} not in [1, {graph.node_count}]")
-    rng = random.Random(seed)
-    if seed_nodes is None:
-        seed_nodes = _pick_seeds(graph, n_cc, rng, communities)
-    elif len(seed_nodes) != n_cc or len(set(seed_nodes)) != n_cc:
-        raise InvalidNcc("seed_nodes must be n_cc distinct nodes")
-    elif not all(graph.has_node(s) for s in seed_nodes):
-        raise InvalidNcc("seed_nodes must be graph nodes")
+    seed_nodes = _pick_seeds(graph, n_cc, random.Random(seed), communities)
 
     assignment = {s: i for i, s in enumerate(seed_nodes)}
     parts: list[set[int]] = [{s} for s in seed_nodes]
@@ -80,4 +62,4 @@ def partition_round_robin(
                         parts[i].add(v)
                         new_frontier.append(v)
             frontiers[i] = new_frontier
-    return Partitioning(parts=parts, seed_nodes=list(seed_nodes), assignment=assignment)
+    return Partitioning(parts=parts, seed_nodes=seed_nodes, assignment=assignment)

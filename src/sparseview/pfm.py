@@ -51,7 +51,7 @@ def read_pfm(path: str) -> DepthMap:
             raise MalformedLine(3, "truncated pixel data", path)
         data = f.read(4 * width * height)
         grid = np.frombuffer(data, dtype=dtype).reshape(height, width)
-    return DepthMap(width=width, height=height, values=np.flipud(grid).astype(np.float64))
+    return DepthMap(np.flipud(grid).astype(np.float64))
 
 
 def write_pfm(path: str, depth: DepthMap) -> None:

@@ -89,7 +89,12 @@ def _multi_source_dijkstra(graph: ViewGraph, sources, mode: WeightMode):
         settled.add(u)
         su = src[u]
         for v, w in graph.adjacency[u]:
-            length = 1.0 if unit_hop else _edge_length(w, mode)
+            if unit_hop:
+                length = 1.0
+            elif w > 0:
+                length = 1.0 / w
+            else:
+                continue  # a zero-match edge is absent under INVERSE_MATCH
             if v in settled:
                 sv = src[v]
                 if sv != su:
@@ -101,8 +106,7 @@ def _multi_source_dijkstra(graph: ViewGraph, sources, mode: WeightMode):
                 continue
             nd = d + length
             dv = dist.get(v, inf)
-            # an unreached v has no pred, so a tie (nd == inf) does not reach it
-            if nd < dv or (nd == dv and u < pred.get(v, u)):
+            if nd < dv or (nd == dv and u < pred[v]):
                 dist[v] = nd
                 pred[v] = u
                 src[v] = su
@@ -131,7 +135,7 @@ def approximate_steiner_tree(
         raise DisconnectedTerminals(unreachable)
 
     pred, closure = _multi_source_dijkstra(graph, terminals, weight_mode)
-    # Kruskal over the closure; a zero match count has infinite length under
+    # Kruskal over the closure; a zero-match edge is absent under
     # INVERSE_MATCH, so a terminal may have no closure edge at all
     root = {t: t for t in terminals}
 

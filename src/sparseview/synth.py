@@ -261,4 +261,4 @@ def gen_depth_fixture(spec: SynthSpec) -> tuple[DepthMap, DepthMap, set[tuple[in
         geom[r, c] = 2.0 * base[r, c]
     mono_scale = rng.uniform(0.3, 3.0)
     mono = mono_scale * base
-    return DepthMap.from_array(geom), DepthMap.from_array(mono), blob
+    return DepthMap(geom), DepthMap(mono), blob

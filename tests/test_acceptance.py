@@ -229,7 +229,7 @@ def test_partition_invariants():
     for trial in range(500):
         g = random_graph(rng, rng.randint(4, 30), rng.uniform(0.05, 0.5))
         n_cc = rng.randint(1, min(5, g.node_count))
-        parts = partition_round_robin(g, n_cc, seed=trial)
+        parts = partition_round_robin(g, n_cc, trial, louvain(g, seed=trial))
         # disjointness and seed containment
         seen = set()
         for i, part in enumerate(parts.parts):
@@ -261,10 +261,10 @@ def test_depth_filter_fixture():
 
     reference = filtered.valid_mask
     for factor in (0.1, 1.0, 10.0):
-        out, _ = filter_depth(DepthMap.from_array(geom.values * factor), mono)
+        out, _ = filter_depth(DepthMap(geom.values * factor), mono)
         assert np.array_equal(out.valid_mask, reference)
     for factor in (0.3, 1.0, 2.7):
-        out, _ = filter_depth(geom, DepthMap.from_array(mono.values * factor))
+        out, _ = filter_depth(geom, DepthMap(mono.values * factor))
         assert np.array_equal(out.valid_mask, reference)
 
 
@@ -322,7 +322,7 @@ def test_format_round_trips(tmp_path):
         values[npr.random(values.shape) < 0.15] = np.nan
         p1 = tmp_path / f"d{trial}a.pfm"
         p2 = tmp_path / f"d{trial}b.pfm"
-        write_pfm(str(p1), DepthMap.from_array(values))
+        write_pfm(str(p1), DepthMap(values))
         write_pfm(str(p2), read_pfm(str(p1)))
         assert p1.read_bytes() == p2.read_bytes()
     # batch records

@@ -3,12 +3,15 @@ import shutil
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import sparseview
 from sparseview import cli, sampler
 from sparseview.batches import Phase, ViewProvenance, read_batches
 from sparseview.cli import run
+from sparseview.depth_filter import DepthMap
+from sparseview.pfm import write_pfm
 from sparseview.recon_io import load_scene_dir
 
 # child interpreters import sparseview from this checkout and test_cli from here
@@ -179,6 +182,24 @@ def test_pose_eval_missing_view_names_pred_file(inputs, tmp_path, capsys):
     assert run(["pose-eval", "--pred", str(pred), "--gt", f"{inputs['ring']}/images.txt"]) == 1
     err = capsys.readouterr().err
     assert f"{pred}: prediction missing view" in err
+
+
+# (geometric map, prior, message): each pair fails filter_depth
+BAD_PAIRS = [
+    (np.ones((4, 4)), np.ones((3, 3)), "4x4 vs 3x3"),
+    (np.ones((3, 3)), np.zeros((3, 3)), "no jointly valid pixels"),
+    (np.ones((1, 4)), np.ones((1, 4)), "gradients need width and height >= 2"),
+]
+
+
+@pytest.mark.parametrize("geom,mono,reason", BAD_PAIRS, ids=["mismatch", "no-overlap", "too-small"])
+def test_filter_depth_pair_error_names_both_files(tmp_path, capsys, geom, mono, reason):
+    g, m = tmp_path / "g.pfm", tmp_path / "m.pfm"
+    write_pfm(str(g), DepthMap(geom))
+    write_pfm(str(m), DepthMap(mono))
+    argv = ["filter-depth", "--geom", str(g), "--mono", str(m), "--out", str(tmp_path / "f.pfm")]
+    assert run(argv) == 1
+    assert f"error: {g}, {m}: {reason}" in capsys.readouterr().err
 
 
 def disconnected_pair(graph, part, quota, depth, communities, positions, seed, **_):

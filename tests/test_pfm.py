@@ -10,7 +10,7 @@ def test_round_trip_values(tmp_path):
     rng = np.random.default_rng(0)
     values = rng.uniform(0.5, 20.0, size=(7, 5)).astype(np.float32).astype(np.float64)
     path = tmp_path / "d.pfm"
-    write_pfm(str(path), DepthMap.from_array(values))
+    write_pfm(str(path), DepthMap(values))
     back = read_pfm(str(path))
     assert (back.width, back.height) == (5, 7)
     assert np.array_equal(back.values, values)
@@ -22,7 +22,7 @@ def test_second_write_byte_identical(tmp_path):
         values = rng.uniform(0.0, 9.0, size=(rng.integers(2, 9), rng.integers(2, 9)))
         values[rng.random(values.shape) < 0.2] = np.nan
         p1, p2 = tmp_path / f"a{trial}.pfm", tmp_path / f"b{trial}.pfm"
-        write_pfm(str(p1), DepthMap.from_array(values))
+        write_pfm(str(p1), DepthMap(values))
         write_pfm(str(p2), read_pfm(str(p1)))
         assert p1.read_bytes() == p2.read_bytes()
 
@@ -30,7 +30,7 @@ def test_second_write_byte_identical(tmp_path):
 def test_invalid_encoded_as_zero(tmp_path):
     values = np.array([[1.0, np.nan], [np.inf, 4.0]])
     path = tmp_path / "d.pfm"
-    write_pfm(str(path), DepthMap.from_array(values))
+    write_pfm(str(path), DepthMap(values))
     back = read_pfm(str(path))
     assert back.values[0, 1] == 0.0
     assert back.values[1, 0] == 0.0
@@ -41,7 +41,7 @@ def test_rows_bottom_to_top(tmp_path):
     # bottom row must appear first in the payload
     values = np.array([[1.0, 2.0], [3.0, 4.0]])
     path = tmp_path / "d.pfm"
-    write_pfm(str(path), DepthMap.from_array(values))
+    write_pfm(str(path), DepthMap(values))
     raw = path.read_bytes()
     header_end = raw.index(b"-1.0\n") + 5
     payload = np.frombuffer(raw[header_end:], dtype="<f4")
@@ -50,7 +50,7 @@ def test_rows_bottom_to_top(tmp_path):
 
 def test_header_canonical(tmp_path):
     path = tmp_path / "d.pfm"
-    write_pfm(str(path), DepthMap.from_array(np.ones((2, 3))))
+    write_pfm(str(path), DepthMap(np.ones((2, 3))))
     assert path.read_bytes().startswith(b"Pf\n3 2\n-1.0\n")
 
 

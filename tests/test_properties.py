@@ -1,9 +1,11 @@
 """Property tests of the input contract: on any file content, the readers
 raise only SparseViewError (a MalformedLine always naming its file), and
-`coverage` exits 0 or 1, never 2."""
+`coverage` exits 0 or 1, never 2; and of the depth filter's invariants on any
+pair of small maps."""
 
 import json
 
+import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 
 from sparseview.batches import Phase, read_batches
 from sparseview.cli import run
+from sparseview.depth_filter import DepthMap, FilterConfig, filter_depth
 from sparseview.errors import MalformedLine, SparseViewError
 from sparseview.pfm import read_pfm
 from sparseview.recon_io import parse_cameras, parse_images, parse_match_graph, parse_points
@@ -109,3 +112,47 @@ def test_batches_files_raise_only_sparseview_errors_and_coverage_exits_0_or_1(wo
     argv = ["coverage", "--scene", str(workdir / "ring"), "--batches", str(batches),
             "--out", str(workdir / "cov.txt"), "--quiet"]
     assert run(argv) in (0, 1)
+
+
+# float32-representable depths, as a PFM holds them: four in five in a band
+# where the thresholds matter, so gradient stencils are often whole; the rest
+# any float32 or an invalid depth of every kind
+depths = st.integers(0, 9).flatmap(
+    lambda k: st.floats(1.0, 2.0, width=32) if k < 8 else st.one_of(
+        st.floats(width=32),
+        st.sampled_from([0.0, -0.0, -1.0, float("nan"), float("inf"), -float("inf")]),
+    )
+)
+shapes = st.tuples(st.sampled_from([2, 3, 4, 5, 2, 1]), st.sampled_from([3, 2, 5, 4, 3, 1]))
+
+
+def depth_map(shape):
+    # every pixel drawn on its own: `arrays` would fill most pixels with one value
+    return st.lists(depths, min_size=shape[0] * shape[1], max_size=shape[0] * shape[1]).map(
+        lambda values: np.array(values, dtype=np.float64).reshape(shape)
+    )
+
+
+@st.composite
+def depth_pairs(draw):
+    """A geometric map and a prior, of one shape nine times in ten."""
+    shape = draw(shapes)
+    mono_shape = shape if draw(st.integers(0, 9)) else draw(shapes)
+    return draw(depth_map(shape)), draw(depth_map(mono_shape))
+
+
+@given(pair=depth_pairs(), taus=st.sampled_from([(0.25, 0.10), (0.05, 0.02), (2.0, 1.0)]))
+def test_filter_depth_invariants(pair, taus):
+    geom, mono = pair
+    try:
+        filtered, report = filter_depth(DepthMap(geom), DepthMap(mono), FilterConfig(*taus))
+    except SparseViewError:
+        return
+    valid = np.isfinite(geom) & (geom > 0)
+    # surviving pixels keep their original depth bit for bit; removed ones are 0
+    removed = filtered.values.view(np.uint64) != geom.view(np.uint64)
+    assert np.all(filtered.values[removed] == 0.0)
+    assert not np.any(removed & ~valid)
+    assert int(removed.sum()) == report.removed_total
+    assert report.kept + report.removed_total == int(valid.sum())
+    assert report.removed_total <= report.removed_by_depth + report.removed_by_grad

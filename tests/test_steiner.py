@@ -105,6 +105,16 @@ class TestSteinerTree:
         res = approximate_steiner_tree(g, {1, 3}, WeightMode.UNIT_HOP)
         assert res.tree_nodes == frozenset({1, 2, 3})
 
+    def test_zero_match_boundary_edge_does_not_join_regions(self):
+        # 1 and 4 each reach one side of the zero-match edge (2, 3); under
+        # INVERSE_MATCH that edge is absent, as a closure edge too
+        g = graph_of([(1, 2, 5), (2, 3, 0), (3, 4, 5)])
+        with pytest.raises(DisconnectedTerminals) as exc:
+            approximate_steiner_tree(g, {1, 4}, WeightMode.INVERSE_MATCH)
+        assert exc.value.unreachable == [4]
+        res = approximate_steiner_tree(g, {1, 4}, WeightMode.UNIT_HOP)
+        assert res.total_weight == 3.0
+
     def test_non_terminal_leaves_pruned(self, rng):
         for trial in range(40):
             g = random_graph(rng, 10, 0.35)
@@ -168,7 +178,7 @@ class TestSteinerTree:
 
 # sha256 over every _golden_cases result in both weight modes; sampled batches
 # are built from these trees, so a new value here can mean new batch bytes
-GOLDEN_DIGEST = "1c59d1c82341f6b89eab8c40bb467ab0acf4549c893577d28b18f3891006f56b"
+GOLDEN_DIGEST = "76e96eda0568673f0f9b57ec9cfff3cda298dee2a6e6e777350a100241a56e23"
 
 
 def _lattice(rng, rows, cols, weights):
@@ -188,7 +198,7 @@ def _golden_cases():
     """200 seeded, tie-heavy inputs: equal-weight lattices (ties everywhere),
     lattices over match counts whose inverse lengths round differently in
     different sum orders, and random graphs over a few repeated counts with
-    zero (an infinite inverse length) among them. Each has a terminal-free
+    zero (an absent edge under inverse-match) among them. Each has a terminal-free
     component beside the terminals' one."""
     for seed in range(200):
         rng = random.Random(seed)
