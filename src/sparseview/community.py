@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Mapping
 
 from .errors import EmptyGraph, InvalidSpec
-from .view_graph import ViewGraph
+from .view_graph import ViewGraph, from_edge_weights
 
 
 @dataclass(frozen=True)
@@ -30,94 +30,72 @@ class CommunityAssignment:
         return members
 
 
-def modularity(
-    graph: ViewGraph,
-    labels: Mapping[int, int] | CommunityAssignment,
-    resolution: float = 1.0,
-) -> float:
+def modularity(graph: ViewGraph, labels: Mapping[int, int], resolution: float = 1.0) -> float:
     """Weighted Newman-Girvan modularity.
 
     Q = sum_c [ w_in(c)/m - resolution * (k(c)/(2m))^2 ], where w_in(c) is the
     total weight of edges internal to community c, k(c) the summed weighted
-    degree and m the total edge weight.
+    degree and m the total edge weight. Integer weights keep every sum exact.
     """
-    if isinstance(labels, CommunityAssignment):
-        labels = labels.labels
-    m = sum(w for _, _, w in graph.edges())
-    if m == 0:
-        raise EmptyGraph("modularity undefined on a graph with no edges")
-    w_in: dict[int, float] = {}
-    k_tot: dict[int, float] = {}
-    for u, v, w in graph.edges():
-        if labels[u] == labels[v]:
-            w_in[labels[u]] = w_in.get(labels[u], 0.0) + w
-    for u in graph.adjacency:
+    w_in: dict[int, int] = {}  # twice the internal weight: each edge is seen from both ends
+    k_tot: dict[int, int] = {}
+    two_m = 0
+    for u, nbrs in graph.adjacency.items():
         c = labels[u]
-        k_tot[c] = k_tot.get(c, 0.0) + sum(w for _, w in graph.adjacency[u])
+        k = inside = 0
+        for v, w in nbrs:
+            k += w
+            if labels[v] == c:
+                inside += w
+        k_tot[c] = k_tot.get(c, 0) + k
+        w_in[c] = w_in.get(c, 0) + inside
+        two_m += k
+    if two_m == 0:
+        raise EmptyGraph("modularity undefined on a graph with no edges")
     q = 0.0
-    for c in k_tot:
-        q += w_in.get(c, 0.0) / m - resolution * (k_tot[c] / (2.0 * m)) ** 2
+    for c in k_tot:  # first-appearance order, so the float sum is reproducible
+        q += w_in[c] / two_m - resolution * (k_tot[c] / two_m) ** 2
     return q
 
 
-class _LevelGraph:
-    """Aggregated working graph; nodes may carry self-loop weight."""
-
-    def __init__(self, adj: dict[int, dict[int, float]], self_w: dict[int, float]):
-        self.adj = adj
-        self.self_w = self_w
-        # m counts each edge once plus self-loops once
-        self.m = sum(w for u in adj for v, w in adj[u].items() if u < v)
-        self.m += sum(self_w.values())
-        self.degree = {
-            u: sum(adj[u].values()) + 2.0 * self_w.get(u, 0.0) for u in adj
-        }
-
-    @classmethod
-    def from_view_graph(cls, graph: ViewGraph) -> "_LevelGraph":
-        adj = {u: {v: float(w) for v, w in graph.adjacency[u]} for u in graph.adjacency}
-        return cls(adj, {u: 0.0 for u in adj})
-
-    def aggregate(self, labels: dict[int, int]) -> "_LevelGraph":
-        adj: dict[int, dict[int, float]] = {}
-        self_w: dict[int, float] = {}
-        for c in sorted(set(labels.values())):
-            adj[c] = {}
-            self_w[c] = 0.0
-        for u in self.adj:
-            cu = labels[u]
-            self_w[cu] += self.self_w.get(u, 0.0)
-            for v, w in self.adj[u].items():
-                cv = labels[v]
-                if cu == cv:
-                    if u < v:
-                        self_w[cu] += w
-                else:
-                    adj[cu][cv] = adj[cu].get(cv, 0.0) + w
-        return _LevelGraph(adj, self_w)
+def _aggregate(
+    graph: ViewGraph, degree: dict[int, int], community: dict[int, int]
+) -> tuple[ViewGraph, dict[int, int]]:
+    """One node per community, joined by the summed boundary weights; the
+    weight inside a community survives only in its summed member degree."""
+    boundary: dict[tuple[int, int], int] = {}
+    for u, nbrs in graph.adjacency.items():
+        cu = community[u]
+        for v, w in nbrs:
+            cv = community[v]
+            if cu < cv:
+                boundary[(cu, cv)] = boundary.get((cu, cv), 0) + w
+    summed: dict[int, int] = {}
+    for u, k in degree.items():
+        summed[community[u]] = summed.get(community[u], 0) + k
+    return from_edge_weights(summed, boundary), summed
 
 
-def _one_level(work: _LevelGraph, rng: random.Random, resolution: float) -> dict[int, int]:
+def _one_level(
+    graph: ViewGraph, degree: dict[int, int], two_m: int, rng: random.Random, resolution: float
+) -> dict[int, int]:
     """Local-move phase; returns node -> community after convergence."""
-    community = {u: u for u in work.adj}
-    k_tot = dict(work.degree)  # community -> summed degree
-    two_m = 2.0 * work.m
-    if two_m == 0:
-        return community
+    community = {u: u for u in graph.adjacency}
+    k_tot = dict(degree)  # community -> summed degree
     moved = True
     while moved:
         moved = False
-        order = sorted(work.adj)
+        order = sorted(graph.adjacency)
         rng.shuffle(order)
         for u in order:
             cu = community[u]
-            ku = work.degree[u]
+            ku = degree[u]
             # weights from u into each neighboring community, u removed from its own
             k_tot[cu] -= ku
-            links: dict[int, float] = {cu: 0.0}
-            for v, w in work.adj[u].items():
+            links: dict[int, int] = {cu: 0}
+            for v, w in graph.adjacency[u]:
                 cv = community[v]
-                links[cv] = links.get(cv, 0.0) + w
+                links[cv] = links.get(cv, 0) + w
             # ascending candidate order + strict improvement = lowest-id tie-break
             base = links[cu] - resolution * k_tot[cu] * ku / two_m
             best_c, best_gain = cu, base
@@ -127,7 +105,7 @@ def _one_level(work: _LevelGraph, rng: random.Random, resolution: float) -> dict
                 gain = links[c] - resolution * k_tot[c] * ku / two_m
                 if gain > best_gain + 1e-12:
                     best_c, best_gain = c, gain
-            k_tot[best_c] = k_tot.get(best_c, 0.0) + ku
+            k_tot[best_c] = k_tot.get(best_c, 0) + ku
             if best_c != cu:
                 community[u] = best_c
                 moved = True
@@ -152,14 +130,16 @@ def louvain(graph: ViewGraph, seed: int, resolution: float = 1.0) -> CommunityAs
         return CommunityAssignment(labels, 0.0, 1, (0.0,))
 
     rng = random.Random(seed)
-    work = _LevelGraph.from_view_graph(graph)
+    work = graph
+    degree = {u: sum(w for _, w in nbrs) for u, nbrs in graph.adjacency.items()}
+    two_m = sum(degree.values())  # aggregation keeps the total weight
     node_to_current = {v: v for v in nodes}  # original node -> work-graph node
     level_mods: list[float] = []
     labels: dict[int, int] = {}
     while True:
-        community = _one_level(work, rng, resolution)
+        community = _one_level(work, degree, two_m, rng, resolution)
         labels = {v: community[node_to_current[v]] for v in nodes}
-        settled = all(community[u] == u for u in work.adj)
+        settled = all(community[u] == u for u in work.adjacency)
         # a level that moves nothing keeps the previous level's grouping, and
         # modularity depends only on the grouping, so its score is the same
         if settled and level_mods:
@@ -169,7 +149,7 @@ def louvain(graph: ViewGraph, seed: int, resolution: float = 1.0) -> CommunityAs
         if settled:
             break
         node_to_current = {v: community[node_to_current[v]] for v in nodes}
-        work = work.aggregate(community)
+        work, degree = _aggregate(work, degree, community)
 
     dense: dict[int, int] = {}
     relabeled = {}

@@ -35,10 +35,13 @@ class DuplicateId(SparseViewError):
 
 
 class DanglingReference(SparseViewError):
-    def __init__(self, kind: str, id_: int):
+    """`where` is the `path:line` of the reference, when a parser found it."""
+
+    def __init__(self, kind: str, id_: int, where: str | None = None):
         self.kind = kind
         self.id = id_
-        super().__init__(f"reference to unknown {kind} id {id_}")
+        self.where = where
+        super().__init__(_at(where, f"reference to unknown {kind} id {id_}"))
 
 
 class SelfLoop(SparseViewError):
@@ -72,15 +75,6 @@ class DisconnectedTerminals(SparseViewError):
 
 class EmptyPartition(SparseViewError):
     pass
-
-
-class InsufficientViews(SparseViewError):
-    """Raised only when truncation is disallowed; normally surfaced as a flag."""
-
-    def __init__(self, available: int, requested: int):
-        self.available = available
-        self.requested = requested
-        super().__init__(f"scene supplies {available} views, {requested} requested")
 
 
 class InvalidK(SparseViewError):

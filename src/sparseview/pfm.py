@@ -55,11 +55,11 @@ def read_pfm(path: str) -> DepthMap:
 
 
 def write_pfm(path: str, depth: DepthMap) -> None:
-    values = np.array(depth.values, dtype=np.float64, copy=True)
-    values[~np.isfinite(values)] = 0.0
-    grid = np.flipud(values).astype("<f4")
+    # the one copy: rows flipped to bottom-to-top and cast to little-endian float32
+    grid = np.ascontiguousarray(np.flipud(depth.values), dtype="<f4")
+    grid[np.flipud(~np.isfinite(depth.values))] = 0.0
     with open(path, "wb") as f:
         f.write(b"Pf\n")
         f.write(f"{depth.width} {depth.height}\n".encode())
         f.write(b"-1.0\n")
-        f.write(grid.tobytes())
+        f.write(grid)

@@ -145,25 +145,6 @@ class SceneReconstruction:
     edges: list[MatchEdge]
     points: list[ScenePoint] = field(default_factory=list)
 
-    def validate(self) -> None:
-        for view in self.views.values():
-            if view.camera_id not in self.intrinsics:
-                raise DanglingReference("camera", view.camera_id)
-        for edge in self.edges:
-            for vid in (edge.view_a, edge.view_b):
-                if vid not in self.views:
-                    raise DanglingReference("view", vid)
-        seen = set()
-        for edge in self.edges:
-            key = (edge.view_a, edge.view_b)
-            if key in seen:
-                raise DuplicateId("edge", edge.view_a)
-            seen.add(key)
-        for point in self.points:
-            for vid in point.track:
-                if vid not in self.views:
-                    raise DanglingReference("view", vid)
-
     def positions(self) -> dict[int, tuple[float, float, float]]:
         return {vid: view.position for vid, view in self.views.items()}
 
@@ -199,6 +180,12 @@ def _content_lines(path):
         yield line_no, line
 
 
+def _known(kind: str, id_: int, known, line_no: int, path: str) -> None:
+    """DanglingReference naming `path:line` unless `known` is None or holds `id_`."""
+    if known is not None and id_ not in known:
+        raise DanglingReference(kind, id_, f"{path}:{line_no}")
+
+
 def _finite(values: tuple[float, ...], line_no: int, path: str) -> tuple[float, ...]:
     """`values`, unless one is nan or infinite: then MalformedLine."""
     if not all(map(math.isfinite, values)):
@@ -228,10 +215,11 @@ def parse_cameras(path: str) -> dict[int, CameraIntrinsics]:
     return cameras
 
 
-def parse_images(path: str) -> dict[int, PosedView]:
+def parse_images(path: str, camera_ids=None) -> dict[int, PosedView]:
     """Parse image poses; every pose line is followed by an observation line.
 
     The observation line (2D keypoints) may be empty and is not interpreted.
+    A camera id outside `camera_ids` raises DanglingReference; None checks none.
     """
     views: dict[int, PosedView] = {}
     expect_pose = True
@@ -255,6 +243,7 @@ def parse_images(path: str) -> dict[int, PosedView]:
                 raise MalformedLine(line_no, f"bad pose line: {exc}", path) from exc
             if view_id in views:
                 raise DuplicateId("view", view_id, f"{path}:{line_no}")
+            _known("camera", camera_id, camera_ids, line_no, path)
             try:
                 views[view_id] = PosedView(view_id, camera_id, q, t, name)
             except ValueError as exc:
@@ -266,7 +255,8 @@ def parse_images(path: str) -> dict[int, PosedView]:
     return views
 
 
-def parse_points(path: str) -> list[ScenePoint]:
+def parse_points(path: str, view_ids=None) -> list[ScenePoint]:
+    """A track view outside `view_ids` raises DanglingReference; None checks none."""
     points: dict[int, ScenePoint] = {}
     for line_no, line in _content_lines(path):
         toks = line.split()
@@ -282,6 +272,8 @@ def parse_points(path: str) -> list[ScenePoint]:
             raise MalformedLine(line_no, f"bad point line: {exc}", path) from exc
         if point_id in points:
             raise DuplicateId("point", point_id, f"{path}:{line_no}")
+        for vid in track:
+            _known("view", vid, view_ids, line_no, path)
         points[point_id] = ScenePoint(point_id, xyz, track)
     return [points[pid] for pid in sorted(points)]
 
@@ -293,24 +285,27 @@ def parse_reconstruction(
     matches_path: str | None = None,
     scene_id: str | None = None,
 ) -> SceneReconstruction:
+    """Each file's references are checked while it is read, against the ids
+    of the files read before it."""
     if scene_id is None:
         scene_id = os.path.basename(os.path.dirname(os.path.abspath(cameras_path)))
-    scene = SceneReconstruction(
+    cameras = parse_cameras(cameras_path)
+    views = parse_images(images_path, cameras)
+    return SceneReconstruction(
         scene_id=scene_id,
-        intrinsics=parse_cameras(cameras_path),
-        views=parse_images(images_path),
-        edges=parse_match_graph(matches_path) if matches_path else [],
-        points=parse_points(points_path) if points_path else [],
+        intrinsics=cameras,
+        views=views,
+        edges=parse_match_graph(matches_path, views) if matches_path else [],
+        points=parse_points(points_path, views) if points_path else [],
     )
-    scene.validate()
-    return scene
 
 
-def parse_match_graph(path: str) -> list[MatchEdge]:
+def parse_match_graph(path: str, view_ids=None) -> list[MatchEdge]:
     """Parse VIEW_A VIEW_B MATCH_COUNT lines.
 
     Endpoints are normalized to view_a < view_b; duplicate pairs merge by
-    taking the maximum count.
+    taking the maximum count. An endpoint outside `view_ids` raises
+    DanglingReference; None checks none.
     """
     merged: dict[tuple[int, int], int] = {}
     for line_no, line in _content_lines(path):
@@ -325,6 +320,8 @@ def parse_match_graph(path: str) -> list[MatchEdge]:
             raise SelfLoop(a, f"{path}:{line_no}")
         if count < 0:
             raise MalformedLine(line_no, "negative match count", path)
+        _known("view", a, view_ids, line_no, path)
+        _known("view", b, view_ids, line_no, path)
         key = (min(a, b), max(a, b))
         merged[key] = max(merged.get(key, 0), count)
     return [MatchEdge(a, b, merged[(a, b)]) for a, b in sorted(merged)]

@@ -25,9 +25,7 @@ from enum import Enum
 
 from .batches import BatchConfig, Phase, SampledBatch, ViewProvenance
 from .community import CommunityAssignment, louvain
-from .errors import (
-    EmptyPartition, InsufficientViews, InvalidK, InvalidSpec, InvariantViolation, UnknownNode,
-)
+from .errors import EmptyPartition, InvalidK, InvalidSpec, InvariantViolation, UnknownNode
 from .partition import partition_round_robin
 from .recon_io import SceneReconstruction
 from .steiner import WeightMode, approximate_steiner_tree, select_terminals
@@ -286,12 +284,7 @@ def prepare_scene(scene: SceneReconstruction, config: SamplingConfig) -> SceneCo
     return SceneContext(scene.scene_id, pruned, communities, scene.positions())
 
 
-def _sample_one(
-    ctx: SceneContext,
-    config: SamplingConfig,
-    batch_seed: int,
-    allow_truncated: bool = True,
-) -> SampledBatch:
+def _sample_one(ctx: SceneContext, config: SamplingConfig, batch_seed: int) -> SampledBatch:
     resolved = resolve_config(config, batch_seed)
     labels = ctx.communities.labels
 
@@ -299,8 +292,6 @@ def _sample_one(
         rng = random.Random(derive_seed(batch_seed, "random"))
         nodes = sorted(ctx.pruned.adjacency)
         k = min(resolved.n_views, len(nodes))
-        if k < resolved.n_views and not allow_truncated:
-            raise InsufficientViews(k, resolved.n_views)
         views = rng.sample(nodes, k)
         prov = [ViewProvenance(0, labels[v], Phase.FILL) for v in views]
         return SampledBatch(ctx.scene_id, resolved, views, prov, truncated=k < resolved.n_views)
@@ -331,8 +322,6 @@ def _sample_one(
         for v, p in picked:
             views.append(v)
             prov.append(p)
-    if len(views) < resolved.n_views and not allow_truncated:
-        raise InsufficientViews(len(views), resolved.n_views)
     batch = SampledBatch(
         ctx.scene_id, resolved, views, prov, truncated=len(views) < resolved.n_views
     )
@@ -343,15 +332,12 @@ def _sample_one(
 
 
 def generate_batches(
-    scene: SceneReconstruction,
-    config: SamplingConfig,
-    count: int,
-    allow_truncated: bool = True,
+    scene: SceneReconstruction, config: SamplingConfig, count: int
 ) -> list[SampledBatch]:
     """Offline batch generation; communities are computed once and reused."""
     ctx = prepare_scene(scene, config)
     seeds = [derive_seed(config.seed, "batch", i) for i in range(count)]
-    return [_sample_one(ctx, config, s, allow_truncated=allow_truncated) for s in seeds]
+    return [_sample_one(ctx, config, s) for s in seeds]
 
 
 def dfs_subsample(

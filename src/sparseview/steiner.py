@@ -54,9 +54,7 @@ def select_terminals(
 
 
 def _edge_length(w: int, mode: WeightMode) -> float:
-    if mode is WeightMode.UNIT_HOP:
-        return 1.0
-    return 1.0 / w if w > 0 else float("inf")
+    return 1.0 if mode is WeightMode.UNIT_HOP else 1.0 / w
 
 
 def _multi_source_dijkstra(graph: ViewGraph, sources, mode: WeightMode):
@@ -89,12 +87,7 @@ def _multi_source_dijkstra(graph: ViewGraph, sources, mode: WeightMode):
         settled.add(u)
         su = src[u]
         for v, w in graph.adjacency[u]:
-            if unit_hop:
-                length = 1.0
-            elif w > 0:
-                length = 1.0 / w
-            else:
-                continue  # a zero-match edge is absent under INVERSE_MATCH
+            length = 1.0 if unit_hop else 1.0 / w
             if v in settled:
                 sv = src[v]
                 if sv != su:
@@ -135,8 +128,7 @@ def approximate_steiner_tree(
         raise DisconnectedTerminals(unreachable)
 
     pred, closure = _multi_source_dijkstra(graph, terminals, weight_mode)
-    # Kruskal over the closure; a zero-match edge is absent under
-    # INVERSE_MATCH, so a terminal may have no closure edge at all
+    # Kruskal over the closure
     root = {t: t for t in terminals}
 
     def find(x):

@@ -171,15 +171,13 @@ def gen_ring_scene(spec: SynthSpec) -> SceneReconstruction:
         xyz = (0.3 * spec.radius * math.cos(angle), 0.0, 0.3 * spec.radius * math.sin(angle))
         points.append(ScenePoint(c + 1, xyz, tuple(cluster_members[c])))
 
-    scene = SceneReconstruction(
+    return SceneReconstruction(
         scene_id=f"ring-{k}x{m}-s{spec.seed}",
         intrinsics={1: _DEFAULT_CAMERA},
         views=views,
         edges=edges,
         points=points,
     )
-    scene.validate()
-    return scene
 
 
 def ring_ground_truth(spec: SynthSpec) -> dict[int, int]:
@@ -217,15 +215,13 @@ def gen_grid_scene(spec: SynthSpec) -> SceneReconstruction:
     edges = [MatchEdge(a, b, w) for (a, b), w in sorted(edge_weights.items())]
     center = ((g - 1) * spacing / 2.0, 0.0, (g - 1) * spacing / 2.0)
     points = [ScenePoint(1, center, tuple(sorted(views)))]
-    scene = SceneReconstruction(
+    return SceneReconstruction(
         scene_id=f"grid-{g}x{g}-s{spec.seed}",
         intrinsics={1: _DEFAULT_CAMERA},
         views=views,
         edges=edges,
         points=points,
     )
-    scene.validate()
-    return scene
 
 
 # depth fixture geometry; the blob's origin and size are (row, col) pairs

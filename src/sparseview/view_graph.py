@@ -47,9 +47,14 @@ class ViewGraph:
 
 
 def from_edge_weights(nodes, edge_weights: dict[tuple[int, int], int]) -> ViewGraph:
-    """Build a ViewGraph from a {(u, v): weight} map; isolated nodes kept."""
+    """Build a ViewGraph from a {(u, v): weight} map; isolated nodes kept.
+
+    A pair of weight 0 has no matches, so it is no edge.
+    """
     adj: dict[int, list[tuple[int, int]]] = {v: [] for v in sorted(nodes)}
     for (u, v), w in edge_weights.items():
+        if w == 0:
+            continue
         adj[u].append((v, w))
         adj[v].append((u, w))
     return ViewGraph(adjacency={v: tuple(sorted(nbrs)) for v, nbrs in adj.items()})

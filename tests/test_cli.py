@@ -174,6 +174,47 @@ def test_duplicate_or_self_loop_exits_1_naming_file_and_line(inputs, tmp_path, c
     assert f"{path}:{line_no}: {reason}" in capsys.readouterr().err
 
 
+# (file, line appended to it, message): each names an id no other file defines
+DANGLING = [
+    ("matches.txt", "1 999 100", "reference to unknown view id 999"),
+    ("images.txt", "999 1 0 0 0 0 0 0 9 extra.jpg", "reference to unknown camera id 9"),
+    ("points3D.txt", "999 0 0 0 0 0 0 0 1 0 999 0", "reference to unknown view id 999"),
+]
+
+
+@pytest.mark.parametrize("name,extra,reason", DANGLING, ids=[d[0] for d in DANGLING])
+def test_dangling_reference_exits_1_naming_file_and_line(inputs, tmp_path, capsys,
+                                                         name, extra, reason):
+    scene = tmp_path / "scene"
+    shutil.copytree(inputs["ring"], scene)
+    path = scene / name
+    text = path.read_text()
+    line_no = text.count("\n") + 1
+    path.write_text(text + extra + "\n")
+    assert run(["parse", "--scene", str(scene)]) == 1
+    assert f"error: {path}:{line_no}: {reason}" in capsys.readouterr().err
+
+
+def test_zero_match_pairs_are_no_edges(tmp_path):
+    # the partitioner, the Steiner pre-check and the Dijkstra all skip a
+    # zero-match pair, so sample cannot fail on a part it was handed
+    ring = tmp_path / "ring"
+    assert run(["synth", "--kind", "ring", "--clusters", "4", "--cluster-size", "5",
+                "--inter", "0", "--seed", "2", "--out", str(ring), "--quiet"]) == 0
+    assert run(["sample", "--scene", str(ring), "--n", "8", "--ncc", "1",
+                "--prune-threshold", "0", "--weight-mode", "inverse-match", "--batches", "3",
+                "--seed", "1", "--out", str(tmp_path / "b.jsonl"), "--quiet"]) == 0
+    # a scene whose every match count is 0 has no edges: singleton communities
+    flat = tmp_path / "flat"
+    assert run(["synth", "--kind", "ring", "--intra", "0", "--inter", "0",
+                "--out", str(flat), "--quiet"]) == 0
+    out = tmp_path / "c.txt"
+    assert run(["communities", "--scene", str(flat), "--prune-threshold", "0",
+                "--out", str(out), "--quiet"]) == 0
+    labels = [line.split()[1] for line in out.read_text().splitlines()]
+    assert len(set(labels)) == len(labels) == 30
+
+
 def test_pose_eval_missing_view_names_pred_file(inputs, tmp_path, capsys):
     pred = tmp_path / "pred.txt"
     with open(os.path.join(inputs["ring"], "images.txt")) as f:
@@ -323,7 +364,6 @@ class TestSubcommands:
         scene = load_scene_dir(str(ring_dir))
         assert len(scene.views) == 30
         assert len(scene.points) == 6
-        scene.validate()
 
 
 class TestDeterminism:

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,6 +7,8 @@ from conftest import graph_of, random_graph
 from oracles import best_modularity_partition, modularity_direct
 from sparseview.community import louvain, modularity
 from sparseview.errors import EmptyGraph, InvalidSpec
+from sparseview.synth import SynthKind, SynthSpec, gen_grid_scene, gen_ring_scene
+from sparseview.view_graph import build_graph
 
 
 def two_cliques_with_bridge():
@@ -137,3 +140,50 @@ def test_louvain_rejects_bad_resolution(resolution):
     g = graph_of([(1, 2, 5), (2, 3, 5)])
     with pytest.raises(InvalidSpec, match="resolution"):
         louvain(g, 0, resolution=resolution)
+
+
+# sha256 over every _louvain_golden_cases result; labels and the exact float
+# of every modularity, so a rewrite of the level graph cannot move one bit
+LOUVAIN_GOLDEN_DIGEST = "94c6ce3e047fd275a31fd9e184f81134434cf1b1e9cefda8326ec375e380a690"
+
+
+def _louvain_golden_cases():
+    """300 seeded random graphs (2-120 nodes, weights >= 1 drawn up to 1, 3,
+    100 or 1000), six ring scenes and one 40x40 grid scene."""
+    for seed in range(300):
+        rng = random.Random(seed)
+        n = rng.randint(2, 120)
+        p = rng.uniform(1.0, 6.0) / n
+        yield random_graph(rng, n, p, max_w=(1, 3, 100, 1000)[seed % 4])
+    for seed in range(6):
+        spec = SynthSpec(
+            kind=SynthKind.RING_OF_CLUSTERS, cluster_count=3 + 2 * seed,
+            cluster_size=2 + seed, intra_weight=100, inter_weight=10 + 15 * seed,
+            noise_sigma=0.2, seed=seed,
+        )
+        yield build_graph(gen_ring_scene(spec))
+    yield build_graph(gen_grid_scene(SynthSpec(kind=SynthKind.GRID_SCENE, cluster_count=40)))
+
+
+def test_louvain_golden_digest():
+    h = hashlib.sha256()
+    for i, g in enumerate(_louvain_golden_cases()):
+        for resolution in (1.0, 0.5, 2.0):
+            got = louvain(g, seed=i, resolution=resolution)
+            record = (
+                sorted(got.labels.items()),
+                repr(got.modularity),
+                [repr(q) for q in got.level_modularities],
+                got.level_count,
+            )
+            h.update(repr(record).encode())
+    assert h.hexdigest() == LOUVAIN_GOLDEN_DIGEST
+
+
+def test_all_zero_weight_graph_gives_singletons():
+    # a pair with no matches is no edge, so this graph has none
+    g = graph_of([(1, 2, 0), (2, 3, 0), (1, 3, 0)])
+    assert g.edge_count == 0
+    got = louvain(g, seed=0)
+    assert got.labels == {1: 0, 2: 1, 3: 2}
+    assert got.modularity == 0.0

@@ -95,3 +95,41 @@ def test_malformed_header_names_file(tmp_path, content, reason):
     with pytest.raises(MalformedLine, match=reason) as exc:
         read_pfm(str(path))
     assert exc.value.path == str(path)
+
+
+# sha256 over the files write_pfm makes of the _pfm_golden_maps
+PFM_GOLDEN_DIGEST = "f28240f59953cb2e0803d5c5cb1d38a5128c5732f94f0bea50892839ebed56ce"
+
+
+def _pfm_golden_maps():
+    """200 seeded maps of mixed shapes, salted with NaN, +-inf, +-0, tiny and
+    huge magnitudes (1e+-300, and values past the float32 range, which cast
+    to inf), plus one 1080x1920 map."""
+    specials = np.array(
+        [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 1e39,
+         -1e39, 3.4028235e38, 1e-45, 5e-324, 1.0]
+    )
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        shape = (int(rng.integers(1, 40)), int(rng.integers(1, 40)))
+        values = rng.uniform(-5.0, 50.0, size=shape)
+        salt = rng.random(shape) < rng.uniform(0.0, 0.5)
+        values[salt] = rng.choice(specials, size=int(salt.sum()))
+        yield values
+    values = np.random.default_rng(200).uniform(0.5, 80.0, size=(1080, 1920))
+    values[::7, ::5] = np.nan
+    yield values
+
+
+def test_golden_bytes(tmp_path):
+    """Pins the exact bytes write_pfm writes, non-finite and out-of-range
+    pixels included."""
+    import hashlib
+
+    h = hashlib.sha256()
+    path = tmp_path / "d.pfm"
+    with np.errstate(over="ignore"):  # 1e39 and 1e300 overflow float32
+        for values in _pfm_golden_maps():
+            write_pfm(str(path), DepthMap(values))
+            h.update(path.read_bytes())
+    assert h.hexdigest() == PFM_GOLDEN_DIGEST

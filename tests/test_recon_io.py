@@ -157,14 +157,16 @@ class TestSceneValidation:
         cams = write(tmp_path, "cameras.txt", "1 SIMPLE_PINHOLE 640 480 500 320 240\n")
         imgs = write(tmp_path, "images.txt", "1 1 0 0 0 0 0 0 1 a.jpg\n\n")
         matches = write(tmp_path, "matches.txt", "1 2 80\n")
-        with pytest.raises(DanglingReference):
+        with pytest.raises(DanglingReference) as exc:
             parse_reconstruction(cams, imgs, matches_path=matches)
+        assert exc.value.where == f"{matches}:1"
 
     def test_dangling_camera(self, tmp_path):
         cams = write(tmp_path, "cameras.txt", "1 SIMPLE_PINHOLE 640 480 500 320 240\n")
         imgs = write(tmp_path, "images.txt", "1 1 0 0 0 0 0 0 9 a.jpg\n\n")
-        with pytest.raises(DanglingReference):
+        with pytest.raises(DanglingReference) as exc:
             parse_reconstruction(cams, imgs)
+        assert exc.value.where == f"{imgs}:1"
 
 
 class TestRoundTrip:

@@ -7,7 +7,7 @@ from conftest import graph_of, random_graph, random_positions
 from oracles import greedy_choice
 from sparseview.batches import Phase
 from sparseview.community import CommunityAssignment, louvain
-from sparseview.errors import EmptyPartition, InsufficientViews, InvalidK, InvalidSpec, UnknownNode
+from sparseview.errors import EmptyPartition, InvalidK, InvalidSpec, UnknownNode
 from sparseview.sampler import (
     Preset,
     SamplingConfig,
@@ -178,13 +178,12 @@ class TestSampleBatch:
         assert batch.truncated
         assert len(batch.views) == 6
 
-    def test_strict_mode_raises_insufficient_views(self):
+    def test_random_preset_on_small_scene_is_truncated(self):
         scene = clique_scene(size=6)
-        cfg = SamplingConfig(n_views=10, max_components=2, search_depth=10, seed=1)
-        with pytest.raises(InsufficientViews) as exc:
-            generate_batches(scene, cfg, 1, allow_truncated=False)
-        assert exc.value.available == 6
-        assert exc.value.requested == 10
+        cfg = SamplingConfig(n_views=10, seed=1, preset=Preset.RANDOM)
+        batch = generate_batches(scene, cfg, 1)[0]
+        assert batch.truncated
+        assert sorted(batch.views) == [1, 2, 3, 4, 5, 6]
 
     def test_determinism(self):
         scene = ring_scene(6, 6)

@@ -7,6 +7,7 @@ from sparseview.community import louvain
 from sparseview.depth_filter import filter_depth
 from sparseview.errors import InvalidSpec
 from sparseview.metrics import azimuth_coverage
+from sparseview.recon_io import load_scene_dir, write_reconstruction
 from sparseview.synth import (
     SynthKind,
     SynthSpec,
@@ -64,9 +65,11 @@ class TestRingScene:
         spec = ring_spec(noise_sigma=0.4, seed=77)
         assert gen_ring_scene(spec) == gen_ring_scene(spec)
 
-    def test_validates_invariants(self):
+    def test_validates_invariants(self, tmp_path):
         scene = gen_ring_scene(ring_spec(noise_sigma=0.2, seed=5))
-        scene.validate()
+        # every reference resolves: the parser checks each one as it reads
+        write_reconstruction(scene, str(tmp_path))
+        assert load_scene_dir(str(tmp_path)).views == scene.views
         for view in scene.views.values():
             assert abs(math.fsum(c * c for c in view.rotation) - 1.0) < 1e-6
 

@@ -10,6 +10,7 @@ from sparseview.view_graph import (
     build_graph,
     compute_stats,
     connected_components,
+    from_edge_weights,
     prune_edges,
     subgraph,
 )
@@ -43,6 +44,14 @@ class TestBuild:
         triples = [(u, v, 10) for u in range(1, 5) for v in range(u + 1, 5)]
         g = build_graph(scene_with(triples, range(1, 5)))
         assert all(g.degree(v) == 3 for v in g.nodes)
+
+    def test_zero_weight_pair_is_no_edge(self):
+        g = from_edge_weights([1, 2, 3, 4], {(1, 2): 0, (2, 3): 7, (3, 4): 0})
+        assert sorted(g.nodes) == [1, 2, 3, 4]
+        assert list(g.edges()) == [(2, 3, 7)]
+        assert g.degree(1) == 0 and g.degree(4) == 0
+        g = build_graph(scene_with([(1, 2, 0), (2, 3, 7)], [1, 2, 3]))
+        assert list(g.edges()) == [(2, 3, 7)]
 
 
 class TestPrune:
