@@ -21,13 +21,11 @@ from .pfm import read_pfm, write_pfm
 from .recon_io import (
     CameraIntrinsics,
     CameraModel,
-    MatchEdge,
     PosedView,
     SceneReconstruction,
     ScenePoint,
     load_scene_dir,
     parse_match_graph,
-    parse_reconstruction,
     write_reconstruction,
 )
 from .sampler import (

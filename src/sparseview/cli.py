@@ -174,11 +174,19 @@ def cmd_partition(args) -> int:
 def cmd_sample(args) -> int:
     if not args.out:
         raise _UsageError("--out is required for sample")
+    # an unset --ncc or --depth keeps SamplingConfig's default; a preset sets both
+    given = {}
+    for flag, name, value in (("--ncc", "max_components", args.ncc),
+                              ("--depth", "search_depth", args.depth)):
+        if value is None:
+            continue
+        if args.preset:
+            raise _UsageError(f"{flag} cannot be given with --preset {args.preset}, which sets it")
+        given[name] = value
     scene = _load_scene(args)
     config = SamplingConfig(
         n_views=args.n,
-        max_components=args.ncc,
-        search_depth=args.depth,
+        **given,
         prune_threshold=args.prune_threshold,
         weight_mode=WeightMode(args.weight_mode),
         seed=args.seed,
@@ -344,8 +352,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sample", help="generate sampled batches (jsonl)")
     _add_scene_flags(p)
     p.add_argument("--n", type=int, default=24, help="views per batch")
-    p.add_argument("--ncc", type=int, default=1, help="max connected components")
-    p.add_argument("--depth", type=int, default=24, help="greedy search depth")
+    p.add_argument("--ncc", type=int, help="max connected components (default 1; not with --preset)")
+    p.add_argument("--depth", type=int, help="greedy search depth (default 24; not with --preset)")
     p.add_argument("--preset", choices=[m.value for m in Preset])
     p.add_argument("--batches", type=_at_least(1), default=1, help="number of batches")
     p.add_argument(

@@ -20,37 +20,33 @@ class MalformedLine(SparseViewError):
         super().__init__(f"{path}:{line_no}: {reason}")
 
 
-def _at(where: str | None, message: str) -> str:
-    return f"{where}: {message}" if where else message
-
-
 class DuplicateId(SparseViewError):
-    """`where` is the `path:line` of the repeat, when a parser found it."""
+    """`where` is the `path:line` of the repeat."""
 
-    def __init__(self, kind: str, id_: int, where: str | None = None):
+    def __init__(self, kind: str, id_: int, where: str):
         self.kind = kind
         self.id = id_
         self.where = where
-        super().__init__(_at(where, f"duplicate {kind} id {id_}"))
+        super().__init__(f"{where}: duplicate {kind} id {id_}")
 
 
 class DanglingReference(SparseViewError):
-    """`where` is the `path:line` of the reference, when a parser found it."""
+    """`where` is the `path:line` of the reference."""
 
-    def __init__(self, kind: str, id_: int, where: str | None = None):
+    def __init__(self, kind: str, id_: int, where: str):
         self.kind = kind
         self.id = id_
         self.where = where
-        super().__init__(_at(where, f"reference to unknown {kind} id {id_}"))
+        super().__init__(f"{where}: reference to unknown {kind} id {id_}")
 
 
 class SelfLoop(SparseViewError):
-    """`where` is the `path:line` of the edge, when a parser found it."""
+    """`where` is the `path:line` of the edge."""
 
-    def __init__(self, view_id: int, where: str | None = None):
+    def __init__(self, view_id: int, where: str):
         self.view_id = view_id
         self.where = where
-        super().__init__(_at(where, f"self-loop on view {view_id}"))
+        super().__init__(f"{where}: self-loop on view {view_id}")
 
 
 class EmptyGraph(SparseViewError):

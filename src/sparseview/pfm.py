@@ -1,8 +1,8 @@
 """Portable float map (PFM) reader/writer for single-channel depth maps.
 
 Canonical form written here: header `Pf`, `<width> <height>`, scale `-1.0`
-(little-endian float32), pixel rows stored bottom-to-top. Invalid depths are
-encoded as 0.0.
+(little-endian float32), pixel rows stored bottom-to-top. Invalid depths, and
+finite depths beyond the float32 range, are encoded as 0.0.
 """
 
 from __future__ import annotations
@@ -55,9 +55,12 @@ def read_pfm(path: str) -> DepthMap:
 
 
 def write_pfm(path: str, depth: DepthMap) -> None:
-    # the one copy: rows flipped to bottom-to-top and cast to little-endian float32
-    grid = np.ascontiguousarray(np.flipud(depth.values), dtype="<f4")
-    grid[np.flipud(~np.isfinite(depth.values))] = 0.0
+    # the one copy: rows flipped to bottom-to-top and cast to little-endian
+    # float32; a finite depth beyond float32's range casts to inf, so the
+    # invalid pixels are zeroed after the cast
+    with np.errstate(over="ignore"):
+        grid = np.ascontiguousarray(np.flipud(depth.values), dtype="<f4")
+    grid[~np.isfinite(grid)] = 0.0
     with open(path, "wb") as f:
         f.write(b"Pf\n")
         f.write(f"{depth.width} {depth.height}\n".encode())

@@ -116,21 +116,6 @@ class PosedView:
 
 
 @dataclass(frozen=True)
-class MatchEdge:
-    view_a: int
-    view_b: int
-    match_count: int
-
-    def __post_init__(self):
-        if self.view_a == self.view_b:
-            raise SelfLoop(self.view_a)
-        if self.view_a > self.view_b:
-            raise ValueError("edge endpoints must satisfy view_a < view_b")
-        if self.match_count < 0:
-            raise ValueError("negative match count")
-
-
-@dataclass(frozen=True)
 class ScenePoint:
     point_id: int
     xyz: tuple[float, float, float]
@@ -142,7 +127,7 @@ class SceneReconstruction:
     scene_id: str
     intrinsics: dict[int, CameraIntrinsics]
     views: dict[int, PosedView]
-    edges: list[MatchEdge]
+    edges: dict[tuple[int, int], int]  # (view_a, view_b) -> match count, view_a < view_b
     points: list[ScenePoint] = field(default_factory=list)
 
     def positions(self) -> dict[int, tuple[float, float, float]]:
@@ -278,30 +263,8 @@ def parse_points(path: str, view_ids=None) -> list[ScenePoint]:
     return [points[pid] for pid in sorted(points)]
 
 
-def parse_reconstruction(
-    cameras_path: str,
-    images_path: str,
-    points_path: str | None = None,
-    matches_path: str | None = None,
-    scene_id: str | None = None,
-) -> SceneReconstruction:
-    """Each file's references are checked while it is read, against the ids
-    of the files read before it."""
-    if scene_id is None:
-        scene_id = os.path.basename(os.path.dirname(os.path.abspath(cameras_path)))
-    cameras = parse_cameras(cameras_path)
-    views = parse_images(images_path, cameras)
-    return SceneReconstruction(
-        scene_id=scene_id,
-        intrinsics=cameras,
-        views=views,
-        edges=parse_match_graph(matches_path, views) if matches_path else [],
-        points=parse_points(points_path, views) if points_path else [],
-    )
-
-
-def parse_match_graph(path: str, view_ids=None) -> list[MatchEdge]:
-    """Parse VIEW_A VIEW_B MATCH_COUNT lines.
+def parse_match_graph(path: str, view_ids=None) -> dict[tuple[int, int], int]:
+    """Parse VIEW_A VIEW_B MATCH_COUNT lines into {(view_a, view_b): count}.
 
     Endpoints are normalized to view_a < view_b; duplicate pairs merge by
     taking the maximum count. An endpoint outside `view_ids` raises
@@ -324,7 +287,7 @@ def parse_match_graph(path: str, view_ids=None) -> list[MatchEdge]:
         _known("view", b, view_ids, line_no, path)
         key = (min(a, b), max(a, b))
         merged[key] = max(merged.get(key, 0), count)
-    return [MatchEdge(a, b, merged[(a, b)]) for a, b in sorted(merged)]
+    return merged
 
 
 def _fmt(x: float) -> str:
@@ -362,11 +325,11 @@ def write_points(points: list[ScenePoint], path: str) -> None:
             f.write(f"{p.point_id} {xyz} 0 0 0 0{tail}\n")
 
 
-def write_match_graph(edges: list[MatchEdge], path: str) -> None:
+def write_match_graph(edges: dict[tuple[int, int], int], path: str) -> None:
     with open(path, "w") as f:
         f.write("# VIEW_A VIEW_B MATCH_COUNT\n")
-        for e in sorted(edges, key=lambda e: (e.view_a, e.view_b)):
-            f.write(f"{e.view_a} {e.view_b} {e.match_count}\n")
+        for (a, b), count in sorted(edges.items()):
+            f.write(f"{a} {b} {count}\n")
 
 
 def write_reconstruction(scene: SceneReconstruction, directory: str) -> None:
@@ -379,17 +342,21 @@ def write_reconstruction(scene: SceneReconstruction, directory: str) -> None:
 
 
 def load_scene_dir(directory: str, matches_path: str | None = None) -> SceneReconstruction:
-    """Load a scene from a directory laid out as written by write_reconstruction."""
-    cameras = os.path.join(directory, "cameras.txt")
-    images = os.path.join(directory, "images.txt")
+    """Load a scene from a directory laid out as written by write_reconstruction.
+
+    points3D.txt and matches.txt are optional. Each file's references are
+    checked while it is read, against the ids of the files read before it.
+    """
+    cameras = parse_cameras(os.path.join(directory, "cameras.txt"))
+    views = parse_images(os.path.join(directory, "images.txt"), cameras)
     points = os.path.join(directory, "points3D.txt")
     if matches_path is None:
         candidate = os.path.join(directory, "matches.txt")
         matches_path = candidate if os.path.exists(candidate) else None
-    return parse_reconstruction(
-        cameras,
-        images,
-        points_path=points if os.path.exists(points) else None,
-        matches_path=matches_path,
+    return SceneReconstruction(
         scene_id=os.path.basename(os.path.abspath(directory)),
+        intrinsics=cameras,
+        views=views,
+        edges=parse_match_graph(matches_path, views) if matches_path else {},
+        points=parse_points(points, views) if os.path.exists(points) else [],
     )

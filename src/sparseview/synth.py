@@ -21,7 +21,6 @@ from .errors import InvalidSpec
 from .recon_io import (
     CameraIntrinsics,
     CameraModel,
-    MatchEdge,
     PosedView,
     ScenePoint,
     SceneReconstruction,
@@ -163,7 +162,6 @@ def gen_ring_scene(spec: SynthSpec) -> SceneReconstruction:
             a = cluster_members[c][0]
             b = cluster_members[(c + 1) % k][0]
             edge_weights[(min(a, b), max(a, b))] = spec.inter_weight
-    edges = [MatchEdge(a, b, w) for (a, b), w in sorted(edge_weights.items())]
 
     points = []
     for c in range(k):
@@ -175,7 +173,7 @@ def gen_ring_scene(spec: SynthSpec) -> SceneReconstruction:
         scene_id=f"ring-{k}x{m}-s{spec.seed}",
         intrinsics={1: _DEFAULT_CAMERA},
         views=views,
-        edges=edges,
+        edges=edge_weights,
         points=points,
     )
 
@@ -212,14 +210,13 @@ def gen_grid_scene(spec: SynthSpec) -> SceneReconstruction:
                 edge_weights[(vid, vid + 1)] = spec.intra_weight
             if row + 1 < g:
                 edge_weights[(vid, vid + g)] = spec.intra_weight
-    edges = [MatchEdge(a, b, w) for (a, b), w in sorted(edge_weights.items())]
     center = ((g - 1) * spacing / 2.0, 0.0, (g - 1) * spacing / 2.0)
     points = [ScenePoint(1, center, tuple(sorted(views)))]
     return SceneReconstruction(
         scene_id=f"grid-{g}x{g}-s{spec.seed}",
         intrinsics={1: _DEFAULT_CAMERA},
         views=views,
-        edges=edges,
+        edges=edge_weights,
         points=points,
     )
 

@@ -30,14 +30,6 @@ class ViewGraph:
     def has_node(self, v: int) -> bool:
         return v in self.adjacency
 
-    def neighbors(self, v: int) -> tuple[tuple[int, int], ...]:
-        if v not in self.adjacency:
-            raise UnknownNode(v)
-        return self.adjacency[v]
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
-
     def edges(self):
         """Yield (u, v, weight) with u < v, in sorted order."""
         for u in self.adjacency:
@@ -62,8 +54,7 @@ def from_edge_weights(nodes, edge_weights: dict[tuple[int, int], int]) -> ViewGr
 
 def build_graph(scene: SceneReconstruction) -> ViewGraph:
     """One node per view (isolated views included), one edge per match pair."""
-    weights = {(e.view_a, e.view_b): e.match_count for e in scene.edges}
-    return from_edge_weights(scene.views.keys(), weights)
+    return from_edge_weights(scene.views.keys(), scene.edges)
 
 
 def prune_edges(graph: ViewGraph, threshold: int) -> ViewGraph:

@@ -111,6 +111,9 @@ BAD_FLAGS = [
     *[(cmd, ["--threads", "2"], "--threads") for cmd in VALID_ARGV],
     *[(cmd, ["--seed", "1"], "--seed")
       for cmd in ("parse", "stats", "coverage", "pose-eval", "filter-depth")],
+    ("sample", ["--preset", "dense", "--ncc", "3"], "--ncc"),
+    ("sample", ["--preset", "sparse", "--depth", "2"], "--depth"),
+    ("sample", ["--preset", "random", "--ncc", "2"], "--ncc"),
 ]
 
 

@@ -37,6 +37,15 @@ def test_invalid_encoded_as_zero(tmp_path):
     assert not back.valid_mask[0, 1]
 
 
+def test_beyond_float32_range_encoded_as_zero(tmp_path):
+    # finite in float64, inf once cast: written as 0 like any invalid depth,
+    # with no overflow warning (Tier-1 turns a RuntimeWarning into a failure)
+    values = np.array([[1.0, 1e39], [2.0, -1e39]])
+    path = tmp_path / "d.pfm"
+    write_pfm(str(path), DepthMap(values))
+    assert read_pfm(str(path)).values.tolist() == [[1.0, 0.0], [2.0, 0.0]]
+
+
 def test_rows_bottom_to_top(tmp_path):
     # bottom row must appear first in the payload
     values = np.array([[1.0, 2.0], [3.0, 4.0]])
@@ -98,13 +107,13 @@ def test_malformed_header_names_file(tmp_path, content, reason):
 
 
 # sha256 over the files write_pfm makes of the _pfm_golden_maps
-PFM_GOLDEN_DIGEST = "f28240f59953cb2e0803d5c5cb1d38a5128c5732f94f0bea50892839ebed56ce"
+PFM_GOLDEN_DIGEST = "a36dffdc9f88b28535af695dd541cb1f94d2a67aebe6029a72e154d0cd9d1e86"
 
 
 def _pfm_golden_maps():
     """200 seeded maps of mixed shapes, salted with NaN, +-inf, +-0, tiny and
-    huge magnitudes (1e+-300, and values past the float32 range, which cast
-    to inf), plus one 1080x1920 map."""
+    huge magnitudes (1e+-300, and values past the float32 range, which are
+    written as 0), plus one 1080x1920 map."""
     specials = np.array(
         [np.nan, np.inf, -np.inf, 0.0, -0.0, 1e-300, -1e-300, 1e300, -1e300, 1e39,
          -1e39, 3.4028235e38, 1e-45, 5e-324, 1.0]
@@ -128,8 +137,7 @@ def test_golden_bytes(tmp_path):
 
     h = hashlib.sha256()
     path = tmp_path / "d.pfm"
-    with np.errstate(over="ignore"):  # 1e39 and 1e300 overflow float32
-        for values in _pfm_golden_maps():
-            write_pfm(str(path), DepthMap(values))
-            h.update(path.read_bytes())
+    for values in _pfm_golden_maps():
+        write_pfm(str(path), DepthMap(values))
+        h.update(path.read_bytes())
     assert h.hexdigest() == PFM_GOLDEN_DIGEST

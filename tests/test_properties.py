@@ -1,23 +1,28 @@
 """Property tests of the input contract: on any file content, the readers
 raise only SparseViewError (a MalformedLine always naming its file), and
-`coverage` exits 0 or 1, never 2; and of the depth filter's invariants on any
-pair of small maps."""
+`coverage` exits 0 or 1, never 2; of the depth filter's invariants on any
+pair of small maps; and of the sampler's batch invariants on small scenes."""
 
 import json
+import random
 
 import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparseview.batches import Phase, read_batches
+from oracles import union_find_components
+from sparseview.batches import Phase, read_batches, write_batches
 from sparseview.cli import run
 from sparseview.depth_filter import DepthMap, FilterConfig, filter_depth
 from sparseview.errors import MalformedLine, SparseViewError
 from sparseview.pfm import read_pfm
 from sparseview.recon_io import parse_cameras, parse_images, parse_match_graph, parse_points
+from sparseview.sampler import Preset, SamplingConfig, derive_seed, generate_batches
+from sparseview.steiner import WeightMode
+from sparseview.synth import SynthKind, SynthSpec, gen_grid_scene, gen_ring_scene
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -156,3 +161,81 @@ def test_filter_depth_invariants(pair, taus):
     assert int(removed.sum()) == report.removed_total
     assert report.kept + report.removed_total == int(valid.sum())
     assert report.removed_total <= report.removed_by_depth + report.removed_by_grad
+
+
+@st.composite
+def small_scenes(draw):
+    """A synth ring (its bridges kept or pruned at the default threshold of
+    50) or a synth grid, 2 to 36 views."""
+    seed = draw(st.integers(0, 999))
+    noise = draw(st.sampled_from([0.0, 0.5]))
+    if draw(st.booleans()):
+        return gen_ring_scene(SynthSpec(
+            SynthKind.RING_OF_CLUSTERS, cluster_count=draw(st.integers(1, 5)),
+            cluster_size=draw(st.integers(2, 6)), inter_weight=draw(st.sampled_from([0, 30, 60])),
+            noise_sigma=noise, seed=seed,
+        ))
+    return gen_grid_scene(SynthSpec(
+        SynthKind.GRID_SCENE, cluster_count=draw(st.integers(2, 6)), noise_sigma=noise, seed=seed,
+    ))
+
+
+@st.composite
+def sampling_configs(draw, preset):
+    n_views = draw(st.integers(2, 12))
+    return SamplingConfig(
+        n_views=n_views,
+        max_components=draw(st.integers(1, min(4, n_views))),
+        search_depth=draw(st.integers(1, 10)),
+        weight_mode=draw(st.sampled_from(list(WeightMode))),
+        seed=draw(st.integers(0, 2**32)),
+        preset=preset,
+    )
+
+
+def quotas_of(n_views: int, parts: int, batch_seed: int) -> list[int]:
+    """Each partition's view quota, drawn as the sampler draws it: `parts - 1`
+    distinct cuts of 1..n_views-1 from the batch's "quota" seed."""
+    if parts == 1:
+        return [n_views]
+    rng = random.Random(derive_seed(batch_seed, "quota"))
+    bounds = [0, *sorted(rng.sample(range(1, n_views), parts - 1)), n_views]
+    return [hi - lo for lo, hi in zip(bounds, bounds[1:])]
+
+
+PHASE_RANK = {Phase.TERMINAL: 0, Phase.STEINER: 0, Phase.GREEDY: 1, Phase.FILL: 2}
+
+
+@pytest.mark.parametrize("preset", [None, *Preset], ids=lambda p: getattr(p, "value", "none"))
+@settings(max_examples=20)
+@given(data=st.data())
+def test_sampled_batches_keep_their_invariants(tmp_path_factory, preset, data):
+    scene = data.draw(small_scenes())
+    config = data.draw(sampling_configs(preset))
+    batches = generate_batches(scene, config, 3)
+    kept = [(a, b) for (a, b), count in scene.edges.items()
+            if count > 0 and count >= config.prune_threshold]
+    for batch in batches:
+        views, resolved = batch.views, batch.config
+        assert len(views) == len(set(views)) <= resolved.n_views
+        assert set(views) <= set(scene.views)
+        assert batch.truncated == (len(views) < resolved.n_views)
+        if config.preset is Preset.RANDOM:
+            assert all(p.phase is Phase.FILL for p in batch.provenance)
+            continue
+        induced = [(a, b) for a, b in kept if a in views and b in views]
+        assert len(union_find_components(views, induced)) <= resolved.max_components
+        # partitions in index order, each one's phases in sampling order
+        order = [(p.partition, PHASE_RANK[p.phase]) for p in batch.provenance]
+        assert order == sorted(order)
+        quotas = quotas_of(resolved.n_views, resolved.max_components, resolved.seed)
+        for i, quota in enumerate(quotas):
+            phases = [p.phase for p in batch.provenance if p.partition == i]
+            assert len(phases) <= quota
+            searched = sum(1 for ph in phases if ph is not Phase.FILL)
+            assert searched <= min(quota, resolved.search_depth)
+    # a rerun writes the same bytes
+    out = tmp_path_factory.mktemp("rerun")
+    write_batches(batches, str(out / "a.jsonl"))
+    write_batches(generate_batches(scene, config, 3), str(out / "b.jsonl"))
+    assert (out / "a.jsonl").read_bytes() == (out / "b.jsonl").read_bytes()

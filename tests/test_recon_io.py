@@ -11,7 +11,6 @@ from sparseview.errors import (
 from sparseview.recon_io import (
     CameraIntrinsics,
     CameraModel,
-    MatchEdge,
     PosedView,
     camera_center,
     load_scene_dir,
@@ -19,7 +18,6 @@ from sparseview.recon_io import (
     parse_images,
     parse_match_graph,
     parse_points,
-    parse_reconstruction,
     write_reconstruction,
 )
 from sparseview.synth import SynthKind, SynthSpec, gen_ring_scene
@@ -136,11 +134,11 @@ class TestPoints:
 class TestMatchGraph:
     def test_endpoint_normalization(self, tmp_path):
         edges = parse_match_graph(write(tmp_path, "m.txt", "3 1 120\n"))
-        assert edges == [MatchEdge(1, 3, 120)]
+        assert edges == {(1, 3): 120}
 
     def test_duplicate_merge_max(self, tmp_path):
         edges = parse_match_graph(write(tmp_path, "m.txt", "1 2 50\n2 1 70\n"))
-        assert edges == [MatchEdge(1, 2, 70)]
+        assert edges == {(1, 2): 70}
 
     def test_self_loop(self, tmp_path):
         with pytest.raises(SelfLoop):
@@ -154,18 +152,18 @@ class TestMatchGraph:
 
 class TestSceneValidation:
     def test_dangling_edge_endpoint(self, tmp_path):
-        cams = write(tmp_path, "cameras.txt", "1 SIMPLE_PINHOLE 640 480 500 320 240\n")
-        imgs = write(tmp_path, "images.txt", "1 1 0 0 0 0 0 0 1 a.jpg\n\n")
+        write(tmp_path, "cameras.txt", "1 SIMPLE_PINHOLE 640 480 500 320 240\n")
+        write(tmp_path, "images.txt", "1 1 0 0 0 0 0 0 1 a.jpg\n\n")
         matches = write(tmp_path, "matches.txt", "1 2 80\n")
         with pytest.raises(DanglingReference) as exc:
-            parse_reconstruction(cams, imgs, matches_path=matches)
+            load_scene_dir(str(tmp_path))
         assert exc.value.where == f"{matches}:1"
 
     def test_dangling_camera(self, tmp_path):
-        cams = write(tmp_path, "cameras.txt", "1 SIMPLE_PINHOLE 640 480 500 320 240\n")
+        write(tmp_path, "cameras.txt", "1 SIMPLE_PINHOLE 640 480 500 320 240\n")
         imgs = write(tmp_path, "images.txt", "1 1 0 0 0 0 0 0 9 a.jpg\n\n")
         with pytest.raises(DanglingReference) as exc:
-            parse_reconstruction(cams, imgs)
+            load_scene_dir(str(tmp_path))
         assert exc.value.where == f"{imgs}:1"
 
 

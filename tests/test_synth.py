@@ -91,7 +91,7 @@ class TestGridScene:
         assert len(scene.views) == 16
         assert len(scene.edges) == 2 * 4 * 3  # grid edges
         graph = build_graph(scene)
-        corner_degrees = sorted(graph.degree(v) for v in (1, 4, 13, 16))
+        corner_degrees = sorted(len(graph.adjacency[v]) for v in (1, 4, 13, 16))
         assert corner_degrees == [2, 2, 2, 2]
 
     def test_deterministic(self):

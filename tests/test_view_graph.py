@@ -4,7 +4,7 @@ import pytest
 
 from conftest import graph_of, random_graph
 from oracles import bfs_all, union_find_components
-from sparseview.recon_io import MatchEdge, SceneReconstruction
+from sparseview.recon_io import SceneReconstruction
 from sparseview.view_graph import (
     bfs_distances,
     build_graph,
@@ -25,7 +25,7 @@ def scene_with(edge_triples, view_ids):
         vid: PosedView(vid, 1, (1.0, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0), f"{vid}.jpg")
         for vid in view_ids
     }
-    edges = [MatchEdge(u, v, w) for u, v, w in edge_triples]
+    edges = {(u, v): w for u, v, w in edge_triples}
     return SceneReconstruction("s", {1: cam}, views, edges)
 
 
@@ -33,7 +33,7 @@ class TestBuild:
     def test_isolated_views_kept(self):
         g = build_graph(scene_with([(1, 2, 60)], [1, 2, 3]))
         assert sorted(g.nodes) == [1, 2, 3]
-        assert g.degree(3) == 0
+        assert len(g.adjacency[3]) == 0
 
     def test_empty_edge_list(self):
         g = build_graph(scene_with([], [1, 2, 3]))
@@ -43,13 +43,13 @@ class TestBuild:
     def test_complete_graph_degrees(self):
         triples = [(u, v, 10) for u in range(1, 5) for v in range(u + 1, 5)]
         g = build_graph(scene_with(triples, range(1, 5)))
-        assert all(g.degree(v) == 3 for v in g.nodes)
+        assert all(len(g.adjacency[v]) == 3 for v in g.nodes)
 
     def test_zero_weight_pair_is_no_edge(self):
         g = from_edge_weights([1, 2, 3, 4], {(1, 2): 0, (2, 3): 7, (3, 4): 0})
         assert sorted(g.nodes) == [1, 2, 3, 4]
         assert list(g.edges()) == [(2, 3, 7)]
-        assert g.degree(1) == 0 and g.degree(4) == 0
+        assert len(g.adjacency[1]) == 0 and len(g.adjacency[4]) == 0
         g = build_graph(scene_with([(1, 2, 0), (2, 3, 7)], [1, 2, 3]))
         assert list(g.edges()) == [(2, 3, 7)]
 
