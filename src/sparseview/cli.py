@@ -174,24 +174,16 @@ def cmd_partition(args) -> int:
 def cmd_sample(args) -> int:
     if not args.out:
         raise _UsageError("--out is required for sample")
-    # an unset --ncc or --depth keeps SamplingConfig's default; a preset sets both
-    given = {}
-    for flag, name, value in (("--ncc", "max_components", args.ncc),
-                              ("--depth", "search_depth", args.depth)):
-        if value is None:
-            continue
-        if args.preset:
-            raise _UsageError(f"{flag} cannot be given with --preset {args.preset}, which sets it")
-        given[name] = value
-    scene = _load_scene(args)
     config = SamplingConfig(
         n_views=args.n,
-        **given,
+        max_components=args.ncc,
+        search_depth=args.depth,
         prune_threshold=args.prune_threshold,
         weight_mode=WeightMode(args.weight_mode),
         seed=args.seed,
         preset=Preset(args.preset) if args.preset else None,
     )
+    scene = _load_scene(args)
     _log(args, f"seed {args.seed}")
     result = generate_batches(scene, config, args.batches)
     truncated = sum(1 for b in result if b.truncated)

@@ -39,11 +39,16 @@ class Preset(Enum):
     RANDOM = "random"
 
 
+# what an unset max_components and search_depth mean when no preset sets them
+DEFAULT_MAX_COMPONENTS = 1
+DEFAULT_SEARCH_DEPTH = 24
+
+
 @dataclass(frozen=True)
 class SamplingConfig:
     n_views: int = 24
-    max_components: int = 1
-    search_depth: int = 24
+    max_components: int | None = None
+    search_depth: int | None = None
     prune_threshold: int = 50
     weight_mode: WeightMode = WeightMode.UNIT_HOP
     seed: int = 0
@@ -52,6 +57,17 @@ class SamplingConfig:
     def __post_init__(self):
         if self.n_views < 2:
             raise InvalidSpec(f"n_views must be >= 2, got {self.n_views}")
+        if self.preset is not None:
+            for name in ("max_components", "search_depth"):
+                if getattr(self, name) is not None:
+                    raise InvalidSpec(
+                        f"{name} cannot be given with preset {self.preset.value}, which sets it"
+                    )
+            return
+        if self.max_components is None:
+            object.__setattr__(self, "max_components", DEFAULT_MAX_COMPONENTS)
+        if self.search_depth is None:
+            object.__setattr__(self, "search_depth", DEFAULT_SEARCH_DEPTH)
         if not 1 <= self.max_components <= self.n_views:
             raise InvalidSpec(f"max_components must be in [1, n_views], got {self.max_components}")
         if self.search_depth < 1:
@@ -76,8 +92,8 @@ def resolve_config(config: SamplingConfig, batch_seed: int) -> BatchConfig:
         depth = rng.randint(5, 24)
         n_cc = rng.randint(1, 4)
     elif config.preset is Preset.RANDOM:
-        # uniform choice imposes no component bound
-        n_cc = config.n_views
+        # uniform choice imposes no component bound and runs no search
+        depth, n_cc = DEFAULT_SEARCH_DEPTH, config.n_views
     n_cc = min(n_cc, config.n_views)
     return BatchConfig(config.n_views, n_cc, depth, batch_seed)
 

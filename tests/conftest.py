@@ -1,8 +1,18 @@
+import os
 import random
 
 import pytest
 
+import sparseview
 from sparseview.view_graph import ViewGraph, from_edge_weights
+
+# child interpreters import sparseview from this checkout and test modules from here
+CHILD_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        [os.path.dirname(os.path.dirname(sparseview.__file__)), os.path.dirname(__file__)]
+    ),
+}
 
 try:
     from hypothesis import settings

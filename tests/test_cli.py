@@ -6,21 +6,13 @@ import sys
 import numpy as np
 import pytest
 
-import sparseview
+from conftest import CHILD_ENV
 from sparseview import cli, sampler
 from sparseview.batches import Phase, ViewProvenance, read_batches
 from sparseview.cli import run
 from sparseview.depth_filter import DepthMap
 from sparseview.pfm import write_pfm
 from sparseview.recon_io import load_scene_dir
-
-# child interpreters import sparseview from this checkout and test_cli from here
-CHILD_ENV = {
-    **os.environ,
-    "PYTHONPATH": os.pathsep.join(
-        [os.path.dirname(os.path.dirname(sparseview.__file__)), os.path.dirname(__file__)]
-    ),
-}
 
 
 @pytest.fixture
@@ -111,9 +103,9 @@ BAD_FLAGS = [
     *[(cmd, ["--threads", "2"], "--threads") for cmd in VALID_ARGV],
     *[(cmd, ["--seed", "1"], "--seed")
       for cmd in ("parse", "stats", "coverage", "pose-eval", "filter-depth")],
-    ("sample", ["--preset", "dense", "--ncc", "3"], "--ncc"),
-    ("sample", ["--preset", "sparse", "--depth", "2"], "--depth"),
-    ("sample", ["--preset", "random", "--ncc", "2"], "--ncc"),
+    ("sample", ["--preset", "dense", "--ncc", "3"], "max_components"),
+    ("sample", ["--preset", "sparse", "--depth", "2"], "search_depth"),
+    ("sample", ["--preset", "random", "--ncc", "2"], "max_components"),
 ]
 
 
@@ -137,6 +129,14 @@ def test_sample_without_out_fails_before_sampling(inputs, monkeypatch, capsys):
     monkeypatch.setattr(cli, "generate_batches", no_sampling)
     assert run(["sample", "--scene", inputs["ring"], "--n", "6", "--quiet"]) == 1
     assert "--out is required for sample" in capsys.readouterr().err
+
+
+def test_sample_checks_its_config_before_loading_the_scene(tmp_path, capsys):
+    argv = ["sample", "--scene", str(tmp_path / "missing"), "--out", str(tmp_path / "b.jsonl"),
+            "--preset", "dense", "--ncc", "3", "--quiet"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert "max_components" in err and "missing" not in err
 
 
 @pytest.mark.parametrize("cmd", ["parse", "stats"])
@@ -388,6 +388,16 @@ class TestDeterminism:
             dirs.append(out)
         for f in ("cameras.txt", "images.txt", "points3D.txt", "matches.txt"):
             assert read(dirs[0] / f) == read(dirs[1] / f)
+
+
+def test_cli_import_starts_no_thread_pool_machinery():
+    """The graph commands' start-up must not pay for `concurrent.futures`
+    (and the `logging` it pulls in); only the depth filter imports it."""
+    script = ("import sys, sparseview.cli; "
+              "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert proc.stdout.decode().strip() == "[]"
 
 
 def test_console_entry_point(tmp_path):

@@ -1,9 +1,14 @@
 import hashlib
+import os
+import subprocess
+import sys
+import warnings
 
 import numpy as np
 import pytest
 
-from sparseview import synth
+from conftest import CHILD_ENV
+from sparseview import depth_filter, synth
 from sparseview.cli import run
 from sparseview.depth_filter import (
     DepthMap,
@@ -210,6 +215,37 @@ class TestFilterDepth:
         assert report.kept + report.removed_total == int(geom.valid_mask.sum())
 
 
+# (geom, mono): a scale med(mono)/med(geom) of inf, then of 0.0
+OUT_OF_RANGE_SCALES = [
+    (np.full((4, 4), 1e-300), np.full((4, 4), 1e300)),
+    (np.full((4, 4), 1e300), np.full((4, 4), 1e-300)),
+]
+
+
+@pytest.mark.parametrize("geom,mono", OUT_OF_RANGE_SCALES, ids=["overflow", "underflow"])
+def test_scale_outside_float64_raises(geom, mono):
+    with pytest.raises(NoValidOverlap, match="scale"):
+        filter_depth(DepthMap(geom), DepthMap(mono))
+
+
+def test_overflow_leaks_no_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # s = 1e10 overflows the two 1e300 pixels, which leave the valid set and are kept
+        geom = np.array([[1e-10, 1e300], [1e-10, 1e-10]] * 2)
+        filtered, report = filter_depth(DepthMap(geom), DepthMap(np.ones((4, 2))))
+        assert np.array_equal(filtered.values, geom)
+        assert report.scale_s == 1e10 and report.removed_total == 0
+        # a depth discrepancy that overflows to inf removes its pixel
+        geom, mono = np.ones((4, 4)), np.ones((4, 4))
+        geom[0, 0], mono[0, 0] = 1e-10, 1e300
+        filtered, report = filter_depth(DepthMap(geom), DepthMap(mono))
+        assert report.removed_by_depth == 1 and filtered.values[0, 0] == 0.0
+        # the kernels called on their own overflow quietly too
+        assert depth_discrepancy(geom, mono)[0, 0] == np.inf
+        gradient_discrepancy(np.array([[1e308, -1e308], [1.0, 1.0]]), np.ones((2, 2)))
+
+
 def test_config_rejects_nonpositive_thresholds():
     with pytest.raises(InvalidSpec):
         FilterConfig(tau_depth=0.0)
@@ -241,12 +277,32 @@ def _hand_built_pair():
     return geom, mono
 
 
-FILTER_GOLDEN_DIGEST = "a200505baefdfad99d8049f1cb199059a813f3931114372c6f2ff9e5d331de31"
+def _tall_pair():
+    """A seeded 300x9 pair of float32-representable values, so the PFM round
+    trip keeps them, tall enough to cross the filter's 128-row band edges.
+    Each of rows 126-129 and 254-257, around those edges, holds one NaN, 0,
+    +-inf or negative pixel in either map; depth and gradient outliers are
+    strewn over the whole pair."""
+    rng = np.random.default_rng(300)
+    ys, xs = np.mgrid[0:300, 0:9].astype(np.float64)
+    geom = 3.0 + 0.01 * ys + 0.2 * xs + 0.3 * np.sin(ys / 7.0) + rng.normal(0.0, 0.005, (300, 9))
+    mono = 1.7 * geom * (1.0 + rng.normal(0.0, 0.005, (300, 9)))
+    geom[rng.random((300, 9)) < 0.04] *= 1.6
+    geom[rng.random((300, 9)) < 0.04] *= 1.15
+    bad = [np.nan, 0.0, np.inf, -np.inf, -2.0]
+    for i, r in enumerate([*range(126, 130), *range(254, 258)]):
+        geom[r, rng.integers(9)] = bad[i % 5]
+        mono[r, rng.integers(9)] = bad[(i + 2) % 5]
+    return geom.astype(np.float32).astype(np.float64), mono.astype(np.float32).astype(np.float64)
+
+
+FILTER_GOLDEN_DIGEST = "52ce8abfae92cf2fa9ffda72d298d3eea70a86dce4963860038e7b36f7827f84"
 
 
 def test_filter_depth_golden(tmp_path):
-    """sha256 of the output PFM and --report JSON of `filter-depth` on two
-    synthetic fixtures at two threshold pairs, and on the hand-built pair."""
+    """sha256 of the output PFM and --report JSON of `filter-depth` at two
+    threshold pairs, on two synthetic fixtures, the hand-built pair and the
+    tall pair."""
     pairs = []
     for seed in (4, 9):
         fix = tmp_path / f"fix{seed}"
@@ -257,6 +313,10 @@ def test_filter_depth_golden(tmp_path):
     _write_raw_pfm(tmp_path / "hand_geom.pfm", geom)
     _write_raw_pfm(tmp_path / "hand_mono.pfm", mono)
     pairs.append((tmp_path / "hand_geom.pfm", tmp_path / "hand_mono.pfm"))
+    geom, mono = _tall_pair()
+    _write_raw_pfm(tmp_path / "tall_geom.pfm", geom)
+    _write_raw_pfm(tmp_path / "tall_mono.pfm", mono)
+    pairs.append((tmp_path / "tall_geom.pfm", tmp_path / "tall_mono.pfm"))
 
     h = hashlib.sha256()
     for i, (g, m) in enumerate(pairs):
@@ -268,3 +328,62 @@ def test_filter_depth_golden(tmp_path):
             h.update(out.read_bytes())
             h.update(report.read_bytes())
     assert h.hexdigest() == FILTER_GOLDEN_DIGEST
+
+
+def _identity_pairs():
+    """(geom, mono) arrays: the hand-built pair, both synthetic fixtures of
+    the golden test and the tall pair."""
+    pairs = [_hand_built_pair(), _tall_pair()]
+    for seed in (4, 9):
+        geom, mono, _ = gen_depth_fixture(SynthSpec(kind=SynthKind.DEPTH_FIXTURE, seed=seed))
+        pairs.append((geom.values, mono.values))
+    return pairs
+
+
+def _filtered(pairs, config):
+    results = []
+    for geom, mono in pairs:
+        filtered, report = filter_depth(DepthMap(geom), DepthMap(mono), config)
+        results.append((filtered.values.tobytes(), report))
+    return results
+
+
+@pytest.mark.parametrize("config", [FilterConfig(), FilterConfig(tau_depth=0.12, tau_grad=0.04)])
+def test_band_height_and_worker_count_change_no_byte(monkeypatch, config):
+    pairs = _identity_pairs()
+    expected = _filtered(pairs, config)
+    # more workers than cores, switching threads as often as the interpreter can
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for workers in (1, 8):
+            monkeypatch.setattr(depth_filter, "_usable_cpus", lambda: workers)
+            for rows in (1, 2, 3, 7):
+                monkeypatch.setattr(depth_filter, "BAND_ROWS", rows)
+                assert _filtered(pairs, config) == expected, f"{workers} workers, {rows} rows"
+    finally:
+        sys.setswitchinterval(interval)
+
+
+ONE_CPU = "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs sched_setaffinity and two usable CPUs",
+)
+def test_one_cpu_gives_the_same_bytes(tmp_path):
+    geom, mono = _tall_pair()
+    _write_raw_pfm(tmp_path / "geom.pfm", geom)
+    _write_raw_pfm(tmp_path / "mono.pfm", mono)
+    outputs = []
+    for pin in ("", ONE_CPU):
+        out = tmp_path / f"out{len(outputs)}.pfm"
+        script = pin + "from sparseview.cli import main; main()"
+        argv = ["filter-depth", "--geom", str(tmp_path / "geom.pfm"),
+                "--mono", str(tmp_path / "mono.pfm"), "--out", str(out), "--quiet"]
+        proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                              env=CHILD_ENV)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]

@@ -183,10 +183,14 @@ def small_scenes(draw):
 @st.composite
 def sampling_configs(draw, preset):
     n_views = draw(st.integers(2, 12))
+    # a preset sets the component bound and the search depth itself
+    bounds = {} if preset else {
+        "max_components": draw(st.integers(1, min(4, n_views))),
+        "search_depth": draw(st.integers(1, 10)),
+    }
     return SamplingConfig(
         n_views=n_views,
-        max_components=draw(st.integers(1, min(4, n_views))),
-        search_depth=draw(st.integers(1, 10)),
+        **bounds,
         weight_mode=draw(st.sampled_from(list(WeightMode))),
         seed=draw(st.integers(0, 2**32)),
         preset=preset,

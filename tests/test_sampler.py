@@ -261,3 +261,16 @@ def test_config_validation():
         SamplingConfig(n_views=4, max_components=5)
     with pytest.raises(InvalidSpec):
         SamplingConfig(search_depth=0)
+
+
+def test_config_defaults_apply_only_without_a_preset():
+    cfg = SamplingConfig()
+    assert (cfg.max_components, cfg.search_depth) == (1, 24)
+    for preset in Preset:
+        cfg = SamplingConfig(preset=preset)
+        assert (cfg.max_components, cfg.search_depth) == (None, None)
+        for name, value in (("max_components", 3), ("search_depth", 2)):
+            with pytest.raises(InvalidSpec, match=name):
+                SamplingConfig(n_views=8, preset=preset, **{name: value})
+    with pytest.raises(InvalidSpec, match="max_components"):
+        SamplingConfig(n_views=8, max_components=3, search_depth=2, preset=Preset.DENSE)
