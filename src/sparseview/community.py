@@ -79,15 +79,32 @@ def _aggregate(
 def _one_level(
     graph: ViewGraph, degree: dict[int, int], two_m: int, rng: random.Random, resolution: float
 ) -> dict[int, int]:
-    """Local-move phase; returns node -> community after convergence."""
+    """Local-move phase; returns node -> community after convergence.
+
+    A node's choice depends only on its own community, its neighbours'
+    communities and its candidates' `k_tot`. A neighbour that moves changes
+    the `k_tot` of the community it leaves, which was one of the node's
+    candidates (every edge weighs at least 1), and so does the node itself
+    when it moves. So a node none of whose candidates' `k_tot` changed since
+    its last evaluation would choose its current community again, and is
+    skipped. The integer `k_tot` makes its gains bit-identical, so the skip
+    changes no result; every sweep still shuffles, so the seeded order is kept.
+    """
     community = {u: u for u in graph.adjacency}
     k_tot = dict(degree)  # community -> summed degree
+    tick = 0  # moves so far
+    changed_at = dict.fromkeys(k_tot, 0)  # community -> tick its k_tot last changed
+    evaluated: dict[int, tuple[int, tuple[int, ...]]] = {}  # node -> (tick, candidates)
     moved = True
     while moved:
         moved = False
         order = sorted(graph.adjacency)
         rng.shuffle(order)
         for u in order:
+            if u in evaluated:
+                at, candidates = evaluated[u]
+                if all(changed_at[c] <= at for c in candidates):
+                    continue
             cu = community[u]
             ku = degree[u]
             # weights from u into each neighboring community, u removed from its own
@@ -106,7 +123,10 @@ def _one_level(
                 if gain > best_gain + 1e-12:
                     best_c, best_gain = c, gain
             k_tot[best_c] = k_tot.get(best_c, 0) + ku
+            evaluated[u] = (tick, tuple(links))
             if best_c != cu:
+                tick += 1
+                changed_at[cu] = changed_at[best_c] = tick
                 community[u] = best_c
                 moved = True
     return community

@@ -4,7 +4,10 @@ from __future__ import annotations
 
 
 class SparseViewError(Exception):
-    """Base class for all input/usage errors raised by this package."""
+    """Base class for all input/usage errors raised by this package.
+
+    An error with its own `__init__` has a `__reduce__` that rebuilds it from
+    those arguments, so it survives the pickle a batch worker sends back."""
 
 
 class InvariantViolation(Exception):
@@ -19,6 +22,9 @@ class MalformedLine(SparseViewError):
         self.path = path
         super().__init__(f"{path}:{line_no}: {reason}")
 
+    def __reduce__(self):
+        return type(self), (self.line_no, self.reason, self.path)
+
 
 class DuplicateId(SparseViewError):
     """`where` is the `path:line` of the repeat."""
@@ -28,6 +34,9 @@ class DuplicateId(SparseViewError):
         self.id = id_
         self.where = where
         super().__init__(f"{where}: duplicate {kind} id {id_}")
+
+    def __reduce__(self):
+        return type(self), (self.kind, self.id, self.where)
 
 
 class DanglingReference(SparseViewError):
@@ -39,6 +48,9 @@ class DanglingReference(SparseViewError):
         self.where = where
         super().__init__(f"{where}: reference to unknown {kind} id {id_}")
 
+    def __reduce__(self):
+        return type(self), (self.kind, self.id, self.where)
+
 
 class SelfLoop(SparseViewError):
     """`where` is the `path:line` of the edge."""
@@ -47,6 +59,9 @@ class SelfLoop(SparseViewError):
         self.view_id = view_id
         self.where = where
         super().__init__(f"{where}: self-loop on view {view_id}")
+
+    def __reduce__(self):
+        return type(self), (self.view_id, self.where)
 
 
 class EmptyGraph(SparseViewError):
@@ -58,6 +73,9 @@ class UnknownNode(SparseViewError):
         self.node = node
         super().__init__(f"unknown node {node}")
 
+    def __reduce__(self):
+        return type(self), (self.node,)
+
 
 class InvalidNcc(SparseViewError):
     pass
@@ -67,6 +85,9 @@ class DisconnectedTerminals(SparseViewError):
     def __init__(self, unreachable):
         self.unreachable = sorted(unreachable)
         super().__init__(f"terminals not reachable: {self.unreachable}")
+
+    def __reduce__(self):
+        return type(self), (self.unreachable,)
 
 
 class EmptyPartition(SparseViewError):

@@ -19,12 +19,16 @@ from __future__ import annotations
 
 import hashlib
 import math
+import os
+import pickle
 import random
+import threading
 from dataclasses import dataclass, replace
 from enum import Enum
 
 from .batches import BatchConfig, Phase, SampledBatch, ViewProvenance
 from .community import CommunityAssignment, louvain
+from .depth_filter import _usable_cpus
 from .errors import EmptyPartition, InvalidK, InvalidSpec, InvariantViolation, UnknownNode
 from .partition import partition_round_robin
 from .recon_io import SceneReconstruction
@@ -347,13 +351,80 @@ def _sample_one(ctx: SceneContext, config: SamplingConfig, batch_seed: int) -> S
     return batch
 
 
+def _sample_share(ctx: SceneContext, config: SamplingConfig, seeds, first: int, step: int):
+    """Batches for seeds[first::step], or (batch index, exception) of the
+    share's first failure, which is its smallest failing index."""
+    out = []
+    for i in range(first, len(seeds), step):
+        try:
+            out.append(_sample_one(ctx, config, seeds[i]))
+        except Exception as exc:  # noqa: BLE001 - handed to generate_batches
+            return i, exc
+    return out
+
+
+def _sample_forked(ctx: SceneContext, config: SamplingConfig, seeds, workers: int):
+    """Share k is every `workers`-th batch from k. Each of `workers - 1`
+    forked children samples one share and pickles its result into a pipe,
+    then exits 0; this process samples share 0 and reads every pipe to EOF.
+    A child shares the context copy-on-write and never returns into the
+    caller."""
+    children = []  # (pid, read end) of shares 1, 2, ...
+    try:
+        for k in range(1, workers):
+            r, w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    payload = pickle.dumps(_sample_share(ctx, config, seeds, k, workers))
+                    with os.fdopen(w, "wb") as f:
+                        f.write(payload)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(w)
+            children.append((pid, os.fdopen(r, "rb")))
+        results = [_sample_share(ctx, config, seeds, 0, workers)]
+        payloads = [f.read() for _, f in children]
+    finally:
+        statuses = []
+        for pid, f in children:
+            f.close()
+            statuses.append(os.waitpid(pid, 0)[1])
+    for k, (payload, status) in enumerate(zip(payloads, statuses), 1):
+        if status != 0:
+            raise InvariantViolation(
+                f"the worker sampling batches {k}::{workers} of {len(seeds)} died"
+                f" (exit status {os.waitstatus_to_exitcode(status)}) without a result"
+            )
+        results.append(pickle.loads(payload))
+    failures = [res for res in results if isinstance(res, tuple)]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    batches: list = [None] * len(seeds)
+    for k, share in enumerate(results):
+        batches[k::workers] = share
+    return batches
+
+
 def generate_batches(
     scene: SceneReconstruction, config: SamplingConfig, count: int
 ) -> list[SampledBatch]:
-    """Offline batch generation; communities are computed once and reused."""
+    """Offline batch generation; communities are computed once and reused.
+
+    A batch depends only on the scene context and its own seed, so batches
+    are sampled in forked workers, one per usable CPU with this process as
+    one, and the result does not depend on the CPU count. The loop stays in
+    this process where `fork` is missing or the caller has other threads,
+    since a fork copies locks other threads may hold.
+    """
     ctx = prepare_scene(scene, config)
     seeds = [derive_seed(config.seed, "batch", i) for i in range(count)]
-    return [_sample_one(ctx, config, s) for s in seeds]
+    workers = min(count, _usable_cpus())
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [_sample_one(ctx, config, s) for s in seeds]
+    return _sample_forked(ctx, config, seeds, workers)
 
 
 def dfs_subsample(

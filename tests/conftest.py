@@ -14,6 +14,9 @@ CHILD_ENV = {
     ),
 }
 
+# prefix for a child script: pin the process to one CPU before it starts work
+ONE_CPU = "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
+
 try:
     from hypothesis import settings
 except ImportError:  # the property tests skip themselves

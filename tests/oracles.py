@@ -9,6 +9,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
+import random
 
 import numpy as np
 
@@ -75,6 +76,99 @@ def best_modularity_partition(nodes, weighted_edges, resolution=1.0):
         if q > best_q:
             best_q, best = q, part
     return best_q, [frozenset(b) for b in best]
+
+
+def _reference_modularity(adjacency, labels, resolution):
+    w_in, k_tot, two_m = {}, {}, 0
+    for u, nbrs in adjacency.items():
+        c = labels[u]
+        k = inside = 0
+        for v, w in nbrs:
+            k += w
+            if labels[v] == c:
+                inside += w
+        k_tot[c] = k_tot.get(c, 0) + k
+        w_in[c] = w_in.get(c, 0) + inside
+        two_m += k
+    q = 0.0
+    for c in k_tot:
+        q += w_in[c] / two_m - resolution * (k_tot[c] / two_m) ** 2
+    return q
+
+
+def _reference_one_level(adjacency, degree, two_m, rng, resolution):
+    """Local moves that evaluate every node in every sweep."""
+    community = {u: u for u in adjacency}
+    k_tot = dict(degree)
+    moved = True
+    while moved:
+        moved = False
+        order = sorted(adjacency)
+        rng.shuffle(order)
+        for u in order:
+            cu = community[u]
+            ku = degree[u]
+            k_tot[cu] -= ku
+            links = {cu: 0}
+            for v, w in adjacency[u]:
+                links[community[v]] = links.get(community[v], 0) + w
+            best_c = cu
+            best_gain = links[cu] - resolution * k_tot[cu] * ku / two_m
+            for c in sorted(links):
+                if c == cu:
+                    continue
+                gain = links[c] - resolution * k_tot[c] * ku / two_m
+                if gain > best_gain + 1e-12:
+                    best_c, best_gain = c, gain
+            k_tot[best_c] += ku
+            if best_c != cu:
+                community[u] = best_c
+                moved = True
+    return community
+
+
+def louvain_reference(adjacency, seed, resolution=1.0):
+    """Louvain as it was before the local-move phase learned to skip nodes
+    whose inputs had not changed: (labels, modularity, level count, level
+    modularities) on a {node: ((neighbour, integer weight), ...)} map with
+    at least one edge, in the same seeded order and with the same float
+    operations, so a faithful skip rule gives equal results, bit for bit."""
+    rng = random.Random(seed)
+    nodes = sorted(adjacency)
+    work = adjacency
+    degree = {u: sum(w for _, w in nbrs) for u, nbrs in adjacency.items()}
+    two_m = sum(degree.values())
+    current = {v: v for v in nodes}
+    level_mods = []
+    while True:
+        community = _reference_one_level(work, degree, two_m, rng, resolution)
+        labels = {v: community[current[v]] for v in nodes}
+        settled = all(community[u] == u for u in work)
+        if settled and level_mods:
+            level_mods.append(level_mods[-1])
+        else:
+            level_mods.append(_reference_modularity(adjacency, labels, resolution))
+        if settled:
+            break
+        current = {v: community[current[v]] for v in nodes}
+        boundary, summed = {}, {}
+        for u, nbrs in work.items():
+            for v, w in nbrs:
+                cu, cv = community[u], community[v]
+                if cu < cv:
+                    boundary[(cu, cv)] = boundary.get((cu, cv), 0) + w
+        for u, k in degree.items():
+            summed[community[u]] = summed.get(community[u], 0) + k
+        level = {c: [] for c in sorted(summed)}
+        for (a, b), w in boundary.items():
+            level[a].append((b, w))
+            level[b].append((a, w))
+        work = {c: tuple(sorted(nbrs)) for c, nbrs in level.items()}
+        degree = summed
+    dense = {}
+    for v in nodes:
+        dense.setdefault(labels[v], len(dense))
+    return {v: dense[labels[v]] for v in nodes}, level_mods[-1], len(level_mods), tuple(level_mods)
 
 
 def mst_weight(nodes, weighted_edges):

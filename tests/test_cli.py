@@ -390,14 +390,22 @@ class TestDeterminism:
             assert read(dirs[0] / f) == read(dirs[1] / f)
 
 
-def test_cli_import_starts_no_thread_pool_machinery():
+def test_cli_import_starts_no_thread_pool_machinery(ring_dir, tmp_path):
     """The graph commands' start-up must not pay for `concurrent.futures`
-    (and the `logging` it pulls in); only the depth filter imports it."""
-    script = ("import sys, sparseview.cli; "
-              "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))")
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, env=CHILD_ENV)
+    (and the `logging` it pulls in); only the depth filter imports it.
+    `sample` forks its batch workers itself, so neither importing the CLI
+    nor sampling loads `multiprocessing`."""
+    script = (
+        "import sys, sparseview.cli\n"
+        "print(sorted({'concurrent.futures', 'logging', 'multiprocessing'} & set(sys.modules)))\n"
+        "code = sparseview.cli.run(sys.argv[1:])\n"
+        "print(code, sorted({'multiprocessing'} & set(sys.modules)))\n"
+    )
+    argv = ["sample", "--scene", str(ring_dir), "--n", "8", "--batches", "4",
+            "--out", str(tmp_path / "b.jsonl"), "--quiet"]
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr.decode()
-    assert proc.stdout.decode().strip() == "[]"
+    assert proc.stdout.decode().splitlines() == ["[]", "0 []"]
 
 
 def test_console_entry_point(tmp_path):

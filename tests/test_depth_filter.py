@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from conftest import CHILD_ENV
+from conftest import CHILD_ENV, ONE_CPU
 from sparseview import depth_filter, synth
 from sparseview.cli import run
 from sparseview.depth_filter import (
@@ -363,9 +363,6 @@ def test_band_height_and_worker_count_change_no_byte(monkeypatch, config):
                 assert _filtered(pairs, config) == expected, f"{workers} workers, {rows} rows"
     finally:
         sys.setswitchinterval(interval)
-
-
-ONE_CPU = "import os; os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
 
 
 @pytest.mark.skipif(

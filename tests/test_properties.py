@@ -1,7 +1,8 @@
 """Property tests of the input contract: on any file content, the readers
 raise only SparseViewError (a MalformedLine always naming its file), and
 `coverage` exits 0 or 1, never 2; of the depth filter's invariants on any
-pair of small maps; and of the sampler's batch invariants on small scenes."""
+pair of small maps; of the sampler's batch invariants on small scenes; and
+of Louvain against its reference copy that evaluates every node."""
 
 import json
 import random
@@ -10,12 +11,13 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import union_find_components
+from oracles import louvain_reference, union_find_components
 from sparseview.batches import Phase, read_batches, write_batches
 from sparseview.cli import run
+from sparseview.community import louvain
 from sparseview.depth_filter import DepthMap, FilterConfig, filter_depth
 from sparseview.errors import MalformedLine, SparseViewError
 from sparseview.pfm import read_pfm
@@ -23,6 +25,7 @@ from sparseview.recon_io import parse_cameras, parse_images, parse_match_graph, 
 from sparseview.sampler import Preset, SamplingConfig, derive_seed, generate_batches
 from sparseview.steiner import WeightMode
 from sparseview.synth import SynthKind, SynthSpec, gen_grid_scene, gen_ring_scene
+from sparseview.view_graph import from_edge_weights
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -243,3 +246,25 @@ def test_sampled_batches_keep_their_invariants(tmp_path_factory, preset, data):
     write_batches(batches, str(out / "a.jsonl"))
     write_batches(generate_batches(scene, config, 3), str(out / "b.jsonl"))
     assert (out / "a.jsonl").read_bytes() == (out / "b.jsonl").read_bytes()
+
+
+@st.composite
+def weighted_graphs(draw):
+    """2-80 nodes at densities 0.05-0.8, weights up to 1, 2, 5 or 1000, and
+    at least one edge; dense graphs are what move many nodes per sweep."""
+    n = draw(st.integers(2, 80))
+    density = draw(st.sampled_from([0.05, 0.1, 0.2, 0.4, 0.8]))
+    max_w = draw(st.sampled_from([1, 2, 5, 1000]))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    weights = {(u, v): rng.randint(1, max_w)
+               for u in range(n) for v in range(u + 1, n) if rng.random() < density}
+    assume(weights)
+    return from_edge_weights(range(n), weights)
+
+
+@settings(max_examples=300)
+@given(graph=weighted_graphs(), seed=st.integers(0, 2**32), resolution=st.sampled_from([0.1, 0.5, 1.0, 2.0]))
+def test_louvain_matches_the_unskipped_reference(graph, seed, resolution):
+    got = louvain(graph, seed, resolution)
+    expected = louvain_reference(graph.adjacency, seed, resolution)
+    assert (got.labels, got.modularity, got.level_count, got.level_modularities) == expected

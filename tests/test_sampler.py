@@ -1,16 +1,31 @@
+import os
 import random
+import signal
+import subprocess
+import sys
+import time
 from collections import Counter
 
 import pytest
 
-from conftest import graph_of, random_graph, random_positions
+from conftest import CHILD_ENV, ONE_CPU, graph_of, random_graph, random_positions
 from oracles import greedy_choice
-from sparseview.batches import Phase
+from sparseview import sampler
+from sparseview.batches import Phase, read_batches
+from sparseview.cli import run
 from sparseview.community import CommunityAssignment, louvain
-from sparseview.errors import EmptyPartition, InvalidK, InvalidSpec, UnknownNode
+from sparseview.errors import (
+    DisconnectedTerminals,
+    EmptyPartition,
+    InvalidK,
+    InvalidSpec,
+    InvariantViolation,
+    UnknownNode,
+)
 from sparseview.sampler import (
     Preset,
     SamplingConfig,
+    derive_seed,
     dfs_subsample,
     generate_batches,
     greedy_step,
@@ -18,6 +33,7 @@ from sparseview.sampler import (
     prepare_scene,
     sample_partition,
 )
+from sparseview.recon_io import load_scene_dir
 from sparseview.synth import SynthKind, SynthSpec, gen_ring_scene
 from sparseview.view_graph import build_graph, prune_edges
 
@@ -274,3 +290,138 @@ def test_config_defaults_apply_only_without_a_preset():
                 SamplingConfig(n_views=8, preset=preset, **{name: value})
     with pytest.raises(InvalidSpec, match="max_components"):
         SamplingConfig(n_views=8, max_components=3, search_depth=2, preset=Preset.DENSE)
+
+
+def test_ncc_above_the_node_count_is_clamped(tmp_path):
+    scene, out = tmp_path / "three", tmp_path / "b.jsonl"
+    assert run(["synth", "--kind", "ring", "--clusters", "1", "--cluster-size", "3",
+                "--out", str(scene), "--quiet"]) == 0
+    assert run(["sample", "--scene", str(scene), "--n", "8", "--ncc", "5", "--batches", "2",
+                "--prune-threshold", "0", "--out", str(out), "--quiet"]) == 0
+    graph = prune_edges(build_graph(load_scene_dir(str(scene))), 0)
+    for batch in read_batches(str(out)):
+        assert batch.config.max_components == 3
+        assert batch.truncated
+        assert len(batch.views) <= 3
+        assert induced_component_count(graph, batch.views) <= 3
+
+
+# Batches are sampled in forked workers, one per usable CPU (`_usable_cpus`)
+# with the calling process as one; worker k samples batches k, k + W, ...
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the workers forked while the test runs."""
+    pids, real_fork = [], os.fork
+
+    def counting_fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
+
+
+@needs_fork
+@pytest.mark.parametrize("preset", [Preset.SPARSE, Preset.MIXED], ids=lambda p: p.value)
+def test_worker_count_changes_no_batch(monkeypatch, forks, preset):
+    scene = ring_scene(8, 6)
+    cfg = SamplingConfig(n_views=12, seed=4, preset=preset)
+    got = {}
+    for cpus in (1, 2, 3, 5):
+        monkeypatch.setattr(sampler, "_usable_cpus", lambda: cpus)
+        got[cpus] = generate_batches(scene, cfg, 7)
+    assert len(forks) == 0 + 1 + 2 + 4
+    assert got[2] == got[1] and got[3] == got[1] and got[5] == got[1]
+
+
+def failing_batches(config, count, failures):
+    """Stand-in for `_sample_one` that raises failures[i] for batch i."""
+    index = {derive_seed(config.seed, "batch", i): i for i in range(count)}
+    real = sampler._sample_one
+
+    def sample_one(ctx, config, batch_seed):
+        failure = failures.get(index[batch_seed])
+        if failure is not None:
+            raise failure
+        return real(ctx, config, batch_seed)
+
+    return sample_one
+
+
+@needs_fork
+def test_the_lowest_failing_batch_wins_as_in_the_serial_loop(monkeypatch, forks, tmp_path, capsys):
+    # with two workers batch 1 fails in the child and batch 2 in this process
+    cfg = SamplingConfig(n_views=12, max_components=2, search_depth=8, seed=9)
+    failures = {1: DisconnectedTerminals([7, 3]), 2: InvariantViolation("batch 2")}
+    monkeypatch.setattr(sampler, "_sample_one", failing_batches(cfg, 6, failures))
+    scene = tmp_path / "ring"
+    assert run(["synth", "--kind", "ring", "--out", str(scene), "--quiet"]) == 0
+    argv = ["sample", "--scene", str(scene), "--n", "12", "--ncc", "2", "--depth", "8",
+            "--seed", "9", "--batches", "6", "--out", str(tmp_path / "b.jsonl")]
+    outcomes = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(sampler, "_usable_cpus", lambda: cpus)
+        with pytest.raises(DisconnectedTerminals) as info:
+            generate_batches(ring_scene(6, 6), cfg, 6)
+        capsys.readouterr()
+        code = run(argv)
+        outcomes.append((str(info.value), code, capsys.readouterr().err))
+    assert len(forks) == 2
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == "terminals not reachable: [3, 7]"
+    assert outcomes[0][1] == 1
+
+
+@needs_fork
+def test_a_killed_worker_raises_and_is_reaped(monkeypatch, forks):
+    parent = os.getpid()
+    real = sampler._sample_one
+
+    def dying(ctx, config, batch_seed):
+        if os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real(ctx, config, batch_seed)
+
+    def hung(signum, frame):
+        raise TimeoutError("generate_batches still waiting after 30 s")
+
+    monkeypatch.setattr(sampler, "_sample_one", dying)
+    monkeypatch.setattr(sampler, "_usable_cpus", lambda: 2)
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(30)
+    start = time.monotonic()
+    try:
+        with pytest.raises(InvariantViolation, match=r"batches 1::2 of 4 died \(exit status -9\)"):
+            generate_batches(ring_scene(6, 6), SamplingConfig(n_views=12, seed=2), 4)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert time.monotonic() - start < 30
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):  # already reaped: no zombie left
+        os.waitpid(forks[0], os.WNOHANG)
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="needs sched_setaffinity and two usable CPUs",
+)
+def test_one_cpu_writes_the_same_batches(tmp_path):
+    scene = tmp_path / "ring"
+    assert run(["synth", "--kind", "ring", "--clusters", "8", "--cluster-size", "6",
+                "--seed", "5", "--out", str(scene), "--quiet"]) == 0
+    outputs = []
+    for pin in ("", ONE_CPU):
+        out = tmp_path / f"b{len(outputs)}.jsonl"
+        argv = ["sample", "--scene", str(scene), "--preset", "mixed", "--n", "12",
+                "--batches", "7", "--seed", "3", "--out", str(out), "--quiet"]
+        proc = subprocess.run([sys.executable, "-c", pin + "from sparseview.cli import main; main()",
+                               *argv], capture_output=True, env=CHILD_ENV)
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
