@@ -26,42 +26,16 @@ class MalformedLine(SparseViewError):
         return type(self), (self.line_no, self.reason, self.path)
 
 
-class DuplicateId(SparseViewError):
-    """`where` is the `path:line` of the repeat."""
-
-    def __init__(self, kind: str, id_: int, where: str):
-        self.kind = kind
-        self.id = id_
-        self.where = where
-        super().__init__(f"{where}: duplicate {kind} id {id_}")
-
-    def __reduce__(self):
-        return type(self), (self.kind, self.id, self.where)
+class DuplicateId(MalformedLine):
+    pass
 
 
-class DanglingReference(SparseViewError):
-    """`where` is the `path:line` of the reference."""
-
-    def __init__(self, kind: str, id_: int, where: str):
-        self.kind = kind
-        self.id = id_
-        self.where = where
-        super().__init__(f"{where}: reference to unknown {kind} id {id_}")
-
-    def __reduce__(self):
-        return type(self), (self.kind, self.id, self.where)
+class DanglingReference(MalformedLine):
+    pass
 
 
-class SelfLoop(SparseViewError):
-    """`where` is the `path:line` of the edge."""
-
-    def __init__(self, view_id: int, where: str):
-        self.view_id = view_id
-        self.where = where
-        super().__init__(f"{where}: self-loop on view {view_id}")
-
-    def __reduce__(self):
-        return type(self), (self.view_id, self.where)
+class SelfLoop(MalformedLine):
+    pass
 
 
 class EmptyGraph(SparseViewError):

@@ -168,7 +168,7 @@ def _content_lines(path):
 def _known(kind: str, id_: int, known, line_no: int, path: str) -> None:
     """DanglingReference naming `path:line` unless `known` is None or holds `id_`."""
     if known is not None and id_ not in known:
-        raise DanglingReference(kind, id_, f"{path}:{line_no}")
+        raise DanglingReference(line_no, f"reference to unknown {kind} id {id_}", path)
 
 
 def _finite(values: tuple[float, ...], line_no: int, path: str) -> tuple[float, ...]:
@@ -192,7 +192,7 @@ def parse_cameras(path: str) -> dict[int, CameraIntrinsics]:
         except (ValueError, KeyError) as exc:
             raise MalformedLine(line_no, f"bad camera line: {exc}", path) from exc
         if camera_id in cameras:
-            raise DuplicateId("camera", camera_id, f"{path}:{line_no}")
+            raise DuplicateId(line_no, f"duplicate camera id {camera_id}", path)
         try:
             cameras[camera_id] = CameraIntrinsics(camera_id, model, width, height, params)
         except ValueError as exc:
@@ -227,7 +227,7 @@ def parse_images(path: str, camera_ids=None) -> dict[int, PosedView]:
             except ValueError as exc:
                 raise MalformedLine(line_no, f"bad pose line: {exc}", path) from exc
             if view_id in views:
-                raise DuplicateId("view", view_id, f"{path}:{line_no}")
+                raise DuplicateId(line_no, f"duplicate view id {view_id}", path)
             _known("camera", camera_id, camera_ids, line_no, path)
             try:
                 views[view_id] = PosedView(view_id, camera_id, q, t, name)
@@ -256,7 +256,7 @@ def parse_points(path: str, view_ids=None) -> list[ScenePoint]:
         except ValueError as exc:
             raise MalformedLine(line_no, f"bad point line: {exc}", path) from exc
         if point_id in points:
-            raise DuplicateId("point", point_id, f"{path}:{line_no}")
+            raise DuplicateId(line_no, f"duplicate point id {point_id}", path)
         for vid in track:
             _known("view", vid, view_ids, line_no, path)
         points[point_id] = ScenePoint(point_id, xyz, track)
@@ -280,7 +280,7 @@ def parse_match_graph(path: str, view_ids=None) -> dict[tuple[int, int], int]:
         except ValueError as exc:
             raise MalformedLine(line_no, f"bad match line: {exc}", path) from exc
         if a == b:
-            raise SelfLoop(a, f"{path}:{line_no}")
+            raise SelfLoop(line_no, f"self-loop on view {a}", path)
         if count < 0:
             raise MalformedLine(line_no, "negative match count", path)
         _known("view", a, view_ids, line_no, path)

@@ -33,7 +33,7 @@ from .errors import EmptyPartition, InvalidK, InvalidSpec, InvariantViolation, U
 from .partition import partition_round_robin
 from .recon_io import SceneReconstruction
 from .steiner import WeightMode, approximate_steiner_tree, select_terminals
-from .view_graph import ViewGraph, build_graph, prune_edges, subgraph
+from .view_graph import ViewGraph, build_graph, connected_components, prune_edges, subgraph
 
 
 class Preset(Enum):
@@ -98,7 +98,6 @@ def resolve_config(config: SamplingConfig, batch_seed: int) -> BatchConfig:
     elif config.preset is Preset.RANDOM:
         # uniform choice imposes no component bound and runs no search
         depth, n_cc = DEFAULT_SEARCH_DEPTH, config.n_views
-    n_cc = min(n_cc, config.n_views)
     return BatchConfig(config.n_views, n_cc, depth, batch_seed)
 
 
@@ -269,25 +268,6 @@ def _random_composition(n: int, parts: int, rng: random.Random) -> list[int]:
     return [bounds[i + 1] - bounds[i] for i in range(parts)]
 
 
-def induced_component_count(graph: ViewGraph, views) -> int:
-    views = set(views)
-    seen: set[int] = set()
-    count = 0
-    for start in sorted(views):
-        if start in seen:
-            continue
-        count += 1
-        stack = [start]
-        seen.add(start)
-        while stack:
-            u = stack.pop()
-            for v, _ in graph.adjacency[u]:
-                if v in views and v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-    return count
-
-
 @dataclass
 class SceneContext:
     """Per-scene precomputation shared by all batches."""
@@ -316,7 +296,7 @@ def _sample_one(ctx: SceneContext, config: SamplingConfig, batch_seed: int) -> S
         prov = [ViewProvenance(0, labels[v], Phase.FILL) for v in views]
         return SampledBatch(ctx.scene_id, resolved, views, prov, truncated=k < resolved.n_views)
 
-    n_cc = min(resolved.max_components, ctx.pruned.node_count)
+    n_cc = min(resolved.max_components, resolved.n_views, ctx.pruned.node_count)
     if n_cc != resolved.max_components:
         resolved = replace(resolved, max_components=n_cc)
     parts = partition_round_robin(
@@ -345,7 +325,7 @@ def _sample_one(ctx: SceneContext, config: SamplingConfig, batch_seed: int) -> S
     batch = SampledBatch(
         ctx.scene_id, resolved, views, prov, truncated=len(views) < resolved.n_views
     )
-    got = induced_component_count(ctx.pruned, views)
+    got = len(connected_components(subgraph(ctx.pruned, views)))
     if got > n_cc:
         raise InvariantViolation(f"sampled {got} components, bound is {n_cc}")
     return batch
@@ -358,17 +338,18 @@ def _sample_share(ctx: SceneContext, config: SamplingConfig, seeds, first: int, 
     for i in range(first, len(seeds), step):
         try:
             out.append(_sample_one(ctx, config, seeds[i]))
-        except Exception as exc:  # noqa: BLE001 - handed to generate_batches
+        except Exception as exc:  # noqa: BLE001 - handed to _sample_shares
             return i, exc
     return out
 
 
-def _sample_forked(ctx: SceneContext, config: SamplingConfig, seeds, workers: int):
+def _sample_shares(ctx: SceneContext, config: SamplingConfig, seeds, workers: int):
     """Share k is every `workers`-th batch from k. Each of `workers - 1`
     forked children samples one share and pickles its result into a pipe,
-    then exits 0; this process samples share 0 and reads every pipe to EOF.
-    A child shares the context copy-on-write and never returns into the
-    caller."""
+    then exits 0; this process samples share 0 and reads every pipe to EOF,
+    so one worker forks nothing. A child shares the context copy-on-write
+    and never returns into the caller. The failure with the smallest batch
+    index is raised, whichever share it came from."""
     children = []  # (pid, read end) of shares 1, 2, ...
     try:
         for k in range(1, workers):
@@ -413,18 +394,22 @@ def generate_batches(
 ) -> list[SampledBatch]:
     """Offline batch generation; communities are computed once and reused.
 
-    A batch depends only on the scene context and its own seed, so batches
-    are sampled in forked workers, one per usable CPU with this process as
-    one, and the result does not depend on the CPU count. The loop stays in
-    this process where `fork` is missing or the caller has other threads,
-    since a fork copies locks other threads may hold.
+    A batch depends only on the scene context and its own seed, so one loop
+    samples every batch in `_sample_shares`: one worker per usable CPU, this
+    process being one and each other a forked child, and the result does not
+    depend on the worker count. Where `fork` is missing or the caller runs
+    other Python threads (a fork copies locks they may hold) there is one
+    worker and nothing forks. The guard counts Python threads only, not the
+    OS threads a native library such as numpy's BLAS may have started; on
+    Python 3.12 and later, where `os.fork` may warn about those, this path is
+    untested.
     """
     ctx = prepare_scene(scene, config)
     seeds = [derive_seed(config.seed, "batch", i) for i in range(count)]
-    workers = min(count, _usable_cpus())
-    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return [_sample_one(ctx, config, s) for s in seeds]
-    return _sample_forked(ctx, config, seeds, workers)
+    workers = 1
+    if hasattr(os, "fork") and threading.active_count() == 1:
+        workers = max(1, min(count, _usable_cpus()))
+    return _sample_shares(ctx, config, seeds, workers)
 
 
 def dfs_subsample(

@@ -75,7 +75,9 @@ def _look_at_quaternion(position, target):
         right = right / rnorm
     down = np.cross(fwd, right)
     r = np.stack([right, down, fwd])  # rows of world-to-camera rotation
-    # Shepperd's method
+    # Shepperd's method, w and y branches: with world up +Y, r[1,1] = cos(pitch)
+    # >= 0 and r[0,0] = r[2,2] / cos(pitch), so a trace <= 0 needs r[2,2] < 0,
+    # and then r[1,1] is the largest diagonal entry (no x or z branch is taken)
     tr = np.trace(r)
     if tr > 0:
         s = math.sqrt(tr + 1.0) * 2
@@ -83,24 +85,12 @@ def _look_at_quaternion(position, target):
         x = (r[2, 1] - r[1, 2]) / s
         y = (r[0, 2] - r[2, 0]) / s
         z = (r[1, 0] - r[0, 1]) / s
-    elif r[0, 0] > r[1, 1] and r[0, 0] > r[2, 2]:
-        s = math.sqrt(1.0 + r[0, 0] - r[1, 1] - r[2, 2]) * 2
-        w = (r[2, 1] - r[1, 2]) / s
-        x = 0.25 * s
-        y = (r[0, 1] + r[1, 0]) / s
-        z = (r[0, 2] + r[2, 0]) / s
-    elif r[1, 1] > r[2, 2]:
+    else:
         s = math.sqrt(1.0 + r[1, 1] - r[0, 0] - r[2, 2]) * 2
         w = (r[0, 2] - r[2, 0]) / s
         x = (r[0, 1] + r[1, 0]) / s
         y = 0.25 * s
         z = (r[1, 2] + r[2, 1]) / s
-    else:
-        s = math.sqrt(1.0 + r[2, 2] - r[0, 0] - r[1, 1]) * 2
-        w = (r[1, 0] - r[0, 1]) / s
-        x = (r[0, 2] + r[2, 0]) / s
-        y = (r[1, 2] + r[2, 1]) / s
-        z = 0.25 * s
     q = np.array([w, x, y, z])
     q = q / np.linalg.norm(q)
     return tuple(float(c) for c in q)

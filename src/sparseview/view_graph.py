@@ -16,10 +16,6 @@ class ViewGraph:
     adjacency: dict[int, tuple[tuple[int, int], ...]]
 
     @property
-    def nodes(self) -> list[int]:
-        return list(self.adjacency)
-
-    @property
     def node_count(self) -> int:
         return len(self.adjacency)
 

@@ -40,7 +40,6 @@ from sparseview.sampler import (
     derive_seed,
     generate_batches,
     greedy_step,
-    induced_component_count,
     prepare_scene,
     _sample_one,
 )
@@ -49,6 +48,7 @@ from sparseview.synth import SynthKind, SynthSpec, gen_depth_fixture, gen_ring_s
 from sparseview.view_graph import connected_components, subgraph
 from test_community import triple_triangles, two_cliques_with_bridge
 from test_metrics import apply_similarity, random_pose
+from test_sampler import component_count
 
 
 def criterion(num, desc):
@@ -146,7 +146,7 @@ def test_component_bound_thousand_batches():
         for i in range(334):
             batch = _sample_one(ctx, cfg, derive_seed(cfg.seed, "batch", i))
             total += 1
-            if induced_component_count(ctx.pruned, batch.views) > batch.config.max_components:
+            if component_count(ctx.pruned, batch.views) > batch.config.max_components:
                 violations += 1
     assert total >= 1000
     assert violations == 0
@@ -161,12 +161,12 @@ def test_steiner_approximation_bound():
         n = rng.randint(4, 10)
         g = random_graph(rng, n, rng.uniform(0.25, 0.8))
         t_count = rng.randint(2, 4)
-        terminals = set(rng.sample(sorted(g.nodes), t_count))
+        terminals = set(rng.sample(sorted(g.adjacency), t_count))
         try:
             res = approximate_steiner_tree(g, terminals, WeightMode.UNIT_HOP)
         except DisconnectedTerminals:
             continue
-        opt = steiner_optimum(g.nodes, [(u, v, 1.0) for u, v, _ in g.edges()], terminals)
+        opt = steiner_optimum(g.adjacency, [(u, v, 1.0) for u, v, _ in g.edges()], terminals)
         assert res.total_weight <= 2.0 * (1.0 - 1.0 / t_count) * opt + 1e-9
         checked += 1
     # terminals = whole node set reduces to the MST
@@ -174,10 +174,10 @@ def test_steiner_approximation_bound():
     mst_checked = 0
     while mst_checked < 30:
         g = random_graph(rng, rng.randint(2, 9), 0.7)
-        want = mst_weight(set(g.nodes), [(u, v, 1.0) for u, v, _ in g.edges()])
+        want = mst_weight(set(g.adjacency), [(u, v, 1.0) for u, v, _ in g.edges()])
         if want is None:
             continue
-        res = approximate_steiner_tree(g, set(g.nodes), WeightMode.UNIT_HOP)
+        res = approximate_steiner_tree(g, set(g.adjacency), WeightMode.UNIT_HOP)
         assert sum(sorted([1.0] * len(res.tree_edges))) == want
         assert res.total_weight == want
         mst_checked += 1
@@ -188,7 +188,7 @@ def test_louvain_against_brute_force():
     for g, seed in ((two_cliques_with_bridge(), 0), (triple_triangles(), 3)):
         got = louvain(g, seed=seed)
         blocks = {frozenset(m) for m in got.community_members().values()}
-        _, best_blocks = best_modularity_partition(g.nodes, list(g.edges()))
+        _, best_blocks = best_modularity_partition(g.adjacency, list(g.edges()))
         assert blocks == set(best_blocks)
     rng = random.Random(17)
     done = 0
@@ -208,7 +208,7 @@ def test_greedy_step_oracle():
     for _ in range(1000):
         n = rng.randint(3, 16)
         g = random_graph(rng, n, rng.uniform(0.2, 0.9))
-        nodes = sorted(g.nodes)
+        nodes = sorted(g.adjacency)
         labels = {v: rng.randint(0, 4) for v in nodes}
         positions = random_positions(rng, nodes)
         current = rng.choice(nodes)

@@ -198,6 +198,17 @@ def test_dangling_reference_exits_1_naming_file_and_line(inputs, tmp_path, capsy
     assert f"error: {path}:{line_no}: {reason}" in capsys.readouterr().err
 
 
+def test_negative_match_count_exits_1_naming_file_and_line(inputs, tmp_path, capsys):
+    scene = tmp_path / "scene"
+    shutil.copytree(inputs["ring"], scene)
+    path = scene / "matches.txt"
+    text = path.read_text()
+    line_no = text.count("\n") + 1
+    path.write_text(text + "1 2 -5\n")
+    assert run(["parse", "--scene", str(scene)]) == 1
+    assert f"error: {path}:{line_no}: negative match count" in capsys.readouterr().err
+
+
 def test_zero_match_pairs_are_no_edges(tmp_path):
     # the partitioner, the Steiner pre-check and the Dijkstra all skip a
     # zero-match pair, so sample cannot fail on a part it was handed
@@ -287,6 +298,15 @@ class TestSubcommands:
         assert "nodes 30" in text
         assert "[degree_histogram]" in text
         assert "positional_pct" in text
+
+    def test_grid_stats_report(self, tmp_path):
+        grid, out = tmp_path / "grid", tmp_path / "stats.txt"
+        assert run(["synth", "--kind", "grid", "--clusters", "4", "--out", str(grid),
+                    "--quiet"]) == 0
+        assert run(["stats", "--scene", str(grid), "--out", str(out), "--quiet"]) == 0
+        lines = out.read_text().splitlines()
+        assert "nodes 16" in lines
+        assert "edges 24" in lines
 
     def test_communities_labels(self, ring_dir, tmp_path):
         out = tmp_path / "labels.txt"

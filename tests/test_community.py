@@ -41,8 +41,8 @@ class TestModularity:
 
     def test_two_cliques_matches_direct_sum(self):
         g = two_cliques_with_bridge()
-        labels = {v: (0 if v <= 4 else 1) for v in g.nodes}
-        direct = modularity_direct(g.nodes, list(g.edges()), labels)
+        labels = {v: (0 if v <= 4 else 1) for v in g.adjacency}
+        direct = modularity_direct(g.adjacency, list(g.edges()), labels)
         assert modularity(g, labels) == pytest.approx(direct, abs=1e-12)
 
     def test_singletons_on_triangle_negative(self):
@@ -56,9 +56,9 @@ class TestModularity:
             g = random_graph(rng, rng.randint(2, 10), 0.6)
             if g.edge_count == 0:
                 continue
-            labels = {v: rng.randint(0, 3) for v in g.nodes}
+            labels = {v: rng.randint(0, 3) for v in g.adjacency}
             assert modularity(g, labels) == pytest.approx(
-                modularity_direct(g.nodes, list(g.edges()), labels), abs=1e-9
+                modularity_direct(g.adjacency, list(g.edges()), labels), abs=1e-9
             )
 
     def test_empty_graph_raises(self):
@@ -68,7 +68,7 @@ class TestModularity:
 
     def test_label_permutation_invariance(self, rng):
         g = two_cliques_with_bridge()
-        labels = {v: (0 if v <= 4 else 1) for v in g.nodes}
+        labels = {v: (0 if v <= 4 else 1) for v in g.adjacency}
         permuted = {v: 1 - c for v, c in labels.items()}
         assert abs(modularity(g, labels) - modularity(g, permuted)) < 1e-12
 
@@ -78,7 +78,7 @@ class TestLouvain:
         g = two_cliques_with_bridge()
         got = louvain(g, seed=0)
         blocks = {frozenset(m) for m in got.community_members().values()}
-        best_q, best_blocks = best_modularity_partition(g.nodes, list(g.edges()))
+        best_q, best_blocks = best_modularity_partition(g.adjacency, list(g.edges()))
         assert blocks == set(best_blocks)
         assert got.modularity == pytest.approx(best_q, abs=1e-9)
 
@@ -86,7 +86,7 @@ class TestLouvain:
         g = triple_triangles()
         got = louvain(g, seed=3)
         blocks = {frozenset(m) for m in got.community_members().values()}
-        _, best_blocks = best_modularity_partition(g.nodes, list(g.edges()))
+        _, best_blocks = best_modularity_partition(g.adjacency, list(g.edges()))
         assert blocks == set(best_blocks)
 
     def test_single_node(self):

@@ -54,7 +54,7 @@ class TestKHopCoverage:
 
     def test_full_sample_any_k(self):
         g = path_graph(4)
-        assert k_hop_coverage(g, set(g.nodes), 0) == 1.0
+        assert k_hop_coverage(g, set(g.adjacency), 0) == 1.0
 
     def test_empty_sample(self):
         with pytest.raises(EmptySample):
@@ -67,7 +67,7 @@ class TestKHopCoverage:
     def test_monotone_in_k_and_sample(self, rng):
         for _ in range(20):
             g = random_graph(rng, 20, 0.1)
-            nodes = sorted(g.nodes)
+            nodes = sorted(g.adjacency)
             small = set(rng.sample(nodes, 3))
             big = small | set(rng.sample(nodes, 5))
             prev = 0.0
@@ -129,7 +129,7 @@ class TestDispersion:
     def test_grid_matches_bfs_oracle(self, rng):
         for _ in range(10):
             g = random_graph(rng, 25, 0.12)
-            nodes = sorted(g.nodes)
+            nodes = sorted(g.adjacency)
             pos = random_positions(rng, nodes)
             sampled = sorted(rng.sample(nodes, 6))
             res = dispersion(g, pos, sampled)
@@ -150,8 +150,8 @@ class TestDispersion:
 
     def test_permutation_invariance(self, rng):
         g = random_graph(rng, 15, 0.3)
-        pos = random_positions(rng, g.nodes)
-        sampled = sorted(g.nodes)[:6]
+        pos = random_positions(rng, g.adjacency)
+        sampled = sorted(g.adjacency)[:6]
         shuffled = list(sampled)
         random.Random(3).shuffle(shuffled)
         assert dispersion(g, pos, sampled) == dispersion(g, pos, shuffled)
@@ -229,6 +229,25 @@ class TestAzimuthCoverage:
         views = [yaw_view(1, (0.0, 0.0, 0.0), 0.0), yaw_view(2, (1.0, 0.0, 0.0), 0.0)]
         cov = azimuth_coverage(scene_of(views))
         assert sum(cov.positional_bins) == 1
+
+    def test_z_gravity_on_a_scene_turned_z_up(self):
+        # a quarter turn about +X takes world +Y to +Z and mirrors every
+        # azimuth; no camera sits on a bin edge, so the occupied bins mirror
+        angles = [23.0 * k + 3.0 for k in range(11)]
+        views = [
+            yaw_view(i, (5.0 * math.cos(math.radians(a)), 0.0, 5.0 * math.sin(math.radians(a))),
+                     2.0 * a + 1.0)
+            for i, a in enumerate(angles, start=1)
+        ]
+        s = 2.0 ** -0.5
+        turned = [apply_similarity(v, 1.0, (s, s, 0.0, 0.0), (0.0, 0.0, 0.0)) for v in views]
+        assert turned[0].forward_axis()[2] == pytest.approx(0.0, abs=1e-12)
+        up = azimuth_coverage(scene_of(views), gravity_axis="y")
+        z_up = azimuth_coverage(scene_of(turned), gravity_axis="z")
+        assert up.positional_pct == z_up.positional_pct == 11 / 36
+        assert up.rotational_pct == z_up.rotational_pct
+        assert z_up.positional_bins == up.positional_bins[::-1]
+        assert z_up.rotational_bins == up.rotational_bins[::-1]
 
     def test_errors(self):
         with pytest.raises(NoCameras):
@@ -423,12 +442,12 @@ class TestExactAgainstScalarOracles:
             for base in (0, 100, 200):
                 g = random_graph(rng, rng.randint(2, 20), rng.uniform(0.05, 0.4))
                 edges += [(u + base, v + base, w) for u, v, w in g.edges()]
-                nodes += [v + base for v in g.nodes]
+                nodes += [v + base for v in g.adjacency]
             g = graph_of(edges, nodes=nodes)
             pos = random_positions(rng, nodes)
             sampled = rng.sample(nodes, rng.randint(2, min(12, len(nodes))))
             res = dispersion(g, pos, sampled)
-            adj = {u: [v for v, _ in g.adjacency[u]] for u in g.nodes}
+            adj = {u: [v for v, _ in g.adjacency[u]] for u in g.adjacency}
             want = dispersion_full_bfs(adj, pos, sampled)
             assert (res.graph_dispersion, res.euclidean_dispersion, res.excluded_pairs) == want
             excluded += res.excluded_pairs

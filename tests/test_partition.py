@@ -86,7 +86,7 @@ class TestRoundRobin:
             assert set(parts.assignment) == seen
             # every reachable node is assigned: no unassigned node adjacent
             # to an assigned one can remain once expansion stops
-            for v in g.nodes:
+            for v in g.adjacency:
                 if v in seen:
                     continue
                 assert not any(u in seen for u, _ in g.adjacency[v])

@@ -157,14 +157,14 @@ class TestSceneValidation:
         matches = write(tmp_path, "matches.txt", "1 2 80\n")
         with pytest.raises(DanglingReference) as exc:
             load_scene_dir(str(tmp_path))
-        assert exc.value.where == f"{matches}:1"
+        assert (exc.value.path, exc.value.line_no) == (matches, 1)
 
     def test_dangling_camera(self, tmp_path):
         write(tmp_path, "cameras.txt", "1 SIMPLE_PINHOLE 640 480 500 320 240\n")
         imgs = write(tmp_path, "images.txt", "1 1 0 0 0 0 0 0 9 a.jpg\n\n")
         with pytest.raises(DanglingReference) as exc:
             load_scene_dir(str(tmp_path))
-        assert exc.value.where == f"{imgs}:1"
+        assert (exc.value.path, exc.value.line_no) == (imgs, 1)
 
 
 class TestRoundTrip:
@@ -258,3 +258,28 @@ def test_non_finite_number_names_file_and_line(tmp_path, parse, text, field, bad
     with pytest.raises(MalformedLine) as exc:
         parse(path)
     assert (exc.value.path, exc.value.line_no) == (path, 2)
+
+
+# (file, line, edit of its tokens, error, message after `path:line: `)
+LOCATED = [
+    ("images.txt", 4, lambda toks: ["1", *toks[1:]], DuplicateId, "duplicate view id 1"),
+    ("points3D.txt", 2, lambda toks: [*toks[:8], "99", "0"], DanglingReference,
+     "reference to unknown view id 99"),
+    ("matches.txt", 3, lambda toks: ["3", "3", toks[2]], SelfLoop, "self-loop on view 3"),
+]
+
+
+@pytest.mark.parametrize("name,line_no,edit,cls,reason", LOCATED, ids=[c[3].__name__ for c in LOCATED])
+def test_scene_errors_are_malformed_lines_naming_file_and_line(tmp_path, name, line_no, edit,
+                                                               cls, reason):
+    spec = SynthSpec(kind=SynthKind.RING_OF_CLUSTERS, cluster_count=2, cluster_size=3, seed=1)
+    write_reconstruction(gen_ring_scene(spec), str(tmp_path))
+    path = tmp_path / name
+    lines = path.read_text().split("\n")
+    lines[line_no - 1] = " ".join(edit(lines[line_no - 1].split()))
+    path.write_text("\n".join(lines))
+    with pytest.raises(cls) as exc:
+        load_scene_dir(str(tmp_path))
+    assert isinstance(exc.value, MalformedLine)
+    assert (exc.value.path, exc.value.line_no) == (str(path), line_no)
+    assert str(exc.value) == f"{path}:{line_no}: {reason}"

@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 from conftest import CHILD_ENV, ONE_CPU, graph_of, random_graph, random_positions
-from oracles import greedy_choice
+from oracles import greedy_choice, union_find_components
 from sparseview import sampler
 from sparseview.batches import Phase, read_batches
 from sparseview.cli import run
@@ -29,13 +29,19 @@ from sparseview.sampler import (
     dfs_subsample,
     generate_batches,
     greedy_step,
-    induced_component_count,
     prepare_scene,
     sample_partition,
 )
 from sparseview.recon_io import load_scene_dir
 from sparseview.synth import SynthKind, SynthSpec, gen_ring_scene
 from sparseview.view_graph import build_graph, prune_edges
+
+
+def component_count(graph, views):
+    """Components of the subgraph `views` induce, by the union-find oracle."""
+    views = set(views)
+    edges = [(u, v) for u in views for v, _ in graph.adjacency[u] if v in views]
+    return len(union_find_components(views, edges))
 
 
 def communities_of(labels):
@@ -92,7 +98,7 @@ class TestGreedyStep:
         for _ in range(300):
             n = rng.randint(3, 14)
             g = random_graph(rng, n, rng.uniform(0.3, 0.9))
-            nodes = sorted(g.nodes)
+            nodes = sorted(g.adjacency)
             labels = {v: rng.randint(0, 3) for v in nodes}
             pos = random_positions(rng, nodes)
             current = rng.choice(nodes)
@@ -111,7 +117,7 @@ class TestSamplePartition:
         comms = louvain(graph, seed=1)
         assert len(set(comms.labels.values())) == 1
         return sample_partition(
-            graph, set(graph.nodes), quota, depth,
+            graph, set(graph.adjacency), quota, depth,
             comms, scene.positions(), seed,
         )
 
@@ -147,7 +153,7 @@ class TestSamplePartition:
         for trial in range(30):
             depth = rng.randint(1, 20)
             quota = rng.randint(1, 20)
-            picked = sample_partition(graph, set(graph.nodes), quota, depth, comms, pos, trial)
+            picked = sample_partition(graph, set(graph.adjacency), quota, depth, comms, pos, trial)
             phases = [p.phase for _, p in picked]
             non_fill = [ph for ph in phases if ph is not Phase.FILL]
             assert sum(1 for ph in phases if ph is Phase.GREEDY) <= depth
@@ -176,7 +182,7 @@ class TestSampleBatch:
         cfg = SamplingConfig(n_views=24, max_components=1, search_depth=5, seed=2)
         ctx = prepare_scene(scene, cfg)
         batch = generate_batches(scene, cfg, 1)[0]
-        assert induced_component_count(ctx.pruned, batch.views) == 1
+        assert component_count(ctx.pruned, batch.views) == 1
 
     def test_component_bound_over_seeds(self):
         scene = ring_scene(8, 6)
@@ -184,7 +190,7 @@ class TestSampleBatch:
         ctx = prepare_scene(scene, cfg)
         batches = generate_batches(scene, cfg, 50)
         for batch in batches:
-            assert induced_component_count(ctx.pruned, batch.views) <= 3
+            assert component_count(ctx.pruned, batch.views) <= 3
             assert len(batch.views) == len(set(batch.views))
 
     def test_truncation_flag_on_small_scene(self):
@@ -303,7 +309,7 @@ def test_ncc_above_the_node_count_is_clamped(tmp_path):
         assert batch.config.max_components == 3
         assert batch.truncated
         assert len(batch.views) <= 3
-        assert induced_component_count(graph, batch.views) <= 3
+        assert component_count(graph, batch.views) <= 3
 
 
 # Batches are sampled in forked workers, one per usable CPU (`_usable_cpus`)

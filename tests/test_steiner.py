@@ -74,7 +74,7 @@ class TestSteinerTree:
     def test_all_terminals_equals_mst(self, rng):
         for _ in range(30):
             g = random_graph(rng, rng.randint(2, 9), 0.7)
-            nodes = set(g.nodes)
+            nodes = set(g.adjacency)
             edges = unit_edges(g)
             want = mst_weight(nodes, edges)
             if want is None:
@@ -115,7 +115,7 @@ class TestSteinerTree:
     def test_non_terminal_leaves_pruned(self, rng):
         for trial in range(40):
             g = random_graph(rng, 10, 0.35)
-            nodes = sorted(g.nodes)
+            nodes = sorted(g.adjacency)
             terms = set(rng.sample(nodes, rng.randint(2, 4)))
             try:
                 res = approximate_steiner_tree(g, terms, WeightMode.UNIT_HOP)
@@ -136,12 +136,12 @@ class TestSteinerTree:
         while checked < 60:
             n = rng.randint(4, 10)
             g = random_graph(rng, n, rng.uniform(0.3, 0.8))
-            terms = set(rng.sample(sorted(g.nodes), rng.randint(2, 4)))
+            terms = set(rng.sample(sorted(g.adjacency), rng.randint(2, 4)))
             try:
                 res = approximate_steiner_tree(g, terms, WeightMode.UNIT_HOP)
             except DisconnectedTerminals:
                 continue
-            opt = steiner_optimum(g.nodes, unit_edges(g), terms)
+            opt = steiner_optimum(g.adjacency, unit_edges(g), terms)
             bound = 2.0 * (1.0 - 1.0 / len(terms)) * opt + 1e-9
             assert res.total_weight <= max(bound, opt + 1e-9)
             checked += 1
@@ -151,20 +151,20 @@ class TestSteinerTree:
         while checked < 40:
             n = rng.randint(4, 9)
             g = random_graph(rng, n, rng.uniform(0.3, 0.8), max_w=50)
-            terms = set(rng.sample(sorted(g.nodes), rng.randint(2, 4)))
+            terms = set(rng.sample(sorted(g.adjacency), rng.randint(2, 4)))
             try:
                 res = approximate_steiner_tree(g, terms, WeightMode.INVERSE_MATCH)
             except DisconnectedTerminals:
                 continue
             inv_edges = [(u, v, 1.0 / w) for u, v, w in g.edges()]
-            opt = steiner_optimum(g.nodes, inv_edges, terms)
+            opt = steiner_optimum(g.adjacency, inv_edges, terms)
             bound = 2.0 * (1.0 - 1.0 / len(terms)) * opt + 1e-9
             assert res.total_weight <= max(bound, opt + 1e-9)
             checked += 1
 
     def test_deterministic(self, rng):
         g = random_graph(rng, 12, 0.3)
-        terms = set(sorted(g.nodes)[:3])
+        terms = set(sorted(g.adjacency)[:3])
         try:
             a = approximate_steiner_tree(g, terms)
             b = approximate_steiner_tree(g, terms)

@@ -7,10 +7,11 @@ from sparseview.community import louvain
 from sparseview.depth_filter import filter_depth
 from sparseview.errors import InvalidSpec
 from sparseview.metrics import azimuth_coverage
-from sparseview.recon_io import load_scene_dir, write_reconstruction
+from sparseview.recon_io import load_scene_dir, rotation_matrix, write_reconstruction
 from sparseview.synth import (
     SynthKind,
     SynthSpec,
+    _look_at_quaternion,
     gen_depth_fixture,
     gen_grid_scene,
     gen_ring_scene,
@@ -26,6 +27,40 @@ def ring_spec(**kw):
     )
     base.update(kw)
     return SynthSpec(**base)
+
+
+def look_at_rows(position, target):
+    """Right, down and forward rows of a camera at `position` facing `target`
+    with world up +Y; straight up or down, world +X is right."""
+    fwd = np.subtract(target, position, dtype=float)
+    fwd /= np.linalg.norm(fwd)
+    right = np.cross((0.0, 1.0, 0.0), fwd)
+    norm = np.linalg.norm(right)
+    right = right / norm if norm > 1e-12 else np.array([1.0, 0.0, 0.0])
+    return np.stack([right, np.cross(fwd, right), fwd])
+
+
+def test_look_at_quaternion_reproduces_the_look_at_rows(rng):
+    origin = (0.0, 0.0, 0.0)
+    pairs = [
+        (origin, (0.0, 3.0, 0.0)),  # straight up
+        ((1.0, 2.0, 3.0), (1.0, -4.0, 3.0)),  # straight down
+        (origin, (0.0, 0.0, 1.0)),  # facing +Z: trace > 0
+        (origin, (0.0, 0.0, -1.0)),  # facing -Z: trace -1, the y branch
+    ]
+    pairs += [
+        tuple(tuple(rng.uniform(-10.0, 10.0) for _ in range(3)) for _ in range(2))
+        for _ in range(2000)
+    ]
+    traces = []
+    for position, target in pairs:
+        rows = look_at_rows(position, target)
+        q = _look_at_quaternion(position, target)
+        assert math.isclose(sum(c * c for c in q), 1.0, abs_tol=1e-12)
+        assert np.allclose(rotation_matrix(q), rows, rtol=0.0, atol=1e-9)
+        traces.append(np.trace(rows))
+    assert traces[2] > 0 >= traces[3]
+    assert min(traces[4:]) <= 0 < max(traces[4:])
 
 
 class TestRingScene:

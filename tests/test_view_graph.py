@@ -32,7 +32,7 @@ def scene_with(edge_triples, view_ids):
 class TestBuild:
     def test_isolated_views_kept(self):
         g = build_graph(scene_with([(1, 2, 60)], [1, 2, 3]))
-        assert sorted(g.nodes) == [1, 2, 3]
+        assert sorted(g.adjacency) == [1, 2, 3]
         assert len(g.adjacency[3]) == 0
 
     def test_empty_edge_list(self):
@@ -43,11 +43,11 @@ class TestBuild:
     def test_complete_graph_degrees(self):
         triples = [(u, v, 10) for u in range(1, 5) for v in range(u + 1, 5)]
         g = build_graph(scene_with(triples, range(1, 5)))
-        assert all(len(g.adjacency[v]) == 3 for v in g.nodes)
+        assert all(len(g.adjacency[v]) == 3 for v in g.adjacency)
 
     def test_zero_weight_pair_is_no_edge(self):
         g = from_edge_weights([1, 2, 3, 4], {(1, 2): 0, (2, 3): 7, (3, 4): 0})
-        assert sorted(g.nodes) == [1, 2, 3, 4]
+        assert sorted(g.adjacency) == [1, 2, 3, 4]
         assert list(g.edges()) == [(2, 3, 7)]
         assert len(g.adjacency[1]) == 0 and len(g.adjacency[4]) == 0
         g = build_graph(scene_with([(1, 2, 0), (2, 3, 7)], [1, 2, 3]))
@@ -59,7 +59,7 @@ class TestPrune:
         g = graph_of([(1, 2, 60), (2, 3, 40)])
         pruned = prune_edges(g, 50)
         assert list(pruned.edges()) == [(1, 2, 60)]
-        assert sorted(pruned.nodes) == [1, 2, 3]
+        assert sorted(pruned.adjacency) == [1, 2, 3]
 
     def test_zero_threshold_identity(self):
         g = graph_of([(1, 2, 60), (2, 3, 40)])
@@ -69,7 +69,7 @@ class TestPrune:
         g = graph_of([(1, 2, 60), (2, 3, 40)])
         pruned = prune_edges(g, 61)
         assert pruned.edge_count == 0
-        assert sorted(pruned.nodes) == [1, 2, 3]
+        assert sorted(pruned.adjacency) == [1, 2, 3]
 
     def test_idempotent_and_monotone(self, rng):
         for _ in range(20):
@@ -122,7 +122,7 @@ class TestComponents:
             g = random_graph(rng, 50, 0.04)
             got = sorted(map(frozenset, connected_components(g)), key=min)
             want = sorted(
-                map(frozenset, union_find_components(g.nodes, [(u, v) for u, v, _ in g.edges()])),
+                map(frozenset, union_find_components(g.adjacency, [(u, v) for u, v, _ in g.edges()])),
                 key=min,
             )
             assert got == want
@@ -141,7 +141,7 @@ class TestComponents:
 def test_subgraph_restricts_both_sides():
     g = graph_of([(1, 2, 5), (2, 3, 5), (3, 4, 5)])
     sub = subgraph(g, {2, 3})
-    assert sorted(sub.nodes) == [2, 3]
+    assert sorted(sub.adjacency) == [2, 3]
     assert list(sub.edges()) == [(2, 3, 5)]
 
 
@@ -149,7 +149,7 @@ class TestBfsTargets:
     def test_targets_get_full_search_distances(self, rng):
         for _ in range(40):
             g = random_graph(rng, 30, rng.uniform(0.02, 0.15))
-            nodes = sorted(g.nodes)
+            nodes = sorted(g.adjacency)
             start = rng.choice(nodes)
             full = bfs_all({u: [v for v, _ in g.adjacency[u]] for u in nodes}, start)
             targets = rng.sample(nodes, rng.randint(0, 6))
