@@ -20,6 +20,9 @@ with one worker per CPU this process may run on (numpy releases the GIL in
 these kernels). Each band also reads one halo row above and below, so the
 gradients and their stencils see the same neighbours as on the whole map:
 the output bytes do not depend on the band height or the worker count.
+
+numpy (and its BLAS thread pool) is imported inside the functions that
+compute with it, so importing this module, or the CLI, loads neither.
 """
 
 from __future__ import annotations
@@ -28,13 +31,17 @@ import math
 import os
 from dataclasses import dataclass
 from functools import partial
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import DimensionMismatch, InvalidSpec, NoValidOverlap, TooSmall
 
+if TYPE_CHECKING:
+    import numpy as np
+
 
 def _valid(values: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     return np.isfinite(values) & (values > 0)
 
 
@@ -45,6 +52,8 @@ class DepthMap:
     values: np.ndarray
 
     def __post_init__(self):
+        import numpy as np
+
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 2 or self.values.size == 0:
             raise ValueError(f"depth map must be a non-empty 2-D array, not {self.values.shape}")
@@ -84,6 +93,8 @@ class FilterReport:
 
 
 def _masked_median(values: np.ndarray, mask: np.ndarray) -> np.floating:
+    import numpy as np
+
     # the masked copy is this call's own, so the median may reorder it
     return np.median(values[mask], overwrite_input=True)
 
@@ -94,6 +105,8 @@ def median_scale(geom: np.ndarray, mono: np.ndarray, joint: np.ndarray) -> float
     The two medians run concurrently. A ratio that overflows or underflows
     float64 raises NoValidOverlap."""
     from concurrent.futures import ThreadPoolExecutor
+
+    import numpy as np
 
     with ThreadPoolExecutor(1) as pool:
         med_geom = pool.submit(_masked_median, geom, joint)
@@ -108,6 +121,8 @@ def median_scale(geom: np.ndarray, mono: np.ndarray, joint: np.ndarray) -> float
 def depth_discrepancy(geom: np.ndarray, mono: np.ndarray) -> np.ndarray:
     """Normalized |geom - mono| / geom at every pixel; meaningful only where
     both maps are valid. A ratio beyond float64 is inf."""
+    import numpy as np
+
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return np.abs(geom - mono) / geom
 
@@ -115,6 +130,8 @@ def depth_discrepancy(geom: np.ndarray, mono: np.ndarray) -> np.ndarray:
 def _stencil_valid(valid: np.ndarray) -> np.ndarray:
     """Pixels whose central/one-sided difference stencil touches only valid
     pixels, along both axes."""
+    import numpy as np
+
     ok = np.ones_like(valid)
     for axis in (0, 1):
         v, o = np.moveaxis(valid, axis, 0), np.moveaxis(ok, axis, 0)  # o is a view of ok
@@ -125,6 +142,8 @@ def _stencil_valid(valid: np.ndarray) -> np.ndarray:
 
 
 def _normalized_gradient(values: np.ndarray) -> np.ndarray:
+    import numpy as np
+
     gy, gx = np.gradient(values)
     return np.hypot(gx, gy) / values
 
@@ -133,6 +152,8 @@ def gradient_discrepancy(geom: np.ndarray, mono: np.ndarray) -> np.ndarray:
     """Difference of normalized gradient magnitudes at every pixel; meaningful
     only where both maps are valid and so is every pixel of the difference
     stencil. Both dimensions must be at least 2."""
+    import numpy as np
+
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         return np.abs(_normalized_gradient(mono) - _normalized_gradient(geom))
 
@@ -156,6 +177,8 @@ def _filter_band(
 ) -> tuple[int, int, int]:
     """Filter rows [r0, r0 + BAND_ROWS) of `geom` into the same rows of `out`;
     returns the band's (removed_by_depth, removed_by_grad, removed_total)."""
+    import numpy as np
+
     height = geom.shape[0]
     r1 = min(r0 + BAND_ROWS, height)
     lo, hi = max(r0 - 1, 0), min(r1 + 1, height)
@@ -184,6 +207,10 @@ def filter_depth(
     A pixel with no usable comparison (prior invalid there, or gradient
     stencil contaminated) is kept.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
+    import numpy as np
+
     geom, mono = d_geom.values, d_mono.values
     if geom.shape != mono.shape:
         raise DimensionMismatch(
@@ -200,8 +227,6 @@ def filter_depth(
     out = np.empty_like(geom)
     starts = range(0, geom.shape[0], BAND_ROWS)
     band = partial(_filter_band, geom, mono, valid_mono, s, config, out)
-    from concurrent.futures import ThreadPoolExecutor
-
     with ThreadPoolExecutor(min(_usable_cpus(), len(starts))) as pool:
         by_depth, by_grad, removed_total = map(sum, zip(*pool.map(band, starts)))
 

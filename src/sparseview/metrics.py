@@ -1,14 +1,14 @@
 """Coverage and sparsity diagnostics for sampled sets, camera azimuth
-coverage, and pairwise relative-pose error metrics."""
+coverage, and pairwise relative-pose error metrics.
+
+The graph metrics are pure Python; the functions that compute with numpy
+import it themselves, so importing this module does not load it."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
-
-_trapezoid = getattr(np, "trapezoid", None) or np.trapz
+from typing import TYPE_CHECKING
 
 from .errors import (
     EmptySample,
@@ -22,6 +22,9 @@ from .errors import (
 )
 from .recon_io import PosedView, SceneReconstruction, rotation_matrix
 from .view_graph import ViewGraph, bfs_distances
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def k_hop_coverage(graph: ViewGraph, sampled, k: int) -> float:
@@ -51,6 +54,8 @@ def k_hop_coverage(graph: ViewGraph, sampled, k: int) -> float:
 
 def avg_nearest_sample_dist(positions, nodes, sampled) -> float:
     """Mean distance from every node to its closest sampled node."""
+    import numpy as np
+
     sampled = sorted(set(sampled))
     if not sampled:
         raise EmptySample("sampled set is empty")
@@ -190,6 +195,8 @@ def _norms(x: np.ndarray) -> np.ndarray:
     """Row norms of an (m, 3) array. Each is the stacked-matmul dot of the
     row with itself, the same BLAS dot np.linalg.norm takes on one vector,
     so the bits match a per-row norm (an axis= norm or einsum would not)."""
+    import numpy as np
+
     return np.sqrt(_dots(x, x))
 
 
@@ -204,6 +211,8 @@ def _degrees_atan2(y: np.ndarray, x: np.ndarray) -> list[float]:
 def _rotation_angles_deg(r: np.ndarray) -> list[float]:
     """Rotation angle of each (m, 3, 3) rotation matrix, stable near 0 and
     180 degrees."""
+    import numpy as np
+
     axial = np.stack(
         [r[:, 2, 1] - r[:, 1, 2], r[:, 0, 2] - r[:, 2, 0], r[:, 1, 0] - r[:, 0, 1]], axis=1
     )
@@ -218,6 +227,8 @@ _PAIR_BLOCK = 1 << 14  # pairs per stacked block in pose_pair_errors
 def _pair_errors(pred, gt, i: np.ndarray, j: np.ndarray) -> tuple[list[float], list[float]]:
     """Rotation and translation-direction errors in degrees of the pairs
     (i[k], j[k]); pred and gt are (rotations (n, 3, 3), translations (n, 3))."""
+    import numpy as np
+
     (rs_p, ts_p), (rs_g, ts_g) = pred, gt
     rel_p = rs_p[j] @ rs_p[i].transpose(0, 2, 1)
     rel_g = rs_g[j] @ rs_g[i].transpose(0, 2, 1)
@@ -249,6 +260,9 @@ def pose_pair_errors(
     1-degree steps up to t. Both relative quantities are invariant to global
     similarity transforms of either pose set.
     """
+    import numpy as np
+
+    trapezoid = getattr(np, "trapezoid", None) or np.trapz
     if len(views_pred) != len(views_gt):
         raise LengthMismatch(f"{len(views_pred)} pred vs {len(views_gt)} gt")
     if len(views_pred) < 2:
@@ -286,7 +300,7 @@ def pose_pair_errors(
     for t in thresholds:
         xs = np.arange(0, int(t) + 1)
         acc = np.array([(joint <= x).mean() for x in xs])
-        auc[t] = float(_trapezoid(acc, xs) / t)
+        auc[t] = float(trapezoid(acc, xs) / t)
     return PosePairErrors(
         rotation_errors=rot_errors,
         translation_errors=trans_errors,

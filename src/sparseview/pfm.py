@@ -2,15 +2,14 @@
 
 Canonical form written here: header `Pf`, `<width> <height>`, scale `-1.0`
 (little-endian float32), pixel rows stored bottom-to-top. Invalid depths, and
-finite depths beyond the float32 range, are encoded as 0.0.
+finite depths beyond the float32 range, are encoded as 0.0. numpy is
+imported by the reader and the writer, not by this module.
 """
 
 from __future__ import annotations
 
 import math
 import os
-
-import numpy as np
 
 from .depth_filter import DepthMap
 from .errors import MalformedLine
@@ -30,6 +29,8 @@ def _read_header_token(f, path: str) -> bytes:
 
 
 def read_pfm(path: str) -> DepthMap:
+    import numpy as np
+
     with open(path, "rb") as f:
         magic = _read_header_token(f, path)
         if magic != b"Pf":
@@ -55,6 +56,8 @@ def read_pfm(path: str) -> DepthMap:
 
 
 def write_pfm(path: str, depth: DepthMap) -> None:
+    import numpy as np
+
     # the one copy: rows flipped to bottom-to-top and cast to little-endian
     # float32; a finite depth beyond float32's range casts to inf, so the
     # invalid pixels are zeroed after the cast

@@ -271,8 +271,12 @@ def parse_match_graph(path: str, view_ids=None) -> dict[tuple[int, int], int]:
     DanglingReference; None checks none.
     """
     merged: dict[tuple[int, int], int] = {}
-    for line_no, line in _content_lines(path):
-        toks = line.split()
+    # the hot loop of a scene load: one split per line, and the checks that
+    # _content_lines and _known would make, inlined
+    for line_no, raw in text_lines(path):
+        toks = raw.split()
+        if not toks or toks[0][0] == "#":
+            continue
         if len(toks) != 3:
             raise MalformedLine(line_no, "match line needs 3 fields", path)
         try:
@@ -283,10 +287,12 @@ def parse_match_graph(path: str, view_ids=None) -> dict[tuple[int, int], int]:
             raise SelfLoop(line_no, f"self-loop on view {a}", path)
         if count < 0:
             raise MalformedLine(line_no, "negative match count", path)
-        _known("view", a, view_ids, line_no, path)
-        _known("view", b, view_ids, line_no, path)
-        key = (min(a, b), max(a, b))
-        merged[key] = max(merged.get(key, 0), count)
+        if view_ids is not None and (a not in view_ids or b not in view_ids):
+            _known("view", a, view_ids, line_no, path)
+            _known("view", b, view_ids, line_no, path)
+        key = (a, b) if a < b else (b, a)
+        if merged.setdefault(key, count) < count:
+            merged[key] = count
     return merged
 
 

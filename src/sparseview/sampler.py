@@ -400,9 +400,10 @@ def generate_batches(
     depend on the worker count. Where `fork` is missing or the caller runs
     other Python threads (a fork copies locks they may hold) there is one
     worker and nothing forks. The guard counts Python threads only, not the
-    OS threads a native library such as numpy's BLAS may have started; on
-    Python 3.12 and later, where `os.fork` may warn about those, this path is
-    untested.
+    OS threads a native library started: the CLI's `sample` never loads
+    numpy and forks from one OS thread, but a caller that has loaded numpy
+    itself also has numpy's BLAS pool thread, and on Python 3.12 and later
+    `os.fork` then warns (`DeprecationWarning`).
     """
     ctx = prepare_scene(scene, config)
     seeds = [derive_seed(config.seed, "batch", i) for i in range(count)]

@@ -4,7 +4,8 @@ The ring scene places camera clusters on a circle in the horizontal (XZ)
 plane, fully connected inside each cluster and bridged to the next cluster by
 one weaker edge, with every camera looking at the ring center. Ground truth
 (cluster membership, blob masks) is returned alongside the data so property
-tests have oracles for free.
+tests have oracles for free. The functions that compute with numpy import
+it themselves, so importing this module does not load it.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-
-import numpy as np
 
 from .depth_filter import DepthMap
 from .errors import InvalidSpec
@@ -61,6 +60,8 @@ class SynthSpec:
 def _look_at_quaternion(position, target):
     """World-to-camera quaternion for a camera at `position` looking at
     `target` (camera axes: x right, y down, z forward), world up +Y."""
+    import numpy as np
+
     fwd = np.array(target, dtype=float) - np.array(position, dtype=float)
     norm = np.linalg.norm(fwd)
     if norm < 1e-12:
@@ -97,6 +98,8 @@ def _look_at_quaternion(position, target):
 
 
 def _view_from_position(view_id, camera_id, position, target, name):
+    import numpy as np
+
     q = _look_at_quaternion(position, target)
     r = np.array(rotation_matrix(q))
     t = tuple(float(c) for c in -r @ np.array(position, dtype=float))
@@ -228,6 +231,8 @@ def gen_depth_fixture(spec: SynthSpec) -> tuple[DepthMap, DepthMap, set[tuple[in
     """
     if spec.kind is not SynthKind.DEPTH_FIXTURE:
         raise InvalidSpec(f"expected depth spec, got {spec.kind}")
+    import numpy as np
+
     rng = random.Random(spec.seed)
     height, width = FIXTURE_HEIGHT, FIXTURE_WIDTH
     ys, xs = np.mgrid[0:height, 0:width].astype(np.float64)

@@ -13,6 +13,9 @@ import random
 
 import numpy as np
 
+from sparseview.errors import DanglingReference, MalformedLine, SelfLoop
+from sparseview.recon_io import text_lines
+
 
 def union_find_components(nodes, edges):
     """Connected components via union-find; edges are (u, v) pairs."""
@@ -169,6 +172,58 @@ def louvain_reference(adjacency, seed, resolution=1.0):
     for v in nodes:
         dense.setdefault(labels[v], len(dense))
     return {v: dense[labels[v]] for v in nodes}, level_mods[-1], len(level_mods), tuple(level_mods)
+
+
+def parse_match_graph_reference(path, view_ids=None):
+    """parse_match_graph's contract in its plainest loop: strip, skip blank
+    and comment lines, split, and check each endpoint on its own. Returns
+    {(a, b): count} with a < b, the larger count kept."""
+
+    def content_lines():
+        for line_no, raw in text_lines(path):
+            line = raw.strip()
+            if not line or line.startswith("#"):
+                continue
+            yield line_no, line
+
+    def known(id_, line_no):
+        if view_ids is not None and id_ not in view_ids:
+            raise DanglingReference(line_no, f"reference to unknown view id {id_}", path)
+
+    merged = {}
+    for line_no, line in content_lines():
+        toks = line.split()
+        if len(toks) != 3:
+            raise MalformedLine(line_no, "match line needs 3 fields", path)
+        try:
+            a, b, count = int(toks[0]), int(toks[1]), int(toks[2])
+        except ValueError as exc:
+            raise MalformedLine(line_no, f"bad match line: {exc}", path) from exc
+        if a == b:
+            raise SelfLoop(line_no, f"self-loop on view {a}", path)
+        if count < 0:
+            raise MalformedLine(line_no, "negative match count", path)
+        known(a, line_no)
+        known(b, line_no)
+        key = (min(a, b), max(a, b))
+        merged[key] = max(merged.get(key, 0), count)
+    return merged
+
+
+def max_terminal_subtree_reference(nodes, edges, terminals, budget):
+    """Most terminals any connected set of min(budget, |nodes|) nodes holds,
+    by trying every node set of that size; edges are (u, v) pairs."""
+    nodes = sorted(nodes)
+    size = min(budget, len(nodes))
+    terminals = set(terminals)
+    best = None
+    for combo in itertools.combinations(nodes, size):
+        keep = set(combo)
+        inside = [(u, v) for u, v in edges if u in keep and v in keep]
+        if len(union_find_components(keep, inside)) == 1:
+            held = len(keep & terminals)
+            best = held if best is None else max(best, held)
+    return best
 
 
 def mst_weight(nodes, weighted_edges):

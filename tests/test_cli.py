@@ -410,22 +410,63 @@ class TestDeterminism:
             assert read(dirs[0] / f) == read(dirs[1] / f)
 
 
-def test_cli_import_starts_no_thread_pool_machinery(ring_dir, tmp_path):
-    """The graph commands' start-up must not pay for `concurrent.futures`
-    (and the `logging` it pulls in); only the depth filter imports it.
-    `sample` forks its batch workers itself, so neither importing the CLI
-    nor sampling loads `multiprocessing`."""
+@pytest.mark.parametrize("cmd", ["sample", "parse", "stats", "communities", "partition"])
+def test_cli_import_starts_no_thread_pool_machinery(inputs, tmp_path, cmd):
+    """The graph commands neither start up with nor load numpy (only the
+    subcommands that compute with it do) or `concurrent.futures` and the
+    `logging` it pulls in (only the depth filter does). `sample` forks its
+    batch workers itself, so nothing loads `multiprocessing`, and on Linux
+    the process it forks from has one OS thread."""
     script = (
-        "import sys, sparseview.cli\n"
-        "print(sorted({'concurrent.futures', 'logging', 'multiprocessing'} & set(sys.modules)))\n"
+        "import os, sys, sparseview.cli\n"
+        "heavy = {'concurrent.futures', 'logging', 'multiprocessing', 'numpy'}\n"
+        "print(sorted(heavy & set(sys.modules)))\n"
+        "if sys.platform.startswith('linux'):\n"
+        "    assert len(os.listdir('/proc/self/task')) == 1, os.listdir('/proc/self/task')\n"
         "code = sparseview.cli.run(sys.argv[1:])\n"
-        "print(code, sorted({'multiprocessing'} & set(sys.modules)))\n"
+        "print(code, sorted(heavy & set(sys.modules)))\n"
     )
-    argv = ["sample", "--scene", str(ring_dir), "--n", "8", "--batches", "4",
-            "--out", str(tmp_path / "b.jsonl"), "--quiet"]
+    argv = [a.format(tmp=tmp_path, **inputs) for a in VALID_ARGV[cmd]] + ["--quiet"]
+    argv += ["--batches", "4"] if cmd == "sample" else ["--out", str(tmp_path / "out.txt")]
     proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode().splitlines() == ["[]", "0 []"]
+
+
+# the subcommands that compute with numpy, each writing every output to {out}
+NUMPY_ARGV = {
+    "filter-depth": ["filter-depth", "--geom", "{fix}/geom.pfm", "--mono", "{fix}/mono.pfm",
+                     "--out", "{out}/f.pfm", "--report", "{out}/r.json"],
+    "pose-eval": ["pose-eval", "--pred", "{ring}/images.txt", "--gt", "{ring}/images.txt",
+                  "--out", "{out}/p.txt"],
+    "coverage": ["coverage", "--scene", "{ring}", "--batches", "{batches}", "--out", "{out}/c.txt"],
+    "synth-depth": ["synth", "--kind", "depth", "--seed", "5", "--out", "{out}"],
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(NUMPY_ARGV))
+def test_numpy_subcommand_cold_start_writes_the_in_process_bytes(inputs, tmp_path, cmd):
+    """A numpy subcommand in a fresh interpreter, which has not imported
+    numpy when the call starts, exits 0 and writes what the same call writes
+    in this process, where numpy is loaded."""
+    outputs = {}
+    for where in ("in-process", "cold"):
+        out = tmp_path / where
+        out.mkdir()
+        argv = [a.format(out=out, **inputs) for a in NUMPY_ARGV[cmd]] + ["--quiet"]
+        if where == "in-process":
+            assert run(argv) == 0
+        else:
+            script = (
+                "import sys, sparseview.cli\n"
+                "assert 'numpy' not in sys.modules\n"
+                "sys.exit(sparseview.cli.run(sys.argv[1:]))\n"
+            )
+            proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True,
+                                  env=CHILD_ENV)
+            assert proc.returncode == 0, proc.stderr.decode()
+        outputs[where] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert outputs["cold"] and outputs["cold"] == outputs["in-process"]
 
 
 def test_console_entry_point(tmp_path):

@@ -14,7 +14,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import louvain_reference, union_find_components
+from oracles import louvain_reference, parse_match_graph_reference, union_find_components
 from sparseview.batches import Phase, read_batches, write_batches
 from sparseview.cli import run
 from sparseview.community import louvain
@@ -120,6 +120,72 @@ def test_batches_files_raise_only_sparseview_errors_and_coverage_exits_0_or_1(wo
     argv = ["coverage", "--scene", str(workdir / "ring"), "--batches", str(batches),
             "--out", str(workdir / "cov.txt"), "--quiet"]
     assert run(argv) in (0, 1)
+
+
+def _with_field(fields, slot, value):
+    return fields[:slot] + [value] + fields[slot + 1 :]
+
+
+# match-file lines over views 1-6, so pairs repeat in both orders with rising
+# and falling counts; tokens are joined by spaces or tabs, with optional
+# leading and trailing whitespace
+blanks = st.sampled_from(["", " ", "\t", " \t "])
+gaps = st.sampled_from([" ", "\t", "  ", " \t"])
+good_match = st.tuples(st.integers(1, 6), st.integers(1, 6), st.integers(0, 20)).filter(
+    lambda t: t[0] != t[1]
+).map(lambda t: [str(x) for x in t])
+bad_match = st.one_of(
+    st.lists(st.integers(0, 9).map(str), min_size=1, max_size=5).filter(lambda t: len(t) != 3),
+    st.builds(_with_field, st.just(["2", "3", "4"]), st.integers(0, 2),
+              st.sampled_from(["x", "1.5", "0x3", "--1"])),  # not an integer
+    st.tuples(st.integers(1, 6), st.integers(0, 20)).map(
+        lambda t: [str(t[0]), str(t[0]), str(t[1])]
+    ),  # self-loop
+    st.integers(1, 6).map(lambda v: [str(v), str(v % 6 + 1), "-3"]),  # negative count
+    st.builds(_with_field, st.just(["2", "3", "4"]), st.integers(0, 1),
+              st.integers(7, 9).map(str)),  # a view id outside 1-6
+)
+
+
+@st.composite
+def match_lines(draw, fields):
+    return draw(blanks) + draw(gaps).join(draw(fields)) + draw(blanks)
+
+
+match_line = st.one_of(
+    match_lines(good_match),
+    match_lines(good_match),
+    match_lines(good_match),
+    blanks,
+    st.tuples(blanks, st.sampled_from(["#", "# 1 2 3", "#x"])).map("".join),
+)
+
+
+@st.composite
+def match_files(draw):
+    """A match file; half the time with one bad line somewhere in it."""
+    lines = draw(st.lists(match_line, max_size=25))
+    if draw(st.booleans()):
+        lines.insert(draw(st.integers(0, len(lines))), draw(match_lines(bad_match)))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return "".join(line + end for line in lines).encode()
+
+
+def parsed(parser, path, view_ids):
+    try:
+        return list(parser(str(path), view_ids).items())
+    except SparseViewError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=400)
+@given(content=match_files(), view_ids=st.sampled_from([None, {1, 2, 3, 4, 5, 6}]))
+def test_parse_match_graph_matches_reference(workdir, content, view_ids):
+    path = workdir / "matches.txt"
+    path.write_bytes(content)
+    assert parsed(parse_match_graph, path, view_ids) == parsed(
+        parse_match_graph_reference, path, view_ids
+    )
 
 
 # float32-representable depths, as a PFM holds them: four in five in a band

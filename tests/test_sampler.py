@@ -9,7 +9,7 @@ from collections import Counter
 import pytest
 
 from conftest import CHILD_ENV, ONE_CPU, graph_of, random_graph, random_positions
-from oracles import greedy_choice, union_find_components
+from oracles import greedy_choice, max_terminal_subtree_reference, union_find_components
 from sparseview import sampler
 from sparseview.batches import Phase, read_batches
 from sparseview.cli import run
@@ -108,6 +108,27 @@ class TestGreedyStep:
                 [u for u, _ in g.adjacency[current]], current, sampled, labels, pos
             )
             assert got == want
+
+
+def test_max_terminal_subtree_matches_brute_force():
+    """The tree knapsack keeps a connected set of min(budget, n) nodes with as
+    many terminals as any such set, on random trees of up to 11 nodes at
+    every budget."""
+    rng = random.Random(20)
+    for _ in range(250):  # 1 737 (tree, budget) cases
+        n = rng.randint(1, 11)
+        ids = rng.sample(range(1, 100), n)
+        edges = [(ids[i], ids[rng.randrange(i)]) for i in range(1, n)]
+        edges = [e if rng.random() < 0.5 else e[::-1] for e in edges]
+        rng.shuffle(edges)
+        terminals = set(rng.sample(ids, rng.randint(0, n)))
+        for budget in range(1, n + 2):
+            keep = sampler._max_terminal_subtree(set(ids), edges, terminals, budget)
+            assert keep <= set(ids) and len(keep) == min(budget, n)
+            inside = [(u, v) for u, v in edges if u in keep and v in keep]
+            assert len(union_find_components(keep, inside)) == 1
+            want = max_terminal_subtree_reference(ids, edges, terminals, budget)
+            assert len(keep & terminals) == want, (ids, edges, terminals, budget)
 
 
 class TestSamplePartition:
