@@ -37,7 +37,7 @@ from .sampler import (
     sample_partition,
 )
 from .steiner import SteinerResult, WeightMode, approximate_steiner_tree, select_terminals
-from .synth import SynthKind, SynthSpec, gen_depth_fixture, gen_grid_scene, gen_ring_scene
+from .synth import SynthSpec, gen_depth_fixture, gen_grid_scene, gen_ring_scene
 from .view_graph import (
     GraphStatsReport,
     ViewGraph,

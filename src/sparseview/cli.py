@@ -116,12 +116,8 @@ def cmd_parse(args) -> int:
     return 0
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return "absent"
-    if isinstance(x, float):
-        return repr(x)
-    return str(x)
+def _fmt(x: float | None) -> str:
+    return "absent" if x is None else repr(x)
 
 
 def cmd_stats(args) -> int:
@@ -284,9 +280,7 @@ def cmd_synth(args) -> int:
     _log(args, f"seed {args.seed}")
     if not args.out:
         raise _UsageError("--out directory is required for synth")
-    kind = synth_mod.SynthKind(args.kind)
     spec = synth_mod.SynthSpec(
-        kind=kind,
         cluster_count=args.clusters,
         cluster_size=args.cluster_size,
         intra_weight=args.intra,
@@ -295,7 +289,7 @@ def cmd_synth(args) -> int:
         noise_sigma=args.noise,
         seed=args.seed,
     )
-    if kind is synth_mod.SynthKind.DEPTH_FIXTURE:
+    if args.kind == "depth":
         os.makedirs(args.out, exist_ok=True)
         geom, mono, blob = synth_mod.gen_depth_fixture(spec)
         write_pfm(os.path.join(args.out, "geom.pfm"), geom)
@@ -305,7 +299,7 @@ def cmd_synth(args) -> int:
             f.write("\n")
         _log(args, f"wrote depth fixture to {args.out}")
         return 0
-    if kind is synth_mod.SynthKind.RING_OF_CLUSTERS:
+    if args.kind == "ring":
         scene = synth_mod.gen_ring_scene(spec)
     else:
         scene = synth_mod.gen_grid_scene(spec)
@@ -383,7 +377,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_pose_eval)
 
     p = sub.add_parser("synth", help="generate synthetic scenes / depth fixtures")
-    p.add_argument("--kind", choices=[m.value for m in synth_mod.SynthKind], default="ring")
+    p.add_argument("--kind", choices=("ring", "grid", "depth"), default="ring")
     p.add_argument("--clusters", type=int, default=6)
     p.add_argument("--cluster-size", type=int, default=5)
     p.add_argument("--intra", type=int, default=100)

@@ -26,17 +26,12 @@ class Partitioning:
 def _pick_seeds(
     graph: ViewGraph, n_cc: int, rng: random.Random, communities: CommunityAssignment
 ) -> list[int]:
-    nodes = sorted(graph.adjacency)
-    members: dict[int, list[int]] = {}
-    for v in nodes:
-        members.setdefault(communities.labels[v], []).append(v)
+    members = communities.community_members()
     community_ids = sorted(members)
     rng.shuffle(community_ids)
-    seeds: list[int] = []
-    for cid in community_ids[:n_cc]:
-        seeds.append(rng.choice(members[cid]))
+    seeds = [rng.choice(members[cid]) for cid in community_ids[:n_cc]]
     if len(seeds) < n_cc:
-        remaining = sorted(set(nodes) - set(seeds))
+        remaining = sorted(set(graph.adjacency) - set(seeds))
         seeds.extend(rng.sample(remaining, n_cc - len(seeds)))
     return seeds
 

@@ -31,20 +31,13 @@ class CameraModel(Enum):
     OPENCV = "OPENCV"
 
 
-# params arity and which params are focal lengths, per model
-MODEL_ARITY = {
-    CameraModel.SIMPLE_PINHOLE: 3,
-    CameraModel.PINHOLE: 4,
-    CameraModel.SIMPLE_RADIAL: 4,
-    CameraModel.RADIAL: 5,
-    CameraModel.OPENCV: 8,
-}
-_FOCAL_SLOTS = {
-    CameraModel.SIMPLE_PINHOLE: (0,),
-    CameraModel.PINHOLE: (0, 1),
-    CameraModel.SIMPLE_RADIAL: (0,),
-    CameraModel.RADIAL: (0,),
-    CameraModel.OPENCV: (0, 1),
+# per model: how many params it takes, and which of them are focal lengths
+MODEL_PARAMS = {
+    CameraModel.SIMPLE_PINHOLE: (3, (0,)),
+    CameraModel.PINHOLE: (4, (0, 1)),
+    CameraModel.SIMPLE_RADIAL: (4, (0,)),
+    CameraModel.RADIAL: (5, (0,)),
+    CameraModel.OPENCV: (8, (0, 1)),
 }
 
 
@@ -59,13 +52,13 @@ class CameraIntrinsics:
     def __post_init__(self):
         if self.width <= 0 or self.height <= 0:
             raise ValueError(f"camera {self.camera_id}: nonpositive image size")
-        arity = MODEL_ARITY[self.model]
+        arity, focal_slots = MODEL_PARAMS[self.model]
         if len(self.params) != arity:
             raise ValueError(
                 f"camera {self.camera_id}: model {self.model.value} needs "
                 f"{arity} params, got {len(self.params)}"
             )
-        for slot in _FOCAL_SLOTS[self.model]:
+        for slot in focal_slots:
             if not self.params[slot] > 0:
                 raise ValueError(f"camera {self.camera_id}: focal must be positive")
 
@@ -103,7 +96,7 @@ class PosedView:
 
     def __post_init__(self):
         norm = math.sqrt(sum(c * c for c in self.rotation))
-        if abs(norm - 1.0) > 1e-6:
+        if not abs(norm - 1.0) <= 1e-6:  # a nan norm fails this too
             raise ValueError(f"view {self.view_id}: quaternion norm {norm} not unit")
         object.__setattr__(
             self, "position", camera_center(self.rotation, self.translation)
@@ -189,7 +182,7 @@ def parse_cameras(path: str) -> dict[int, CameraIntrinsics]:
             model = CameraModel(toks[1])
             width, height = int(toks[2]), int(toks[3])
             params = _finite(tuple(float(t) for t in toks[4:]), line_no, path)
-        except (ValueError, KeyError) as exc:
+        except ValueError as exc:
             raise MalformedLine(line_no, f"bad camera line: {exc}", path) from exc
         if camera_id in cameras:
             raise DuplicateId(line_no, f"duplicate camera id {camera_id}", path)

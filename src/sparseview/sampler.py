@@ -248,6 +248,10 @@ def sample_partition(
             sampled.add(nxt)
             out.append((nxt, ViewProvenance(part_index, labels[nxt], Phase.GREEDY)))
             walk.append(nxt)
+    if len(sampled) > budget:
+        raise InvariantViolation(
+            f"part {part_index}: {len(sampled)} search views, budget min(quota, depth) is {budget}"
+        )
 
     fill_rng = random.Random(derive_seed(seed, "fill"))
     while len(sampled) < quota:

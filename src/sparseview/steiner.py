@@ -53,14 +53,13 @@ def select_terminals(
     return {rng.choice(members[cid]) for cid in sorted(members)}
 
 
-def _edge_length(w: int, mode: WeightMode) -> float:
-    return 1.0 if mode is WeightMode.UNIT_HOP else 1.0 / w
-
-
 def _multi_source_dijkstra(graph: ViewGraph, sources, mode: WeightMode):
     """Shortest-path predecessor of every reachable node (-1 at a source),
-    and the closure: the cheapest boundary edge per pair of Voronoi regions,
-    as {(source, source): (path length, low end, high end)}.
+    the length of the edge to it, and the closure: the cheapest boundary edge
+    per pair of Voronoi regions, as
+    {(source, source): (path length, low end, high end, edge length)}.
+    An edge of match count w is one unit long, or 1/w under inverse-match;
+    this is the only place that rule is applied.
 
     Ties are resolved toward the smallest (distance, predecessor id) pair so
     the Voronoi regions are deterministic. An edge is weighed as a boundary
@@ -71,8 +70,9 @@ def _multi_source_dijkstra(graph: ViewGraph, sources, mode: WeightMode):
     inf = float("inf")
     dist: dict[int, float] = {}
     pred: dict[int, int] = {}
+    pred_length: dict[int, float] = {}
     src: dict[int, int] = {}
-    closure: dict[tuple[int, int], tuple[float, int, int]] = {}
+    closure: dict[tuple[int, int], tuple[float, int, int, float]] = {}
     settled: set[int] = set()
     heap: list[tuple[float, int, int]] = []
     for t in sorted(sources):
@@ -93,7 +93,7 @@ def _multi_source_dijkstra(graph: ViewGraph, sources, mode: WeightMode):
                 if sv != su:
                     lo, hi = (u, v) if u < v else (v, u)
                     key = (su, sv) if su < sv else (sv, su)
-                    cand = (dist[lo] + length + dist[hi], lo, hi)
+                    cand = (dist[lo] + length + dist[hi], lo, hi, length)
                     if key not in closure or cand < closure[key]:
                         closure[key] = cand
                 continue
@@ -102,9 +102,10 @@ def _multi_source_dijkstra(graph: ViewGraph, sources, mode: WeightMode):
             if nd < dv or (nd == dv and u < pred[v]):
                 dist[v] = nd
                 pred[v] = u
+                pred_length[v] = length
                 src[v] = su
                 heapq.heappush(heap, (nd, u, v))
-    return pred, closure
+    return pred, pred_length, closure
 
 
 def approximate_steiner_tree(
@@ -127,7 +128,7 @@ def approximate_steiner_tree(
     if unreachable:
         raise DisconnectedTerminals(unreachable)
 
-    pred, closure = _multi_source_dijkstra(graph, terminals, weight_mode)
+    pred, pred_length, closure = _multi_source_dijkstra(graph, terminals, weight_mode)
     # Kruskal over the closure
     root = {t: t for t in terminals}
 
@@ -138,7 +139,7 @@ def approximate_steiner_tree(
         return x
 
     closure_mst = []
-    for _, a, b in sorted((wt, a, b) for (a, b), (wt, _, _) in closure.items()):
+    for _, a, b in sorted((wt, a, b) for (a, b), (wt, _, _, _) in closure.items()):
         ra, rb = find(a), find(b)
         if ra != rb:
             root[rb] = ra
@@ -147,18 +148,16 @@ def approximate_steiner_tree(
         raise DisconnectedTerminals(t for t in terminals if find(t) != find(first))
 
     # expand each closure edge into its boundary edge plus both endpoints'
-    # predecessor paths back to their sources
-    expanded: set[tuple[int, int]] = set()
+    # predecessor paths back to their sources, keeping each edge's length
+    expanded: dict[tuple[int, int], float] = {}
     for a, b in closure_mst:
-        _, u, v = closure[(a, b)]
-        expanded.add((u, v))
+        _, u, v, length = closure[(a, b)]
+        expanded[(u, v)] = length
         for node in (u, v):
             while pred[node] != -1:
-                expanded.add((min(node, pred[node]), max(node, pred[node])))
+                expanded[(min(node, pred[node]), max(node, pred[node]))] = pred_length[node]
                 node = pred[node]
 
     tree_nodes = frozenset(n for e in expanded for n in e)
-    total = sum(
-        _edge_length(dict(graph.adjacency[u])[v], weight_mode) for u, v in sorted(expanded)
-    )
+    total = sum(expanded[e] for e in sorted(expanded))
     return SteinerResult(frozenset(terminals), tree_nodes, frozenset(expanded), total)

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from enum import Enum
 
 from .depth_filter import DepthMap
 from .errors import InvalidSpec
@@ -27,15 +26,8 @@ from .recon_io import (
 )
 
 
-class SynthKind(Enum):
-    RING_OF_CLUSTERS = "ring"
-    GRID_SCENE = "grid"
-    DEPTH_FIXTURE = "depth"
-
-
 @dataclass(frozen=True)
 class SynthSpec:
-    kind: SynthKind
     cluster_count: int = 6
     cluster_size: int = 5
     intra_weight: int = 100
@@ -59,15 +51,23 @@ class SynthSpec:
 
 def _look_at_quaternion(position, target):
     """World-to-camera quaternion for a camera at `position` looking at
-    `target` (camera axes: x right, y down, z forward), world up +Y."""
+    `target` (camera axes: x right, y down, z forward), world up +Y.
+
+    A camera with no finite direction of length >= 1e-12 to its target raises
+    InvalidSpec (a position that is not finite has none); this is checked in
+    Python floats, so numpy never computes, and warns about, an overflow or a
+    division by zero."""
+    dx, dy, dz = (b - a for a, b in zip(position, target))
+    sq = dx * dx + dy * dy + dz * dz
+    if not (math.isfinite(sq) and math.sqrt(sq) >= 1e-12):
+        raise InvalidSpec(
+            f"radius and noise_sigma put a camera at {position}, which is not a finite "
+            f"distance >= 1e-12 from its target {target}"
+        )
     import numpy as np
 
     fwd = np.array(target, dtype=float) - np.array(position, dtype=float)
-    norm = np.linalg.norm(fwd)
-    if norm < 1e-12:
-        fwd = np.array([0.0, 0.0, 1.0])
-    else:
-        fwd = fwd / norm
+    fwd = fwd / np.linalg.norm(fwd)
     right = np.cross(np.array([0.0, 1.0, 0.0]), fwd)
     rnorm = np.linalg.norm(right)
     if rnorm < 1e-12:
@@ -118,8 +118,6 @@ _DEFAULT_CAMERA = CameraIntrinsics(
 def gen_ring_scene(spec: SynthSpec) -> SceneReconstruction:
     """Clusters on a ring: complete intra-cluster edges at intra_weight,
     single inter-cluster bridges at inter_weight between lowest-id members."""
-    if spec.kind is not SynthKind.RING_OF_CLUSTERS:
-        raise InvalidSpec(f"expected ring spec, got {spec.kind}")
     rng = random.Random(spec.seed)
     k, m = spec.cluster_count, spec.cluster_size
     views: dict[int, PosedView] = {}
@@ -182,8 +180,6 @@ def ring_ground_truth(spec: SynthSpec) -> dict[int, int]:
 
 def gen_grid_scene(spec: SynthSpec) -> SceneReconstruction:
     """cluster_count x cluster_count camera grid with 4-neighbor edges."""
-    if spec.kind is not SynthKind.GRID_SCENE:
-        raise InvalidSpec(f"expected grid spec, got {spec.kind}")
     g = spec.cluster_count
     spacing = spec.radius / max(g - 1, 1)
     rng = random.Random(spec.seed)
@@ -229,8 +225,6 @@ def gen_depth_fixture(spec: SynthSpec) -> tuple[DepthMap, DepthMap, set[tuple[in
     monocular map is the clean ramp times a seeded global scale in [0.3, 3].
     Returns (geom, mono, blob pixel set) with blob pixels as (row, col).
     """
-    if spec.kind is not SynthKind.DEPTH_FIXTURE:
-        raise InvalidSpec(f"expected depth spec, got {spec.kind}")
     import numpy as np
 
     rng = random.Random(spec.seed)

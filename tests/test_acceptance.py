@@ -44,7 +44,7 @@ from sparseview.sampler import (
     _sample_one,
 )
 from sparseview.steiner import WeightMode, approximate_steiner_tree
-from sparseview.synth import SynthKind, SynthSpec, gen_depth_fixture, gen_ring_scene
+from sparseview.synth import SynthSpec, gen_depth_fixture, gen_ring_scene
 from sparseview.view_graph import connected_components, subgraph
 from test_community import triple_triangles, two_cliques_with_bridge
 from test_metrics import apply_similarity, random_pose
@@ -69,7 +69,7 @@ def criterion(num, desc):
 
 def ring_scene_12x12():
     spec = SynthSpec(
-        kind=SynthKind.RING_OF_CLUSTERS, cluster_count=12, cluster_size=12,
+        cluster_count=12, cluster_size=12,
         intra_weight=100, inter_weight=60, radius=10.0, noise_sigma=0.1, seed=0,
     )
     return gen_ring_scene(spec)
@@ -116,7 +116,7 @@ def test_depth_sweep_monotonicity():
 @criterion(2, "phase accounting: depth 24 -> no fill, depth 12 -> exactly 12 fill")
 def test_phase_accounting():
     spec = SynthSpec(
-        kind=SynthKind.RING_OF_CLUSTERS, cluster_count=1, cluster_size=30,
+        cluster_count=1, cluster_size=30,
         intra_weight=100, inter_weight=60, noise_sigma=0.05, seed=0,
     )
     scene = gen_ring_scene(spec)
@@ -251,7 +251,7 @@ def test_partition_invariants():
 
 @criterion(8, "depth filter removes the blob, spares the rest, scale-invariant")
 def test_depth_filter_fixture():
-    spec = SynthSpec(kind=SynthKind.DEPTH_FIXTURE, seed=21)
+    spec = SynthSpec(seed=21)
     geom, mono, blob = gen_depth_fixture(spec)
     filtered, report = filter_depth(geom, mono)
     removed = geom.valid_mask & ~filtered.valid_mask
@@ -302,7 +302,6 @@ def test_format_round_trips(tmp_path):
     # scenes (cameras/images/points/matches)
     for trial in range(5):
         spec = SynthSpec(
-            kind=SynthKind.RING_OF_CLUSTERS,
             cluster_count=rng.randint(2, 8),
             cluster_size=rng.randint(1, 6),
             noise_sigma=rng.random(),
@@ -327,7 +326,7 @@ def test_format_round_trips(tmp_path):
         assert p1.read_bytes() == p2.read_bytes()
     # batch records
     scene = gen_ring_scene(
-        SynthSpec(kind=SynthKind.RING_OF_CLUSTERS, cluster_count=5, cluster_size=5, seed=1)
+        SynthSpec(cluster_count=5, cluster_size=5, seed=1)
     )
     cfg = SamplingConfig(n_views=10, max_components=2, search_depth=6, seed=4)
     ctx = prepare_scene(scene, cfg)

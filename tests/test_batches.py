@@ -97,3 +97,9 @@ def test_duplicate_views_rejected():
     prov = [ViewProvenance(0, 0, Phase.FILL)] * 2
     with pytest.raises(ValueError):
         SampledBatch("s", cfg, [1, 1], prov)
+
+
+def test_one_provenance_record_per_view():
+    cfg = BatchConfig(2, 1, 1, 0)
+    with pytest.raises(ValueError, match="one provenance record per view"):
+        SampledBatch("s", cfg, [1, 2], [ViewProvenance(0, 0, Phase.FILL)])

@@ -1,3 +1,4 @@
+import json
 import os
 import shutil
 import subprocess
@@ -10,9 +11,12 @@ from conftest import CHILD_ENV
 from sparseview import cli, sampler
 from sparseview.batches import Phase, ViewProvenance, read_batches
 from sparseview.cli import run
+from sparseview.community import louvain
 from sparseview.depth_filter import DepthMap
 from sparseview.pfm import write_pfm
 from sparseview.recon_io import load_scene_dir
+from sparseview.view_graph import build_graph, prune_edges
+from test_sampler import keep_whole_tree
 
 
 @pytest.fixture
@@ -50,6 +54,10 @@ class TestExitCodes:
     def test_invalid_ncc_is_input_error(self, ring_dir, capsys):
         code = run(["partition", "--scene", str(ring_dir), "--ncc", "0"])
         assert code == 1
+
+    def test_synth_without_out_names_it(self, capsys):
+        assert run(["synth", "--kind", "grid"]) == 1
+        assert "--out directory is required for synth" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -229,6 +237,35 @@ def test_zero_match_pairs_are_no_edges(tmp_path):
     assert len(set(labels)) == len(labels) == 30
 
 
+def test_coverage_of_a_view_outside_the_scene_exits_1(inputs, tmp_path, capsys):
+    batches = tmp_path / "b.jsonl"
+    with open(inputs["batches"]) as f:
+        record = json.loads(f.readline())
+    record["views"][0] = 999
+    batches.write_text(json.dumps(record) + "\n")
+    assert run(["coverage", "--scene", inputs["ring"], "--batches", str(batches)]) == 1
+    assert "error: unknown node 999" in capsys.readouterr().err
+
+
+# synth arguments that put a camera where no look-at direction can be computed
+UNPOSABLE = [
+    ["--kind", "ring", "--clusters", "3", "--cluster-size", "2", "--noise", "1e308"],
+    ["--kind", "ring", "--radius", "1e300"],
+    ["--kind", "ring", "--radius", "1e-13"],
+    ["--kind", "grid", "--clusters", "3", "--noise", "1e308"],
+]
+
+
+@pytest.mark.parametrize("flags", UNPOSABLE, ids=[" ".join(f[1::2]) for f in UNPOSABLE])
+def test_synth_writes_no_pose_it_could_not_compute(tmp_path, capsys, flags):
+    out = tmp_path / "scene"
+    assert run(["synth", *flags, "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: radius and noise_sigma put a camera at")
+    assert "Warning" not in err
+    assert not out.exists()
+
+
 def test_pose_eval_missing_view_names_pred_file(inputs, tmp_path, capsys):
     pred = tmp_path / "pred.txt"
     with open(os.path.join(inputs["ring"], "images.txt")) as f:
@@ -283,6 +320,25 @@ def test_component_bound_violation_exits_2_even_under_O(inputs, tmp_path, monkey
     assert b"invariant violation" in proc.stderr
 
 
+def test_search_budget_violation_exits_2_even_under_O(inputs, tmp_path, monkeypatch):
+    # with the Steiner tree kept whole, a part's search views exceed --depth 1
+    argv = ["sample", "--scene", inputs["ring"], "--n", "6", "--depth", "1",
+            "--out", str(tmp_path / "b.jsonl"), "--quiet"]
+    monkeypatch.setattr(sampler, "_max_terminal_subtree", keep_whole_tree)
+    assert run(argv) == 2
+    script = (
+        "import sys; from sparseview import cli, sampler; import test_sampler\n"
+        "if not sys.flags.optimize: sys.exit('not optimized')\n"
+        "sampler._max_terminal_subtree = test_sampler.keep_whole_tree\n"
+        "sys.exit(cli.run(sys.argv[1:]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", script, *argv], capture_output=True, env=CHILD_ENV
+    )
+    assert proc.returncode == 2, proc.stderr.decode()
+    assert b"invariant violation" in proc.stderr and b"min(quota, depth) is 1" in proc.stderr
+
+
 class TestSubcommands:
     def test_parse_summary(self, ring_dir, tmp_path, capsys):
         out = tmp_path / "summary.txt"
@@ -298,6 +354,14 @@ class TestSubcommands:
         assert "nodes 30" in text
         assert "[degree_histogram]" in text
         assert "positional_pct" in text
+
+    def test_stats_above_every_count_prints_absent(self, ring_dir, tmp_path):
+        out = tmp_path / "stats.txt"
+        assert run(["stats", "--scene", str(ring_dir), "--prune-threshold", "101",
+                    "--out", str(out), "--quiet"]) == 0
+        lines = out.read_text().splitlines()
+        assert "edges 0" in lines
+        assert "mean_match_count absent" in lines
 
     def test_grid_stats_report(self, tmp_path):
         grid, out = tmp_path / "grid", tmp_path / "stats.txt"
@@ -317,6 +381,14 @@ class TestSubcommands:
         assert len(lines) == 30
         labels = {int(l.split()[0]): int(l.split()[1]) for l in lines}
         assert len(set(labels.values())) == 6
+
+    def test_communities_resolution_reaches_louvain(self, ring_dir, tmp_path):
+        out = tmp_path / "labels.txt"
+        assert run(["communities", "--scene", str(ring_dir), "--resolution", "0.5",
+                    "--out", str(out), "--quiet"]) == 0
+        graph = prune_edges(build_graph(load_scene_dir(str(ring_dir))), 50)
+        labels = louvain(graph, 0, resolution=0.5).labels
+        assert out.read_text() == "".join(f"{v} {labels[v]}\n" for v in sorted(labels))
 
     def test_partition_labels(self, ring_dir, tmp_path):
         out = tmp_path / "parts.txt"

@@ -7,7 +7,7 @@ from conftest import graph_of, random_graph
 from oracles import best_modularity_partition, modularity_direct
 from sparseview.community import louvain, modularity
 from sparseview.errors import EmptyGraph, InvalidSpec
-from sparseview.synth import SynthKind, SynthSpec, gen_grid_scene, gen_ring_scene
+from sparseview.synth import SynthSpec, gen_grid_scene, gen_ring_scene
 from sparseview.view_graph import build_graph
 
 
@@ -89,6 +89,10 @@ class TestLouvain:
         _, best_blocks = best_modularity_partition(g.adjacency, list(g.edges()))
         assert blocks == set(best_blocks)
 
+    def test_no_nodes_raises(self):
+        with pytest.raises(EmptyGraph, match="at least one node"):
+            louvain(graph_of([]), seed=0)
+
     def test_single_node(self):
         g = graph_of([], nodes=[5])
         got = louvain(g, seed=0)
@@ -157,12 +161,12 @@ def _louvain_golden_cases():
         yield random_graph(rng, n, p, max_w=(1, 3, 100, 1000)[seed % 4])
     for seed in range(6):
         spec = SynthSpec(
-            kind=SynthKind.RING_OF_CLUSTERS, cluster_count=3 + 2 * seed,
+            cluster_count=3 + 2 * seed,
             cluster_size=2 + seed, intra_weight=100, inter_weight=10 + 15 * seed,
             noise_sigma=0.2, seed=seed,
         )
         yield build_graph(gen_ring_scene(spec))
-    yield build_graph(gen_grid_scene(SynthSpec(kind=SynthKind.GRID_SCENE, cluster_count=40)))
+    yield build_graph(gen_grid_scene(SynthSpec(cluster_count=40)))
 
 
 def test_louvain_golden_digest():

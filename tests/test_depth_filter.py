@@ -19,7 +19,7 @@ from sparseview.depth_filter import (
     median_scale,
 )
 from sparseview.errors import DimensionMismatch, InvalidSpec, NoValidOverlap, TooSmall
-from sparseview.synth import SynthKind, SynthSpec, gen_depth_fixture
+from sparseview.synth import SynthSpec, gen_depth_fixture
 
 
 def smooth_map(rng, h=16, w=16):
@@ -162,7 +162,7 @@ class TestFilterDepth:
         assert np.array_equal(filtered.values[kept], base[kept])
 
     def test_blob_fixture_removed(self):
-        spec = SynthSpec(kind=SynthKind.DEPTH_FIXTURE, seed=7)
+        spec = SynthSpec(seed=7)
         geom, mono, blob = gen_depth_fixture(spec)
         filtered, report = filter_depth(geom, mono)
         removed = geom.valid_mask & ~filtered.valid_mask
@@ -174,21 +174,21 @@ class TestFilterDepth:
 
     def test_zero_area_blob_removes_nothing(self, monkeypatch):
         monkeypatch.setattr(synth, "BLOB_SIZE", (0, 0))
-        spec = SynthSpec(kind=SynthKind.DEPTH_FIXTURE, seed=7)
+        spec = SynthSpec(seed=7)
         geom, mono, blob = gen_depth_fixture(spec)
         assert blob == set()
         _, report = filter_depth(geom, mono)
         assert report.removed_total == 0
 
     def test_threshold_monotonicity(self):
-        spec = SynthSpec(kind=SynthKind.DEPTH_FIXTURE, seed=3)
+        spec = SynthSpec(seed=3)
         geom, mono, _ = gen_depth_fixture(spec)
         _, loose = filter_depth(geom, mono, FilterConfig(tau_depth=0.6, tau_grad=0.3))
         _, tight = filter_depth(geom, mono, FilterConfig(tau_depth=0.1, tau_grad=0.05))
         assert loose.removed_total <= tight.removed_total
 
     def test_geom_scale_invariant_mask(self):
-        spec = SynthSpec(kind=SynthKind.DEPTH_FIXTURE, seed=11)
+        spec = SynthSpec(seed=11)
         geom, mono, _ = gen_depth_fixture(spec)
         masks = []
         for factor in (0.1, 1.0, 10.0):
@@ -198,7 +198,7 @@ class TestFilterDepth:
         assert np.array_equal(masks[1], masks[2])
 
     def test_mono_scale_invariant_mask(self):
-        spec = SynthSpec(kind=SynthKind.DEPTH_FIXTURE, seed=11)
+        spec = SynthSpec(seed=11)
         geom, mono, _ = gen_depth_fixture(spec)
         masks = []
         for factor in (0.3, 1.0, 2.7):
@@ -208,7 +208,7 @@ class TestFilterDepth:
         assert np.array_equal(masks[1], masks[2])
 
     def test_report_accounting(self):
-        spec = SynthSpec(kind=SynthKind.DEPTH_FIXTURE, seed=5)
+        spec = SynthSpec(seed=5)
         geom, mono, _ = gen_depth_fixture(spec)
         _, report = filter_depth(geom, mono)
         assert report.removed_total <= report.removed_by_depth + report.removed_by_grad
@@ -335,7 +335,7 @@ def _identity_pairs():
     the golden test and the tall pair."""
     pairs = [_hand_built_pair(), _tall_pair()]
     for seed in (4, 9):
-        geom, mono, _ = gen_depth_fixture(SynthSpec(kind=SynthKind.DEPTH_FIXTURE, seed=seed))
+        geom, mono, _ = gen_depth_fixture(SynthSpec(seed=seed))
         pairs.append((geom.values, mono.values))
     return pairs
 

@@ -21,6 +21,7 @@ from sparseview.errors import (
     NoCameras,
     NoPoints,
     TooFewSamples,
+    UnknownNode,
 )
 from sparseview.metrics import (
     avg_nearest_sample_dist,
@@ -64,6 +65,10 @@ class TestKHopCoverage:
         with pytest.raises(InvalidK, match="k=-1"):
             k_hop_coverage(path_graph(3), {1}, -1)
 
+    def test_sampled_node_outside_graph(self):
+        with pytest.raises(UnknownNode, match="unknown node 9"):
+            k_hop_coverage(path_graph(3), {1, 9}, 1)
+
     def test_monotone_in_k_and_sample(self, rng):
         for _ in range(20):
             g = random_graph(rng, 20, 0.1)
@@ -86,6 +91,10 @@ class TestAvgNearest:
     def test_two_nodes_one_sampled(self):
         pos = {1: (0, 0, 0), 2: (2, 0, 0)}
         assert avg_nearest_sample_dist(pos, [1, 2], {1}) == pytest.approx(1.0)
+
+    def test_empty_sample(self):
+        with pytest.raises(EmptySample):
+            avg_nearest_sample_dist({1: (0, 0, 0)}, [1], set())
 
     def test_against_matrix_oracle(self, rng):
         nodes = list(range(100))
@@ -256,6 +265,11 @@ class TestAzimuthCoverage:
         scene = SceneReconstruction("s", {1: CAM}, {views[0].view_id: views[0]}, [], [])
         with pytest.raises(NoPoints):
             azimuth_coverage(scene)
+        with pytest.raises(ValueError, match="centroid undefined"):
+            scene.centroid()
+        scene.points.append(ScenePoint(1, (0.0, 0.0, 0.0), (1,)))
+        with pytest.raises(ValueError, match="unsupported gravity axis 'x'"):
+            azimuth_coverage(scene, gravity_axis="x")
 
 
 def random_unit_quaternion(rng):

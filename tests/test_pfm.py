@@ -95,8 +95,10 @@ def test_truncated_payload(tmp_path):
         (b"Pf\n2 1\ninf\n" + b"\x00" * 8, "scale"),
         (b"Pf\n2 1\n0.0\n" + b"\x00" * 8, "scale"),
         (b"Pf\n100000 100000\n-1.0\n" + b"\x00" * 8, "truncated pixel data"),
+        (b"Pf\n2 x\n-1.0\n" + b"\x00" * 8, "bad dimensions or scale"),
     ],
-    ids=["truncated-header", "nan-scale", "inf-scale", "zero-scale", "oversized-claim"],
+    ids=["truncated-header", "nan-scale", "inf-scale", "zero-scale", "oversized-claim",
+         "non-integer-height"],
 )
 def test_malformed_header_names_file(tmp_path, content, reason):
     path = tmp_path / "d.pfm"

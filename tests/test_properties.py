@@ -24,7 +24,7 @@ from sparseview.pfm import read_pfm
 from sparseview.recon_io import parse_cameras, parse_images, parse_match_graph, parse_points
 from sparseview.sampler import Preset, SamplingConfig, derive_seed, generate_batches
 from sparseview.steiner import WeightMode
-from sparseview.synth import SynthKind, SynthSpec, gen_grid_scene, gen_ring_scene
+from sparseview.synth import SynthSpec, gen_grid_scene, gen_ring_scene
 from sparseview.view_graph import from_edge_weights
 
 json_values = st.recursive(
@@ -240,12 +240,12 @@ def small_scenes(draw):
     noise = draw(st.sampled_from([0.0, 0.5]))
     if draw(st.booleans()):
         return gen_ring_scene(SynthSpec(
-            SynthKind.RING_OF_CLUSTERS, cluster_count=draw(st.integers(1, 5)),
+            cluster_count=draw(st.integers(1, 5)),
             cluster_size=draw(st.integers(2, 6)), inter_weight=draw(st.sampled_from([0, 30, 60])),
             noise_sigma=noise, seed=seed,
         ))
     return gen_grid_scene(SynthSpec(
-        SynthKind.GRID_SCENE, cluster_count=draw(st.integers(2, 6)), noise_sigma=noise, seed=seed,
+        cluster_count=draw(st.integers(2, 6)), noise_sigma=noise, seed=seed,
     ))
 
 

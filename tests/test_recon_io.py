@@ -20,7 +20,7 @@ from sparseview.recon_io import (
     parse_points,
     write_reconstruction,
 )
-from sparseview.synth import SynthKind, SynthSpec, gen_ring_scene
+from sparseview.synth import SynthSpec, gen_ring_scene
 
 
 def write(tmp_path, name, text):
@@ -58,9 +58,14 @@ class TestCameras:
             parse_cameras(path)
 
     def test_negative_focal_rejected(self, tmp_path):
-        path = write(tmp_path, "c.txt", "1 SIMPLE_PINHOLE 640 480 -500 320 240\n")
-        with pytest.raises(MalformedLine):
-            parse_cameras(path)
+        for line in (
+            "1 SIMPLE_PINHOLE 640 480 -500 320 240",
+            "1 PINHOLE 640 480 500 -500 320 240",  # fy, the second focal slot
+            "1 OPENCV 640 480 500 0 320 240 0 0 0 0",
+        ):
+            path = write(tmp_path, "c.txt", line + "\n")
+            with pytest.raises(MalformedLine, match="focal must be positive"):
+                parse_cameras(path)
 
     @pytest.mark.parametrize(
         "model,arity",
@@ -170,7 +175,7 @@ class TestSceneValidation:
 class TestRoundTrip:
     def test_scene_round_trip_exact(self, tmp_path):
         spec = SynthSpec(
-            kind=SynthKind.RING_OF_CLUSTERS, cluster_count=5, cluster_size=4,
+            cluster_count=5, cluster_size=4,
             noise_sigma=0.3, seed=9,
         )
         scene = gen_ring_scene(spec)
@@ -195,7 +200,6 @@ class TestRoundTrip:
         rng = random.Random(4)
         for trial in range(5):
             spec = SynthSpec(
-                kind=SynthKind.RING_OF_CLUSTERS,
                 cluster_count=rng.randint(2, 6),
                 cluster_size=rng.randint(1, 5),
                 noise_sigma=rng.random(),
@@ -210,7 +214,7 @@ class TestRoundTrip:
                 assert (d1 / name).read_bytes() == (d2 / name).read_bytes()
 
     def test_line_order_insensitive(self, tmp_path):
-        spec = SynthSpec(kind=SynthKind.RING_OF_CLUSTERS, cluster_count=3, cluster_size=3, seed=2)
+        spec = SynthSpec(cluster_count=3, cluster_size=3, seed=2)
         scene = gen_ring_scene(spec)
         out = tmp_path / "scene"
         write_reconstruction(scene, str(out))
@@ -237,6 +241,8 @@ class TestRoundTrip:
 def test_posed_view_rejects_non_unit_quaternion():
     with pytest.raises(ValueError):
         PosedView(1, 1, (1.0, 1.0, 0.0, 0.0), (0.0, 0.0, 0.0), "a.jpg")
+    with pytest.raises(ValueError, match="norm nan"):
+        PosedView(1, 1, (float("nan"),) * 4, (0.0, 0.0, 0.0), "a.jpg")
 
 
 @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
@@ -266,13 +272,15 @@ LOCATED = [
     ("points3D.txt", 2, lambda toks: [*toks[:8], "99", "0"], DanglingReference,
      "reference to unknown view id 99"),
     ("matches.txt", 3, lambda toks: ["3", "3", toks[2]], SelfLoop, "self-loop on view 3"),
+    ("cameras.txt", 2, lambda toks: [*toks[:2], "0", *toks[3:]], MalformedLine,
+     "camera 1: nonpositive image size"),
 ]
 
 
 @pytest.mark.parametrize("name,line_no,edit,cls,reason", LOCATED, ids=[c[3].__name__ for c in LOCATED])
 def test_scene_errors_are_malformed_lines_naming_file_and_line(tmp_path, name, line_no, edit,
                                                                cls, reason):
-    spec = SynthSpec(kind=SynthKind.RING_OF_CLUSTERS, cluster_count=2, cluster_size=3, seed=1)
+    spec = SynthSpec(cluster_count=2, cluster_size=3, seed=1)
     write_reconstruction(gen_ring_scene(spec), str(tmp_path))
     path = tmp_path / name
     lines = path.read_text().split("\n")

@@ -33,7 +33,7 @@ from sparseview.sampler import (
     sample_partition,
 )
 from sparseview.recon_io import load_scene_dir
-from sparseview.synth import SynthKind, SynthSpec, gen_ring_scene
+from sparseview.synth import SynthSpec, gen_ring_scene
 from sparseview.view_graph import build_graph, prune_edges
 
 
@@ -48,9 +48,14 @@ def communities_of(labels):
     return CommunityAssignment(labels=labels, modularity=0.0, level_count=1)
 
 
+def keep_whole_tree(tree_nodes, tree_edges, terminals, budget):
+    """Stand-in for _max_terminal_subtree that ignores the budget."""
+    return set(tree_nodes)
+
+
 def clique_scene(size=30, seed=0):
     spec = SynthSpec(
-        kind=SynthKind.RING_OF_CLUSTERS, cluster_count=1, cluster_size=size,
+        cluster_count=1, cluster_size=size,
         intra_weight=100, inter_weight=60, noise_sigma=0.05, seed=seed,
     )
     return gen_ring_scene(spec)
@@ -58,7 +63,7 @@ def clique_scene(size=30, seed=0):
 
 def ring_scene(clusters=12, size=12, seed=0):
     spec = SynthSpec(
-        kind=SynthKind.RING_OF_CLUSTERS, cluster_count=clusters, cluster_size=size,
+        cluster_count=clusters, cluster_size=size,
         intra_weight=100, inter_weight=60, noise_sigma=0.1, seed=seed,
     )
     return gen_ring_scene(spec)
@@ -165,6 +170,28 @@ class TestSamplePartition:
         comms = louvain(graph, seed=1)
         with pytest.raises(EmptyPartition):
             sample_partition(graph, set(), 3, 3, comms, scene.positions(), 0)
+
+    def test_quota_below_one(self):
+        scene = clique_scene(5)
+        graph = prune_edges(build_graph(scene), 50)
+        comms = louvain(graph, seed=1)
+        with pytest.raises(ValueError, match="quota"):
+            sample_partition(graph, set(graph.adjacency), 0, 3, comms, scene.positions(), 0)
+
+    def test_search_views_past_the_budget_raise(self, monkeypatch):
+        # with the Steiner tree kept whole, its views overrun min(quota, depth)
+        # as soon as depth is one below the tree's size
+        monkeypatch.setattr(sampler, "_max_terminal_subtree", keep_whole_tree)
+        scene = ring_scene(6, 8)
+        graph = prune_edges(build_graph(scene), 50)
+        comms = louvain(graph, seed=1)
+        args = (graph, set(graph.adjacency), 40)
+        picked = sample_partition(*args, 40, comms, scene.positions(), 0)
+        tree = sum(1 for _, p in picked if p.phase in (Phase.TERMINAL, Phase.STEINER))
+        assert 6 <= tree < 40
+        sample_partition(*args, tree, comms, scene.positions(), 0)
+        with pytest.raises(InvariantViolation, match=f"{tree} search views, budget min"):
+            sample_partition(*args, tree - 1, comms, scene.positions(), 0)
 
     def test_greedy_count_bounded_by_depth(self, rng):
         scene = ring_scene(6, 8)

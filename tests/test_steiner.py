@@ -6,7 +6,7 @@ import pytest
 from conftest import graph_of, random_graph
 from oracles import mst_weight, steiner_optimum
 from sparseview.community import CommunityAssignment
-from sparseview.errors import DisconnectedTerminals
+from sparseview.errors import DisconnectedTerminals, UnknownNode
 from sparseview.steiner import (
     WeightMode,
     approximate_steiner_tree,
@@ -51,6 +51,10 @@ class TestSelectTerminals:
         comms = self.make_communities({1: 0, 2: 0, 3: 0})
         assert len(select_terminals({1, 2, 3}, comms, seed=9)) == 1
 
+    def test_empty_part(self):
+        with pytest.raises(ValueError, match="part is empty"):
+            select_terminals(set(), self.make_communities({1: 0}), seed=0)
+
     def test_deterministic(self):
         labels = {v: v % 3 for v in range(1, 20)}
         comms = self.make_communities(labels)
@@ -81,6 +85,15 @@ class TestSteinerTree:
                 continue  # disconnected
             res = approximate_steiner_tree(g, nodes, WeightMode.UNIT_HOP)
             assert res.total_weight == want
+
+    @pytest.mark.parametrize(
+        "terminals,error,message",
+        [(set(), ValueError, "terminal set is empty"), ({1, 9}, UnknownNode, "unknown node 9")],
+        ids=["no-terminal", "unknown-terminal"],
+    )
+    def test_refuses_terminals_it_cannot_join(self, terminals, error, message):
+        with pytest.raises(error, match=message):
+            approximate_steiner_tree(graph_of([(1, 2, 5)]), terminals)
 
     def test_single_terminal(self):
         g = graph_of([(1, 2, 5)])

@@ -9,7 +9,6 @@ from sparseview.errors import InvalidSpec
 from sparseview.metrics import azimuth_coverage
 from sparseview.recon_io import load_scene_dir, rotation_matrix, write_reconstruction
 from sparseview.synth import (
-    SynthKind,
     SynthSpec,
     _look_at_quaternion,
     gen_depth_fixture,
@@ -22,7 +21,7 @@ from sparseview.view_graph import build_graph, prune_edges
 
 def ring_spec(**kw):
     base = dict(
-        kind=SynthKind.RING_OF_CLUSTERS, cluster_count=6, cluster_size=5,
+        cluster_count=6, cluster_size=5,
         intra_weight=100, inter_weight=60, radius=10.0, noise_sigma=0.0, seed=0,
     )
     base.update(kw)
@@ -108,20 +107,16 @@ class TestRingScene:
         for view in scene.views.values():
             assert abs(math.fsum(c * c for c in view.rotation) - 1.0) < 1e-6
 
-    def test_kind_mismatch(self):
-        with pytest.raises(InvalidSpec):
-            gen_ring_scene(SynthSpec(kind=SynthKind.GRID_SCENE))
-
     def test_spec_validation(self):
         with pytest.raises(InvalidSpec):
-            SynthSpec(kind=SynthKind.RING_OF_CLUSTERS, cluster_count=0)
+            SynthSpec(cluster_count=0)
         with pytest.raises(InvalidSpec):
-            SynthSpec(kind=SynthKind.RING_OF_CLUSTERS, intra_weight=10, inter_weight=20)
+            SynthSpec(intra_weight=10, inter_weight=20)
 
 
 class TestGridScene:
     def test_counts_and_degrees(self):
-        spec = SynthSpec(kind=SynthKind.GRID_SCENE, cluster_count=4, seed=0)
+        spec = SynthSpec(cluster_count=4, seed=0)
         scene = gen_grid_scene(spec)
         assert len(scene.views) == 16
         assert len(scene.edges) == 2 * 4 * 3  # grid edges
@@ -130,13 +125,13 @@ class TestGridScene:
         assert corner_degrees == [2, 2, 2, 2]
 
     def test_deterministic(self):
-        spec = SynthSpec(kind=SynthKind.GRID_SCENE, cluster_count=3, noise_sigma=0.2, seed=8)
+        spec = SynthSpec(cluster_count=3, noise_sigma=0.2, seed=8)
         assert gen_grid_scene(spec) == gen_grid_scene(spec)
 
 
 class TestDepthFixture:
     def test_blob_geometry(self):
-        spec = SynthSpec(kind=SynthKind.DEPTH_FIXTURE, seed=0)
+        spec = SynthSpec(seed=0)
         geom, mono, blob = gen_depth_fixture(spec)
         assert geom.values.shape == (64, 64)
         assert len(blob) == 120
@@ -146,20 +141,20 @@ class TestDepthFixture:
 
     def test_mono_scale_in_range(self):
         for seed in range(10):
-            spec = SynthSpec(kind=SynthKind.DEPTH_FIXTURE, seed=seed)
+            spec = SynthSpec(seed=seed)
             geom, mono, _ = gen_depth_fixture(spec)
             ratio = mono.values[0, 0] / geom.values[0, 0]
             assert 0.3 <= ratio <= 3.0
 
     def test_blob_discrepancy_exceeds_default_threshold(self):
-        spec = SynthSpec(kind=SynthKind.DEPTH_FIXTURE, seed=2)
+        spec = SynthSpec(seed=2)
         geom, mono, blob = gen_depth_fixture(spec)
         filtered, _ = filter_depth(geom, mono)
         removed = geom.valid_mask & ~filtered.valid_mask
         assert all(removed[r, c] for r, c in blob)
 
     def test_deterministic(self):
-        spec = SynthSpec(kind=SynthKind.DEPTH_FIXTURE, seed=6)
+        spec = SynthSpec(seed=6)
         g1, m1, b1 = gen_depth_fixture(spec)
         g2, m2, b2 = gen_depth_fixture(spec)
         assert np.array_equal(g1.values, g2.values)

@@ -4,6 +4,7 @@ import pytest
 
 from conftest import graph_of, random_graph
 from oracles import bfs_all, union_find_components
+from sparseview.errors import UnknownNode
 from sparseview.recon_io import SceneReconstruction
 from sparseview.view_graph import (
     bfs_distances,
@@ -64,6 +65,10 @@ class TestPrune:
     def test_zero_threshold_identity(self):
         g = graph_of([(1, 2, 60), (2, 3, 40)])
         assert prune_edges(g, 0).adjacency == g.adjacency
+
+    def test_negative_threshold(self):
+        with pytest.raises(ValueError, match="threshold must be >= 0"):
+            prune_edges(graph_of([(1, 2, 60)]), -1)
 
     def test_over_max_gives_edgeless(self):
         g = graph_of([(1, 2, 60), (2, 3, 40)])
@@ -166,3 +171,7 @@ class TestBfsTargets:
         assert bfs_distances(g, 5, [5]) == {5: 0}
         assert bfs_distances(g, 5, []) == {5: 0}
         assert bfs_distances(g, 1, [10]) == {v: v - 1 for v in range(1, 11)}
+
+    def test_unknown_start(self):
+        with pytest.raises(UnknownNode, match="unknown node 0"):
+            bfs_distances(graph_of([(1, 2, 5)]), 0, [1])
