@@ -13,6 +13,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 from . import batches as batches_io
 from . import community as community_mod
@@ -20,10 +21,12 @@ from . import metrics as metrics_mod
 from . import synth as synth_mod
 from .depth_filter import FilterConfig, filter_depth
 from .errors import InvariantViolation, SparseViewError
+from .metrics import DEFAULT_THRESHOLDS
 from .partition import partition_round_robin
 from .pfm import read_pfm, write_pfm
 from .recon_io import load_scene_dir, parse_images, write_reconstruction
-from .sampler import Preset, SamplingConfig, generate_batches, prepare_scene
+from .sampler import DEFAULT_MAX_COMPONENTS, DEFAULT_SEARCH_DEPTH, Preset, SamplingConfig
+from .sampler import generate_batches, prepare_scene
 from .steiner import WeightMode
 from .view_graph import build_graph, compute_stats, prune_edges
 
@@ -90,7 +93,8 @@ def _add_scene_flags(parser: argparse.ArgumentParser, prune: bool = True) -> Non
     parser.add_argument("--scene", required=True, help="scene directory with cameras.txt/images.txt")
     parser.add_argument("--matches", help="match edge list (default <scene>/matches.txt)")
     if prune:
-        parser.add_argument("--prune-threshold", type=_at_least(0), default=50)
+        threshold = SamplingConfig.prune_threshold
+        parser.add_argument("--prune-threshold", type=_at_least(0), default=threshold)
 
 
 def _load_scene(args):
@@ -148,8 +152,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_communities(args) -> int:
-    _, graph = _load_graph(args)
-    assignment = community_mod.louvain(graph, args.seed, resolution=args.resolution)
+    scene = _load_scene(args)
+    assignment = prepare_scene(scene, args.prune_threshold, args.seed, args.resolution).communities
     _log(args, f"seed {args.seed}")
     _log(args, f"modularity {assignment.modularity!r} levels {assignment.level_count}")
     lines = [f"{v} {assignment.labels[v]}" for v in sorted(assignment.labels)]
@@ -158,8 +162,7 @@ def cmd_communities(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    config = SamplingConfig(prune_threshold=args.prune_threshold, seed=args.seed)
-    ctx = prepare_scene(_load_scene(args), config)
+    ctx = prepare_scene(_load_scene(args), args.prune_threshold, args.seed)
     _log(args, f"seed {args.seed}")
     parts = partition_round_robin(ctx.pruned, args.ncc, args.seed, ctx.communities)
     lines = [f"{v} {parts.assignment[v]}" for v in sorted(parts.assignment)]
@@ -236,15 +239,8 @@ def cmd_filter_depth(args) -> int:
         raise SparseViewError(f"{args.geom}, {args.mono}: {exc}") from exc
     write_pfm(args.out_pfm, filtered)
     if args.report:
-        payload = {
-            "scale_s": report.scale_s,
-            "removed_by_depth": report.removed_by_depth,
-            "removed_by_grad": report.removed_by_grad,
-            "removed_total": report.removed_total,
-            "kept": report.kept,
-        }
         with open(args.report, "w") as f:
-            f.write(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+            f.write(json.dumps(asdict(report), sort_keys=True, separators=(",", ":")))
             f.write("\n")
     _log(
         args,
@@ -264,31 +260,35 @@ def cmd_pose_eval(args) -> int:
     gt_list = [gt[i] for i in ids]
     errors = metrics_mod.pose_pair_errors(pred_list, gt_list, args.thresholds)
     lines = [f"pairs {len(errors.rotation_errors)}"]
-    for t in args.thresholds:
-        lines.append(f"rra@{t} {_fmt(errors.rra_at[t])}")
-    for t in args.thresholds:
-        lines.append(f"rta@{t} {_fmt(errors.rta_at[t])}")
-    for t in args.thresholds:
-        lines.append(f"auc@{t} {_fmt(errors.auc_at[t])}")
+    for name, at in (("rra", errors.rra_at), ("rta", errors.rta_at), ("auc", errors.auc_at)):
+        lines += [f"{name}@{t} {_fmt(at[t])}" for t in args.thresholds]
     lines.append(f"mre {_fmt(errors.mre)}")
     lines.append(f"mte {_fmt(errors.mte)}")
     _write_out(args, "".join(line + "\n" for line in lines))
     return 0
 
 
+# synth flag -> (the SynthSpec field it sets, the kinds that read it); an unset
+# flag is None, so SynthSpec owns each default and, through it, the flag's type
+_SYNTH_FLAGS = {
+    "--clusters": ("cluster_count", ("ring", "grid")),
+    "--cluster-size": ("cluster_size", ("ring",)),
+    "--intra": ("intra_weight", ("ring", "grid")),
+    "--inter": ("inter_weight", ("ring",)),
+    "--radius": ("radius", ("ring", "grid")),
+    "--noise": ("noise_sigma", ("ring", "grid")),
+}
+
+
 def cmd_synth(args) -> int:
     _log(args, f"seed {args.seed}")
     if not args.out:
         raise _UsageError("--out directory is required for synth")
-    spec = synth_mod.SynthSpec(
-        cluster_count=args.clusters,
-        cluster_size=args.cluster_size,
-        intra_weight=args.intra,
-        inter_weight=args.inter,
-        radius=args.radius,
-        noise_sigma=args.noise,
-        seed=args.seed,
-    )
+    given = {f: name for f, (name, _) in _SYNTH_FLAGS.items() if getattr(args, name) is not None}
+    unread = [flag for flag in given if args.kind not in _SYNTH_FLAGS[flag][1]]
+    if unread:
+        raise _UsageError(f"synth --kind {args.kind} does not read {', '.join(unread)}")
+    spec = synth_mod.SynthSpec(seed=args.seed, **{f: getattr(args, f) for f in given.values()})
     if args.kind == "depth":
         os.makedirs(args.out, exist_ok=True)
         geom, mono, blob = synth_mod.gen_depth_fixture(spec)
@@ -325,7 +325,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("communities", help="Louvain community labels")
     _add_scene_flags(p)
-    p.add_argument("--resolution", type=_positive_float, default=1.0)
+    p.add_argument("--resolution", type=_positive_float, default=community_mod.DEFAULT_RESOLUTION)
     _add_common(p, seed=True)
     p.set_defaults(func=cmd_communities)
 
@@ -337,15 +337,16 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sample", help="generate sampled batches (jsonl)")
     _add_scene_flags(p)
-    p.add_argument("--n", type=int, default=24, help="views per batch")
-    p.add_argument("--ncc", type=int, help="max connected components (default 1; not with --preset)")
-    p.add_argument("--depth", type=int, help="greedy search depth (default 24; not with --preset)")
+    p.add_argument("--n", type=int, default=SamplingConfig.n_views, help="views per batch")
+    for flag, what, default in (("--ncc", "max connected components", DEFAULT_MAX_COMPONENTS),
+                                ("--depth", "greedy search depth", DEFAULT_SEARCH_DEPTH)):
+        p.add_argument(flag, type=int, help=f"{what} (default {default}; not with --preset)")
     p.add_argument("--preset", choices=[m.value for m in Preset])
     p.add_argument("--batches", type=_at_least(1), default=1, help="number of batches")
     p.add_argument(
         "--weight-mode",
         choices=[m.value for m in WeightMode],
-        default=WeightMode.UNIT_HOP.value,
+        default=SamplingConfig.weight_mode.value,
     )
     _add_common(p, seed=True)
     p.set_defaults(func=cmd_sample)
@@ -360,8 +361,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("filter-depth", help="monocular-guided depth filtering")
     p.add_argument("--geom", required=True, help="geometric depth (pfm)")
     p.add_argument("--mono", required=True, help="monocular prior depth (pfm)")
-    p.add_argument("--tau-depth", type=float, default=0.25)
-    p.add_argument("--tau-grad", type=float, default=0.10)
+    p.add_argument("--tau-depth", type=float, default=FilterConfig.tau_depth)
+    p.add_argument("--tau-grad", type=float, default=FilterConfig.tau_grad)
     p.add_argument("--out", dest="out_pfm", required=True, help="filtered depth (pfm)")
     p.add_argument("--report", help="write a json report here")
     p.add_argument("--quiet", action="store_true")
@@ -371,19 +372,17 @@ def build_parser() -> _Parser:
     p.add_argument("--pred", required=True, help="predicted poses (images.txt format)")
     p.add_argument("--gt", required=True, help="ground-truth poses (images.txt format)")
     p.add_argument(
-        "--thresholds", type=_thresholds, default=[5, 10, 15, 30], help="degrees, comma-separated"
+        "--thresholds", type=_thresholds, default=DEFAULT_THRESHOLDS, help="comma-separated degrees"
     )
     _add_common(p)
     p.set_defaults(func=cmd_pose_eval)
 
     p = sub.add_parser("synth", help="generate synthetic scenes / depth fixtures")
     p.add_argument("--kind", choices=("ring", "grid", "depth"), default="ring")
-    p.add_argument("--clusters", type=int, default=6)
-    p.add_argument("--cluster-size", type=int, default=5)
-    p.add_argument("--intra", type=int, default=100)
-    p.add_argument("--inter", type=int, default=60)
-    p.add_argument("--radius", type=float, default=10.0)
-    p.add_argument("--noise", type=float, default=0.0)
+    for flag, (name, kinds) in _SYNTH_FLAGS.items():
+        default = getattr(synth_mod.SynthSpec, name)
+        text = f"read by {'/'.join(kinds)} (default {default})"
+        p.add_argument(flag, dest=name, type=type(default), help=text)
     _add_common(p, seed=True)
     p.set_defaults(func=cmd_synth)
 
@@ -391,16 +390,11 @@ def build_parser() -> _Parser:
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
+        args = build_parser().parse_args(argv)
+        return args.func(args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    try:
-        return args.func(args)
     except _UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1

@@ -16,12 +16,21 @@ from .errors import EmptyGraph, InvalidSpec
 from .view_graph import ViewGraph, from_edge_weights
 
 
+DEFAULT_RESOLUTION = 1.0  # wherever no resolution is given
+
+
 @dataclass(frozen=True)
 class CommunityAssignment:
     labels: dict[int, int]
-    modularity: float
-    level_count: int
-    level_modularities: tuple[float, ...] = ()
+    level_modularities: tuple[float, ...]  # on the input graph, after each level
+
+    @property
+    def modularity(self) -> float:
+        return self.level_modularities[-1]
+
+    @property
+    def level_count(self) -> int:
+        return len(self.level_modularities)
 
     def community_members(self) -> dict[int, list[int]]:
         members: dict[int, list[int]] = {}
@@ -30,7 +39,7 @@ class CommunityAssignment:
         return members
 
 
-def modularity(graph: ViewGraph, labels: Mapping[int, int], resolution: float = 1.0) -> float:
+def modularity(graph: ViewGraph, labels: Mapping[int, int], resolution=DEFAULT_RESOLUTION) -> float:
     """Weighted Newman-Girvan modularity.
 
     Q = sum_c [ w_in(c)/m - resolution * (k(c)/(2m))^2 ], where w_in(c) is the
@@ -132,7 +141,7 @@ def _one_level(
     return community
 
 
-def louvain(graph: ViewGraph, seed: int, resolution: float = 1.0) -> CommunityAssignment:
+def louvain(graph: ViewGraph, seed: int, resolution=DEFAULT_RESOLUTION) -> CommunityAssignment:
     """Run Louvain to convergence; isolated nodes get singleton communities.
 
     Levels alternate local moves with graph aggregation until a level makes
@@ -147,18 +156,17 @@ def louvain(graph: ViewGraph, seed: int, resolution: float = 1.0) -> CommunityAs
     if graph.edge_count == 0:
         labels = {v: i for i, v in enumerate(nodes)}
         # modularity undefined without edges; 0.0 by convention
-        return CommunityAssignment(labels, 0.0, 1, (0.0,))
+        return CommunityAssignment(labels, (0.0,))
 
     rng = random.Random(seed)
     work = graph
     degree = {u: sum(w for _, w in nbrs) for u, nbrs in graph.adjacency.items()}
     two_m = sum(degree.values())  # aggregation keeps the total weight
-    node_to_current = {v: v for v in nodes}  # original node -> work-graph node
+    labels = {v: v for v in nodes}  # original node -> its node in the work graph
     level_mods: list[float] = []
-    labels: dict[int, int] = {}
     while True:
         community = _one_level(work, degree, two_m, rng, resolution)
-        labels = {v: community[node_to_current[v]] for v in nodes}
+        labels = {v: community[labels[v]] for v in nodes}
         settled = all(community[u] == u for u in work.adjacency)
         # a level that moves nothing keeps the previous level's grouping, and
         # modularity depends only on the grouping, so its score is the same
@@ -168,14 +176,8 @@ def louvain(graph: ViewGraph, seed: int, resolution: float = 1.0) -> CommunityAs
             level_mods.append(modularity(graph, labels, resolution))
         if settled:
             break
-        node_to_current = {v: community[node_to_current[v]] for v in nodes}
         work, degree = _aggregate(work, degree, community)
 
-    dense: dict[int, int] = {}
-    relabeled = {}
-    for v in nodes:
-        c = labels[v]
-        if c not in dense:
-            dense[c] = len(dense)
-        relabeled[v] = dense[c]
-    return CommunityAssignment(relabeled, level_mods[-1], len(level_mods), tuple(level_mods))
+    dense: dict[int, int] = {}  # community -> its rank by first member
+    relabeled = {v: dense.setdefault(labels[v], len(dense)) for v in nodes}
+    return CommunityAssignment(relabeled, tuple(level_mods))

@@ -222,6 +222,7 @@ def _rotation_angles_deg(r: np.ndarray) -> list[float]:
 
 
 _PAIR_BLOCK = 1 << 14  # pairs per stacked block in pose_pair_errors
+DEFAULT_THRESHOLDS = (5, 10, 15, 30)  # degrees, for RRA, RTA and AUC
 
 
 def _pair_errors(pred, gt, i: np.ndarray, j: np.ndarray) -> tuple[list[float], list[float]]:
@@ -251,7 +252,7 @@ def _pair_errors(pred, gt, i: np.ndarray, j: np.ndarray) -> tuple[list[float], l
 def pose_pair_errors(
     views_pred: list[PosedView],
     views_gt: list[PosedView],
-    thresholds=(5, 10, 15, 30),
+    thresholds=DEFAULT_THRESHOLDS,
 ) -> PosePairErrors:
     """Relative rotation / translation-direction errors over all view pairs.
 

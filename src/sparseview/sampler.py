@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 from enum import Enum
 
 from .batches import BatchConfig, Phase, SampledBatch, ViewProvenance
-from .community import CommunityAssignment, louvain
+from .community import DEFAULT_RESOLUTION, CommunityAssignment, louvain
 from .depth_filter import _usable_cpus
 from .errors import EmptyPartition, InvalidK, InvalidSpec, InvariantViolation, UnknownNode
 from .partition import partition_round_robin
@@ -187,18 +187,12 @@ def _max_terminal_subtree(tree_nodes, tree_edges, terminals, budget: int) -> set
 
 
 def _fill_draw(sub: ViewGraph, sampled: set[int], rng: random.Random) -> int | None:
-    """One local fill draw: 1-hop neighborhood of the sampled set, widening
-    to the rest of the part when exhausted (a closed 1-hop set makes the
-    2-hop tier identical, so it collapses away)."""
-    pool: set[int] = set()
-    for s in sampled:
-        pool.update(v for v, _ in sub.adjacency[s])
-    pool -= sampled
-    if not pool:
-        pool = set(sub.adjacency) - sampled
-    if not pool:
-        return None
-    return rng.choice(sorted(pool))
+    """One local fill draw from the 1-hop neighborhood of the sampled set, or
+    None when it is empty. So the fill never leaves the sampled set's
+    component: a round-robin part is connected, and its sampled set always
+    has an unsampled neighbour until the whole part is sampled."""
+    pool = {v for s in sampled for v, _ in sub.adjacency[s]} - sampled
+    return rng.choice(sorted(pool)) if pool else None
 
 
 def sample_partition(
@@ -282,9 +276,17 @@ class SceneContext:
     positions: dict[int, tuple[float, float, float]]
 
 
-def prepare_scene(scene: SceneReconstruction, config: SamplingConfig) -> SceneContext:
-    pruned = prune_edges(build_graph(scene), config.prune_threshold)
-    communities = louvain(pruned, derive_seed(config.seed, "louvain"))
+def prepare_scene(
+    scene: SceneReconstruction, prune_threshold: int, seed: int = 0, resolution=DEFAULT_RESOLUTION
+) -> SceneContext:
+    """The pruned graph, its Louvain communities and the view positions: the
+    one prune -> Louvain set-up, so `communities`, `partition` and `sample`
+    see the same labels. A `SamplingConfig` in place of the threshold gives
+    its threshold and seed (the form `bench/scaling.py` calls)."""
+    if isinstance(prune_threshold, SamplingConfig):
+        prune_threshold, seed = prune_threshold.prune_threshold, prune_threshold.seed
+    pruned = prune_edges(build_graph(scene), prune_threshold)
+    communities = louvain(pruned, derive_seed(seed, "louvain"), resolution)
     return SceneContext(scene.scene_id, pruned, communities, scene.positions())
 
 
@@ -409,7 +411,7 @@ def generate_batches(
     itself also has numpy's BLAS pool thread, and on Python 3.12 and later
     `os.fork` then warns (`DeprecationWarning`).
     """
-    ctx = prepare_scene(scene, config)
+    ctx = prepare_scene(scene, config.prune_threshold, config.seed)
     seeds = [derive_seed(config.seed, "batch", i) for i in range(count)]
     workers = 1
     if hasattr(os, "fork") and threading.active_count() == 1:

@@ -39,10 +39,9 @@ class SynthSpec:
     def __post_init__(self):
         if self.cluster_count < 1 or self.cluster_size < 1:
             raise InvalidSpec("cluster counts must be >= 1")
-        if self.inter_weight < 0:
-            raise InvalidSpec(f"inter_weight must be >= 0, got {self.inter_weight}")
-        if self.intra_weight < self.inter_weight:
-            raise InvalidSpec("intra_weight must be >= inter_weight")
+        for name in ("intra_weight", "inter_weight"):
+            if getattr(self, name) < 0:
+                raise InvalidSpec(f"{name} must be >= 0, got {getattr(self, name)}")
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise InvalidSpec(f"radius must be a finite number > 0, got {self.radius}")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
@@ -118,6 +117,8 @@ _DEFAULT_CAMERA = CameraIntrinsics(
 def gen_ring_scene(spec: SynthSpec) -> SceneReconstruction:
     """Clusters on a ring: complete intra-cluster edges at intra_weight,
     single inter-cluster bridges at inter_weight between lowest-id members."""
+    if spec.intra_weight < spec.inter_weight:
+        raise InvalidSpec("intra_weight must be >= inter_weight")
     rng = random.Random(spec.seed)
     k, m = spec.cluster_count, spec.cluster_size
     views: dict[int, PosedView] = {}

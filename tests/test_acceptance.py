@@ -94,7 +94,7 @@ def test_depth_sweep_monotonicity():
     means = {"cov": [], "near": [], "gdisp": [], "edisp": []}
     for depth in (2, 6, 12, 24):
         cfg = SamplingConfig(n_views=24, max_components=1, search_depth=depth, seed=0)
-        ctx = prepare_scene(scene, cfg)
+        ctx = prepare_scene(scene, cfg.prune_threshold, cfg.seed)
         nodes = sorted(ctx.pruned.adjacency)
         acc = {"cov": 0.0, "near": 0.0, "gdisp": 0.0, "edisp": 0.0}
         for s in range(32):
@@ -142,7 +142,7 @@ def test_component_bound_thousand_batches():
     total = 0
     for preset in (Preset.DENSE, Preset.SPARSE, Preset.MIXED):
         cfg = SamplingConfig(n_views=24, seed=11, preset=preset)
-        ctx = prepare_scene(scene, cfg)
+        ctx = prepare_scene(scene, cfg.prune_threshold, cfg.seed)
         for i in range(334):
             batch = _sample_one(ctx, cfg, derive_seed(cfg.seed, "batch", i))
             total += 1
@@ -215,7 +215,7 @@ def test_greedy_step_oracle():
         sampled = {current} | set(rng.sample(nodes, rng.randint(0, n - 1)))
         from sparseview.community import CommunityAssignment
 
-        comms = CommunityAssignment(labels=labels, modularity=0.0, level_count=1)
+        comms = CommunityAssignment(labels, (0.0,))
         got = greedy_step(g, current, sampled, comms, positions)
         want = greedy_choice(
             [u for u, _ in g.adjacency[current]], current, sampled, labels, positions
@@ -329,7 +329,7 @@ def test_format_round_trips(tmp_path):
         SynthSpec(cluster_count=5, cluster_size=5, seed=1)
     )
     cfg = SamplingConfig(n_views=10, max_components=2, search_depth=6, seed=4)
-    ctx = prepare_scene(scene, cfg)
+    ctx = prepare_scene(scene, cfg.prune_threshold, cfg.seed)
     batches = [_sample_one(ctx, cfg, derive_seed(4, "batch", i)) for i in range(6)]
     b1 = tmp_path / "b1.jsonl"
     b2 = tmp_path / "b2.jsonl"

@@ -108,6 +108,13 @@ BAD_FLAGS = [
     ("synth", ["--noise", "nan"], "noise_sigma"),
     ("synth", ["--noise", "-0.1"], "noise_sigma"),
     ("synth", ["--inter", "-5"], "inter_weight"),
+    ("synth", ["--intra", "-1"], "intra_weight must be >= 0"),
+    ("synth", ["--intra", "10"], "intra_weight must be >= inter_weight"),
+    # a flag its kind never reads
+    ("synth", ["--kind", "grid", "--cluster-size", "0"], "--cluster-size"),
+    ("synth", ["--kind", "grid", "--inter", "7"], "--inter"),
+    ("synth", ["--kind", "depth", "--clusters", "0"], "--clusters"),
+    ("synth", ["--kind", "depth", "--radius", "5", "--noise", "3"], "--radius, --noise"),
     *[(cmd, ["--threads", "2"], "--threads") for cmd in VALID_ARGV],
     *[(cmd, ["--seed", "1"], "--seed")
       for cmd in ("parse", "stats", "coverage", "pose-eval", "filter-depth")],
@@ -128,6 +135,60 @@ def test_bad_flag_exits_1_and_names_it(inputs, tmp_path, capsys, cmd, bad, names
     err = capsys.readouterr().err
     assert names in err
     assert "internal" not in err
+
+
+def test_synth_grid_takes_an_intra_below_the_ring_bridges(tmp_path):
+    # grid reads no inter_weight, so no --intra is below it
+    out = tmp_path / "grid"
+    assert run(["synth", "--kind", "grid", "--intra", "10", "--out", str(out), "--quiet"]) == 0
+    assert set(load_scene_dir(str(out)).edges.values()) == {10}
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_communities_prints_the_labels_sample_records(tmp_path, seed):
+    """`communities` and `sample` share one prune -> Louvain set-up, so each
+    view a batch records carries the label `communities` prints at its seed."""
+    grid, batches, labels = tmp_path / "grid", tmp_path / "b.jsonl", tmp_path / "labels.txt"
+    assert run(["synth", "--kind", "grid", "--clusters", "20", "--out", str(grid), "--quiet"]) == 0
+    assert run(["sample", "--scene", str(grid), "--preset", "sparse", "--n", "24", "--batches",
+                "2", "--seed", seed, "--out", str(batches), "--quiet"]) == 0
+    assert run(["communities", "--scene", str(grid), "--seed", seed, "--out", str(labels),
+                "--quiet"]) == 0
+    label_of = dict(map(int, line.split()) for line in labels.read_text().splitlines())
+    recorded = [(v, p.community) for b in read_batches(str(batches))
+                for v, p in zip(b.views, b.provenance)]
+    assert len(recorded) == 48
+    assert [label_of[v] for v, _ in recorded] == [c for _, c in recorded]
+
+
+def test_graph_outputs_do_not_depend_on_the_hash_seed(inputs, tmp_path):
+    """`sample`, `partition`, `communities` and `coverage` write the same bytes
+    under two PYTHONHASHSEED values, each in a child interpreter."""
+    script = (
+        "import json, sys, sparseview.cli\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert sparseview.cli.run(argv) == 0, argv\n"
+    )
+    outputs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / hash_seed
+        out.mkdir()
+        argvs = [
+            ["sample", "--scene", inputs["ring"], "--preset", "mixed", "--n", "8", "--batches",
+             "3", "--seed", "2", "--out", str(out / "b.jsonl")],
+            ["partition", "--scene", inputs["ring"], "--ncc", "3", "--seed", "2",
+             "--out", str(out / "p.txt")],
+            ["communities", "--scene", inputs["ring"], "--seed", "2", "--out", str(out / "c.txt")],
+            ["coverage", "--scene", inputs["ring"], "--batches", str(out / "b.jsonl"),
+             "--out", str(out / "cov.txt")],
+        ]
+        argvs = [argv + ["--quiet"] for argv in argvs]
+        proc = subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                              capture_output=True, env={**CHILD_ENV, "PYTHONHASHSEED": hash_seed})
+        assert proc.returncode == 0, proc.stderr.decode()
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(outputs[0]) == 4
+    assert outputs[0] == outputs[1]
 
 
 def test_sample_without_out_fails_before_sampling(inputs, monkeypatch, capsys):
@@ -387,7 +448,7 @@ class TestSubcommands:
         assert run(["communities", "--scene", str(ring_dir), "--resolution", "0.5",
                     "--out", str(out), "--quiet"]) == 0
         graph = prune_edges(build_graph(load_scene_dir(str(ring_dir))), 50)
-        labels = louvain(graph, 0, resolution=0.5).labels
+        labels = louvain(graph, sampler.derive_seed(0, "louvain"), resolution=0.5).labels
         assert out.read_text() == "".join(f"{v} {labels[v]}\n" for v in sorted(labels))
 
     def test_partition_labels(self, ring_dir, tmp_path):

@@ -45,7 +45,7 @@ def component_count(graph, views):
 
 
 def communities_of(labels):
-    return CommunityAssignment(labels=labels, modularity=0.0, level_count=1)
+    return CommunityAssignment(labels, (0.0,))
 
 
 def keep_whole_tree(tree_nodes, tree_edges, terminals, budget):
@@ -214,6 +214,27 @@ class TestSamplePartition:
         assert a == b
 
 
+def test_fill_stays_in_the_sampled_component():
+    # fill draws from the 1-hop ring of the sampled set only, so on a part of
+    # two components it stops once the terminal's component is sampled
+    graph = graph_of([(1, 2, 100), (2, 3, 100), (10, 11, 100), (11, 12, 100)])
+    part = set(graph.adjacency)
+    comms = communities_of(dict.fromkeys(part, 0))
+    positions = {v: (float(v), 0.0, 0.0) for v in part}
+    for seed in range(10):
+        picked = sample_partition(graph, part, 6, 1, comms, positions, seed)
+        assert {v for v, _ in picked} in ({1, 2, 3}, {10, 11, 12})
+        assert [p.phase for _, p in picked] == [Phase.TERMINAL, Phase.FILL, Phase.FILL]
+
+
+def test_prepare_scene_reads_a_sampling_config():
+    # the form bench/scaling.py calls: a SamplingConfig for the threshold and seed
+    scene = ring_scene(6, 6)
+    assert prepare_scene(scene, SamplingConfig(prune_threshold=0, seed=7)) == prepare_scene(
+        scene, 0, 7
+    )
+
+
 class TestSampleBatch:
     def test_quota_conservation(self):
         scene = ring_scene()
@@ -228,14 +249,14 @@ class TestSampleBatch:
     def test_dense_regime_single_component(self):
         scene = ring_scene()
         cfg = SamplingConfig(n_views=24, max_components=1, search_depth=5, seed=2)
-        ctx = prepare_scene(scene, cfg)
+        ctx = prepare_scene(scene, cfg.prune_threshold, cfg.seed)
         batch = generate_batches(scene, cfg, 1)[0]
         assert component_count(ctx.pruned, batch.views) == 1
 
     def test_component_bound_over_seeds(self):
         scene = ring_scene(8, 6)
         cfg = SamplingConfig(n_views=16, max_components=3, search_depth=10, seed=0)
-        ctx = prepare_scene(scene, cfg)
+        ctx = prepare_scene(scene, cfg.prune_threshold, cfg.seed)
         batches = generate_batches(scene, cfg, 50)
         for batch in batches:
             assert component_count(ctx.pruned, batch.views) <= 3
@@ -284,7 +305,7 @@ class TestDfsSubsample:
     def make_batch(self, seed=0):
         scene = ring_scene(6, 6)
         cfg = SamplingConfig(n_views=18, max_components=1, search_depth=18, seed=seed)
-        ctx = prepare_scene(scene, cfg)
+        ctx = prepare_scene(scene, cfg.prune_threshold, cfg.seed)
         return generate_batches(scene, cfg, 1)[0], ctx.pruned
 
     def test_full_k_is_permutation(self):

@@ -38,7 +38,7 @@ def unit_edges(graph):
 
 class TestSelectTerminals:
     def make_communities(self, labels):
-        return CommunityAssignment(labels=labels, modularity=0.0, level_count=1)
+        return CommunityAssignment(labels, (0.0,))
 
     def test_one_per_community(self):
         labels = {1: 0, 2: 0, 3: 1, 4: 1, 5: 2}

@@ -110,8 +110,13 @@ class TestRingScene:
     def test_spec_validation(self):
         with pytest.raises(InvalidSpec):
             SynthSpec(cluster_count=0)
-        with pytest.raises(InvalidSpec):
-            SynthSpec(intra_weight=10, inter_weight=20)
+        with pytest.raises(InvalidSpec, match="intra_weight must be >= 0"):
+            SynthSpec(intra_weight=-1)
+        # only the ring reads inter_weight, so only the ring compares the two
+        spec = SynthSpec(intra_weight=10, inter_weight=20)
+        with pytest.raises(InvalidSpec, match="intra_weight must be >= inter_weight"):
+            gen_ring_scene(spec)
+        assert set(gen_grid_scene(spec).edges.values()) == {10}
 
 
 class TestGridScene:
