@@ -78,8 +78,11 @@ _positive_float.__name__ = "float"  # argparse reports a non-number as "invalid 
 
 
 def _thresholds(text: str) -> list[int]:
-    """argparse type: comma-separated whole degrees, each >= 1."""
-    return [_at_least(1)(t) for t in text.split(",") if t]
+    """argparse type: comma-separated distinct whole degrees, each >= 1."""
+    values = [_at_least(1)(t) for t in text.split(",") if t]
+    if not values or len(set(values)) < len(values):
+        raise argparse.ArgumentTypeError(f"needs distinct whole degrees, got {text!r}")
+    return values
 
 
 def _add_common(parser: argparse.ArgumentParser, seed: bool = False) -> None:

@@ -191,17 +191,21 @@ class PosePairErrors:
     mte: float
 
 
+def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis (of length 3), broadcast, summed
+    elementwise as (a0 b0 + a1 b1) + a2 b2, so no BLAS kernel sets the bits."""
+    return (a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1]) + a[..., 2] * b[..., 2]
+
+
+def _times_transposed(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a[k] b[k]^T for stacked (m, 3, 3) matrices."""
+    return _dots(a[:, :, None], b[:, None])
+
+
 def _norms(x: np.ndarray) -> np.ndarray:
-    """Row norms of an (m, 3) array. Each is the stacked-matmul dot of the
-    row with itself, the same BLAS dot np.linalg.norm takes on one vector,
-    so the bits match a per-row norm (an axis= norm or einsum would not)."""
     import numpy as np
 
     return np.sqrt(_dots(x, x))
-
-
-def _dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def _degrees_atan2(y: np.ndarray, x: np.ndarray) -> list[float]:
@@ -217,7 +221,7 @@ def _rotation_angles_deg(r: np.ndarray) -> list[float]:
         [r[:, 2, 1] - r[:, 1, 2], r[:, 0, 2] - r[:, 2, 0], r[:, 1, 0] - r[:, 0, 1]], axis=1
     )
     s = _norms(axial) / 2.0
-    c = (np.trace(r, axis1=1, axis2=2) - 1.0) / 2.0
+    c = (((r[:, 0, 0] + r[:, 1, 1]) + r[:, 2, 2]) - 1.0) / 2.0
     return _degrees_atan2(s, c)
 
 
@@ -231,11 +235,11 @@ def _pair_errors(pred, gt, i: np.ndarray, j: np.ndarray) -> tuple[list[float], l
     import numpy as np
 
     (rs_p, ts_p), (rs_g, ts_g) = pred, gt
-    rel_p = rs_p[j] @ rs_p[i].transpose(0, 2, 1)
-    rel_g = rs_g[j] @ rs_g[i].transpose(0, 2, 1)
-    rot = _rotation_angles_deg(rel_p @ rel_g.transpose(0, 2, 1))
-    tp = ts_p[j] - (rel_p @ ts_p[i][:, :, None])[:, :, 0]
-    tg = ts_g[j] - (rel_g @ ts_g[i][:, :, None])[:, :, 0]
+    rel_p = _times_transposed(rs_p[j], rs_p[i])
+    rel_g = _times_transposed(rs_g[j], rs_g[i])
+    rot = _rotation_angles_deg(_times_transposed(rel_p, rel_g))
+    tp = ts_p[j] - _dots(rel_p, ts_p[i][:, None])
+    tg = ts_g[j] - _dots(rel_g, ts_g[i][:, None])
     norm_p, norm_g = _norms(tp), _norms(tg)
     zero_p, zero_g = norm_p < 1e-12, norm_g < 1e-12
     up = tp / np.where(zero_p, 1.0, norm_p)[:, None]

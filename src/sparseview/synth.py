@@ -4,8 +4,9 @@ The ring scene places camera clusters on a circle in the horizontal (XZ)
 plane, fully connected inside each cluster and bridged to the next cluster by
 one weaker edge, with every camera looking at the ring center. Ground truth
 (cluster membership, blob masks) is returned alongside the data so property
-tests have oracles for free. The functions that compute with numpy import
-it themselves, so importing this module does not load it.
+tests have oracles for free. Poses are computed in Python floats; only the
+depth fixture imports numpy, itself, so importing this module does not load
+it.
 """
 
 from __future__ import annotations
@@ -53,55 +54,44 @@ def _look_at_quaternion(position, target):
     `target` (camera axes: x right, y down, z forward), world up +Y.
 
     A camera with no finite direction of length >= 1e-12 to its target raises
-    InvalidSpec (a position that is not finite has none); this is checked in
-    Python floats, so numpy never computes, and warns about, an overflow or a
-    division by zero."""
-    dx, dy, dz = (b - a for a, b in zip(position, target))
-    sq = dx * dx + dy * dy + dz * dz
-    if not (math.isfinite(sq) and math.sqrt(sq) >= 1e-12):
+    InvalidSpec (a position that is not finite has none). Every sum is written
+    out in Python floats, so the bits depend on no linear-algebra kernel."""
+    fx, fy, fz = (b - a for a, b in zip(position, target))
+    norm = math.sqrt((fx * fx + fy * fy) + fz * fz)
+    if not (math.isfinite(norm) and norm >= 1e-12):
         raise InvalidSpec(
             f"radius and noise_sigma put a camera at {position}, which is not a finite "
             f"distance >= 1e-12 from its target {target}"
         )
-    import numpy as np
-
-    fwd = np.array(target, dtype=float) - np.array(position, dtype=float)
-    fwd = fwd / np.linalg.norm(fwd)
-    right = np.cross(np.array([0.0, 1.0, 0.0]), fwd)
-    rnorm = np.linalg.norm(right)
-    if rnorm < 1e-12:
-        right = np.array([1.0, 0.0, 0.0])
-    else:
-        right = right / rnorm
-    down = np.cross(fwd, right)
-    r = np.stack([right, down, fwd])  # rows of world-to-camera rotation
-    # Shepperd's method, w and y branches: with world up +Y, r[1,1] = cos(pitch)
+    fx, fy, fz = fx / norm, fy / norm, fz / norm
+    # the rows of the world-to-camera rotation: right = up x forward = (rx, 0,
+    # rz), down = forward x right, forward; straight up or down, right is +X.
+    # 0.0 - fx, as the cross product has it, keeps a zero rz positive
+    rnorm = math.sqrt(fz * fz + fx * fx)
+    rx, rz = (fz / rnorm, (0.0 - fx) / rnorm) if rnorm >= 1e-12 else (1.0, 0.0)
+    dx, dy, dz = fy * rz, fz * rx - fx * rz, -fy * rx
+    # Shepperd's method (J. Guidance and Control 1(3), 1978), w and y branches,
+    # on rows r = (right, down, forward): with world up +Y, r[1,1] = cos(pitch)
     # >= 0 and r[0,0] = r[2,2] / cos(pitch), so a trace <= 0 needs r[2,2] < 0,
     # and then r[1,1] is the largest diagonal entry (no x or z branch is taken)
-    tr = np.trace(r)
+    tr = (rx + dy) + fz
     if tr > 0:
         s = math.sqrt(tr + 1.0) * 2
-        w = 0.25 * s
-        x = (r[2, 1] - r[1, 2]) / s
-        y = (r[0, 2] - r[2, 0]) / s
-        z = (r[1, 0] - r[0, 1]) / s
+        q = (0.25 * s, (fy - dz) / s, (rz - fx) / s, dx / s)
     else:
-        s = math.sqrt(1.0 + r[1, 1] - r[0, 0] - r[2, 2]) * 2
-        w = (r[0, 2] - r[2, 0]) / s
-        x = (r[0, 1] + r[1, 0]) / s
-        y = 0.25 * s
-        z = (r[1, 2] + r[2, 1]) / s
-    q = np.array([w, x, y, z])
-    q = q / np.linalg.norm(q)
-    return tuple(float(c) for c in q)
+        s = math.sqrt(((1.0 + dy) - rx) - fz) * 2
+        q = ((rz - fx) / s, dx / s, 0.25 * s, (dz + fy) / s)
+    qnorm = math.sqrt(((q[0] * q[0] + q[1] * q[1]) + q[2] * q[2]) + q[3] * q[3])
+    return tuple(c / qnorm for c in q)
 
 
 def _view_from_position(view_id, camera_id, position, target, name):
-    import numpy as np
-
+    """A view at `position` facing `target`, with translation -R p, summed
+    from the negated products so that a sum that cancels writes 0.0, not -0.0."""
     q = _look_at_quaternion(position, target)
-    r = np.array(rotation_matrix(q))
-    t = tuple(float(c) for c in -r @ np.array(position, dtype=float))
+    r = rotation_matrix(q)
+    px, py, pz = position
+    t = tuple(-row[0] * px - row[1] * py - row[2] * pz for row in r)
     return PosedView(view_id, camera_id, q, t, name)
 
 

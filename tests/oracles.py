@@ -11,8 +11,6 @@ import itertools
 import math
 import random
 
-import numpy as np
-
 from sparseview.errors import DanglingReference, MalformedLine, SelfLoop
 from sparseview.recon_io import text_lines
 
@@ -351,29 +349,39 @@ def nearest_sample_dist_loop(positions, nodes, sampled):
 
 def pose_pair_errors_loop(rs_pred, ts_pred, rs_gt, ts_gt):
     """Per-pair relative rotation and translation-direction errors in degrees,
-    pairs i < j in row-major order, one pair at a time with numpy 3x3 and
-    3-vector products. rs_*: 3x3 world-to-camera rotations, ts_*: translations."""
+    pairs i < j in row-major order, one pair at a time in Python floats, each
+    3-term sum taken as (p0 + p1) + p2. rs_*: 3x3 world-to-camera rotations
+    as row lists, ts_*: translations."""
+    def dot(a, b):
+        return (a[0] * b[0] + a[1] * b[1]) + a[2] * b[2]
+
+    def times_transposed(a, b):
+        return [[dot(row_a, row_b) for row_b in b] for row_a in a]
+
+    def norm(a):
+        return math.sqrt(dot(a, a))
+
     def angle(y, x):
         return math.degrees(math.atan2(y, x))
 
-    rs_p, rs_g = [np.array(r) for r in rs_pred], [np.array(r) for r in rs_gt]
-    ts_p, ts_g = [np.array(t) for t in ts_pred], [np.array(t) for t in ts_gt]
     rot, trans = [], []
-    for i in range(len(rs_p)):
-        for j in range(i + 1, len(rs_p)):
-            rel_p = rs_p[j] @ rs_p[i].T
-            rel_g = rs_g[j] @ rs_g[i].T
-            e = rel_p @ rel_g.T
-            axial = np.array([e[2, 1] - e[1, 2], e[0, 2] - e[2, 0], e[1, 0] - e[0, 1]])
-            rot.append(angle(float(np.linalg.norm(axial)) / 2.0, (float(np.trace(e)) - 1.0) / 2.0))
-            tp = ts_p[j] - rel_p @ ts_p[i]
-            tg = ts_g[j] - rel_g @ ts_g[i]
-            np_, ng = float(np.linalg.norm(tp)), float(np.linalg.norm(tg))
+    for i in range(len(rs_pred)):
+        for j in range(i + 1, len(rs_pred)):
+            rel_p = times_transposed(rs_pred[j], rs_pred[i])
+            rel_g = times_transposed(rs_gt[j], rs_gt[i])
+            e = times_transposed(rel_p, rel_g)
+            axial = (e[2][1] - e[1][2], e[0][2] - e[2][0], e[1][0] - e[0][1])
+            rot.append(angle(norm(axial) / 2.0, (((e[0][0] + e[1][1]) + e[2][2]) - 1.0) / 2.0))
+            tp = [t - dot(row, ts_pred[i]) for t, row in zip(ts_pred[j], rel_p)]
+            tg = [t - dot(row, ts_gt[i]) for t, row in zip(ts_gt[j], rel_g)]
+            np_, ng = norm(tp), norm(tg)
             if np_ < 1e-12 and ng < 1e-12:
                 trans.append(0.0)
             elif np_ < 1e-12 or ng < 1e-12:
                 trans.append(90.0)
             else:
-                a, b = tp / np_, tg / ng
-                trans.append(angle(float(np.linalg.norm(np.cross(a, b))), float(np.dot(a, b))))
+                a, b = [c / np_ for c in tp], [c / ng for c in tg]
+                cross = (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                         a[0] * b[1] - a[1] * b[0])
+                trans.append(angle(norm(cross), dot(a, b)))
     return rot, trans

@@ -99,6 +99,9 @@ BAD_FLAGS = [
     ("filter-depth", ["--tau-grad", "nan"], "tau_grad"),
     ("pose-eval", ["--thresholds", "5,x"], "--thresholds"),
     ("pose-eval", ["--thresholds", "0"], "--thresholds"),
+    ("pose-eval", ["--thresholds", ""], "--thresholds"),
+    ("pose-eval", ["--thresholds", ","], "--thresholds"),
+    ("pose-eval", ["--thresholds", "5,5"], "--thresholds"),
     ("communities", ["--resolution", "nan"], "--resolution"),
     ("communities", ["--resolution", "-1"], "--resolution"),
     ("communities", ["--resolution", "inf"], "--resolution"),
@@ -543,13 +546,24 @@ class TestDeterminism:
             assert read(dirs[0] / f) == read(dirs[1] / f)
 
 
-@pytest.mark.parametrize("cmd", ["sample", "parse", "stats", "communities", "partition"])
+# the subcommands that start and run without numpy
+NO_NUMPY_ARGV = {
+    **{cmd: VALID_ARGV[cmd] + ["--out", "{tmp}/out.txt"]
+       for cmd in ("parse", "stats", "communities", "partition")},
+    "sample": VALID_ARGV["sample"] + ["--batches", "4"],
+    "synth-ring": ["synth", "--kind", "ring", "--out", "{tmp}/synth"],
+    "synth-grid": ["synth", "--kind", "grid", "--out", "{tmp}/synth"],
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(NO_NUMPY_ARGV))
 def test_cli_import_starts_no_thread_pool_machinery(inputs, tmp_path, cmd):
-    """The graph commands neither start up with nor load numpy (only the
-    subcommands that compute with it do) or `concurrent.futures` and the
-    `logging` it pulls in (only the depth filter does). `sample` forks its
-    batch workers itself, so nothing loads `multiprocessing`, and on Linux
-    the process it forks from has one OS thread."""
+    """The graph commands and `synth --kind ring|grid` neither start up with
+    nor load numpy (only the subcommands that compute with it do) or
+    `concurrent.futures` and the `logging` it pulls in (only the depth filter
+    does). `sample` forks its batch workers itself, so nothing loads
+    `multiprocessing`, and on Linux the process it forks from has one OS
+    thread."""
     script = (
         "import os, sys, sparseview.cli\n"
         "heavy = {'concurrent.futures', 'logging', 'multiprocessing', 'numpy'}\n"
@@ -559,8 +573,7 @@ def test_cli_import_starts_no_thread_pool_machinery(inputs, tmp_path, cmd):
         "code = sparseview.cli.run(sys.argv[1:])\n"
         "print(code, sorted(heavy & set(sys.modules)))\n"
     )
-    argv = [a.format(tmp=tmp_path, **inputs) for a in VALID_ARGV[cmd]] + ["--quiet"]
-    argv += ["--batches", "4"] if cmd == "sample" else ["--out", str(tmp_path / "out.txt")]
+    argv = [a.format(tmp=tmp_path, **inputs) for a in NO_NUMPY_ARGV[cmd]] + ["--quiet"]
     proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr.decode()
     assert proc.stdout.decode().splitlines() == ["[]", "0 []"]

@@ -1,11 +1,14 @@
 import hashlib
+import json
 import math
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from conftest import graph_of, random_graph, random_positions
+from conftest import CHILD_ENV, graph_of, random_graph, random_positions
 from oracles import (
     dispersion_full_bfs,
     hop_distance,
@@ -496,11 +499,27 @@ def _report_digests(root):
 
 
 REPORT_DIGESTS = {
-    "coverage": "f36764affda4a0d6adf8b2e1412321e7ef99989a928f2dcd9d14d5ebb37227a4",
-    "coverage-split": "389bedf5f29365394308e49a70163983887e5c2c266cd789f85b3c76fcbaf37a",
-    "pose-eval": "7b179712f8bcd984ed87f1f30358f298965bbeed23e8dd67b2eb1e4af11ac6ba",
+    "coverage": "13a1038c763f934b9cde868a32fceb6fd39eaf55096f9e1611c95ef22074ee67",
+    "coverage-split": "35e0e21dcdf5da540c89cdb077a8e263161b7b4009ba04b7643e324bf6a9b91e",
+    "pose-eval": "5aa00f74567f65a5a7b96742584591bb2ca287452d99f3555e71911d70ccef5f",
 }
 
 
 def test_reports_byte_stable(tmp_path):
     assert _report_digests(tmp_path) == REPORT_DIGESTS
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Prescott", "SkylakeX"])
+def test_report_bytes_do_not_follow_the_blas_kernel(tmp_path, coretype):
+    """The same report bytes with OpenBLAS forced to another kernel in a child
+    interpreter: the poses and pose errors are elementwise sums in a fixed
+    order. A numpy that is not built on OpenBLAS ignores the variable."""
+    script = (
+        "import json, pathlib, sys\n"
+        "from test_metrics import _report_digests\n"
+        "print(json.dumps(_report_digests(pathlib.Path(sys.argv[1]))))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], capture_output=True,
+                          env={**CHILD_ENV, "OPENBLAS_CORETYPE": coretype})
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout) == REPORT_DIGESTS
