@@ -364,8 +364,8 @@ def build_parser() -> _Parser:
     p = sub.add_parser("filter-depth", help="monocular-guided depth filtering")
     p.add_argument("--geom", required=True, help="geometric depth (pfm)")
     p.add_argument("--mono", required=True, help="monocular prior depth (pfm)")
-    p.add_argument("--tau-depth", type=float, default=FilterConfig.tau_depth)
-    p.add_argument("--tau-grad", type=float, default=FilterConfig.tau_grad)
+    p.add_argument("--tau-depth", type=_positive_float, default=FilterConfig.tau_depth)
+    p.add_argument("--tau-grad", type=_positive_float, default=FilterConfig.tau_grad)
     p.add_argument("--out", dest="out_pfm", required=True, help="filtered depth (pfm)")
     p.add_argument("--report", help="write a json report here")
     p.add_argument("--quiet", action="store_true")

@@ -13,9 +13,18 @@ or the normalized gradient discrepancy
 exceeds its threshold. The prior is guidance only: surviving pixels keep
 their original (unscaled) depth values.
 
-`filter_depth` works out each map's validity mask once; the discrepancy
-kernels compute on every pixel, and only pixels with a usable comparison
-count. The map is filtered in bands of `BAND_ROWS` rows on a thread pool
+The gradient test decides |n(mono) - n(s*geom)| > tau_grad, with
+n = hypot(gx, gy)/v over np.gradient's (gy, gx), bit for bit as that float64
+formula does, but runs libm's hypot only where the answer is close. A fast
+n = sqrt(gx*gx + gy*gy)/v gives d = |nm - ng|, and its answer d > tau stands
+wherever |d - tau| > 2**-40 (nm + ng), a bound on the two paths' difference
+derived next to `gradient_discrepancy`. np.hypot runs on the few pixels
+inside it, on any whose fast value overflowed, and on a whole band whose tau,
+or gated depths against tau, are so small that underflow could matter.
+
+`filter_depth` works out each map's validity mask once; the depth kernel
+computes on every pixel, and only pixels with a usable comparison count.
+The map is filtered in bands of `BAND_ROWS` rows on a thread pool
 with one worker per CPU this process may run on (numpy releases the GIL in
 these kernels). Each band also reads one halo row above and below, so the
 gradients and their stencils see the same neighbours as on the whole map:
@@ -79,8 +88,9 @@ class FilterConfig:
 
     def __post_init__(self):
         for name in ("tau_depth", "tau_grad"):
-            if not getattr(self, name) > 0:
-                raise InvalidSpec(f"{name} must be positive, got {getattr(self, name)!r}")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise InvalidSpec(f"{name} must be a finite number > 0, got {value!r}")
 
 
 @dataclass
@@ -141,21 +151,115 @@ def _stencil_valid(valid: np.ndarray) -> np.ndarray:
     return ok
 
 
-def _normalized_gradient(values: np.ndarray) -> np.ndarray:
+def _axis_gradient(values: np.ndarray, axis: int) -> np.ndarray:
+    """np.gradient's unit-spacing difference of `values` along `axis`, in one
+    new array: (f[i+1] - f[i-1]) / 2.0 inside, f[1] - f[0] and f[-1] - f[-2]
+    at the edges (np.gradient divides those by 1.0)."""
     import numpy as np
 
-    gy, gx = np.gradient(values)
-    return np.hypot(gx, gy) / values
+    out = np.empty(values.shape, dtype=values.dtype)  # C order, so g below is a view
+    # inside: one pass over the flat arrays, neighbours `step` elements apart;
+    # along rows it also writes across row ends, which the edges overwrite
+    step = values.shape[1] if axis == 0 else 1
+    f, g = values.ravel(), out.ravel()
+    np.subtract(f[2 * step :], f[: -2 * step], out=g[step:-step])
+    g[step:-step] *= 0.5  # the same bits as / 2.0
+    f, g = np.moveaxis(values, axis, 0), np.moveaxis(out, axis, 0)
+    np.subtract(f[1], f[0], out=g[0])
+    np.subtract(f[-1], f[-2], out=g[-1])
+    return out
 
 
-def gradient_discrepancy(geom: np.ndarray, mono: np.ndarray) -> np.ndarray:
-    """Difference of normalized gradient magnitudes at every pixel; meaningful
-    only where both maps are valid and so is every pixel of the difference
-    stencil. Both dimensions must be at least 2."""
+def _gradient_norm(values: np.ndarray) -> np.ndarray:
+    """sqrt(gx*gx + gy*gy) / values at every pixel; each difference is freed
+    once squared."""
     import numpy as np
 
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return np.abs(_normalized_gradient(mono) - _normalized_gradient(geom))
+    norm = _axis_gradient(values, 1)
+    norm *= norm
+    gy = _axis_gradient(values, 0)
+    gy *= gy
+    norm += gy
+    del gy
+    np.sqrt(norm, out=norm)
+    norm /= values
+    return norm
+
+
+def _exact_norm_at(values: np.ndarray, pixels: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """np.hypot(gx, gy) / values at the given (row, column) pixels, each
+    difference taken as `_axis_gradient` takes it on the whole array."""
+    import numpy as np
+
+    def difference(axis):
+        i, n = pixels[axis], values.shape[axis]
+        ahead, behind = list(pixels), list(pixels)
+        ahead[axis], behind[axis] = np.minimum(i + 1, n - 1), np.maximum(i - 1, 0)
+        # a step of 2 inside, 1 at an edge
+        return (values[tuple(ahead)] - values[tuple(behind)]) / (ahead[axis] - behind[axis])
+
+    return np.hypot(difference(1), difference(0)) / values[pixels]
+
+
+# The fast answer d > tau, from d = |nm - ng| with n = sqrt(gx*gx + gy*gy) / v,
+# is the exact one (np.hypot in place of sqrt) wherever
+#     |d - tau| > margin = (nm + ng) * 2**-40,
+# provided tau >= _MIN_TAU and tau * vmin >= _MIN_TAU_DEPTH, vmin the smallest
+# depth `where` selects; otherwise every selected pixel takes the exact path.
+# - Rounding. Both paths share gx, gy and v, and with u = 2**-53 each n is
+#   within 3u n of |(gx, gy)| / v: the squares, their sum and the sqrt, or
+#   libm hypot's 1 ulp, then the division. With the roundings of nm - ng and
+#   d - tau the two d differ by about 12u (nm + ng) at most, far under the
+#   margin however much nm - ng cancels.
+# - Underflow. A square under 2**-1022 is off by up to 2**-1075, which moves
+#   sqrt by up to 2**-537; a subnormal hypot is off by up to 2**-1074; either
+#   moves n by that over v. A subnormal quotient n is off by up to 2**-1075.
+#   Under the guard these terms sum to less than 2**-55 tau, so they can flip
+#   only a d within 2**-54 tau of tau, and there nm + ng >= d > tau / 2 puts
+#   the margin far above them.
+# - Overflow. A square or a sum that overflows makes n, d or the margin inf
+#   or NaN, and `~(|d - tau| > margin)` sends that pixel to the exact path.
+_MARGIN = 2.0**-40
+_MIN_TAU = 2.0**-900
+_MIN_TAU_DEPTH = 2.0**-480
+
+
+def gradient_discrepancy(
+    geom: np.ndarray, mono: np.ndarray, tau: float, where: np.ndarray
+) -> np.ndarray:
+    """True where `where` holds and the normalized gradient discrepancy
+    |hypot(grad mono)/mono - hypot(grad geom)/geom| exceeds `tau` (finite,
+    >= 0), decided bit for bit as that float64 formula decides it, gradients
+    as np.gradient takes them. np.hypot runs only on pixels whose fast
+    answer is within the margin above. Both dimensions must be at least 2."""
+    import numpy as np
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
+        vmin = np.minimum(np.min(geom, where=where, initial=np.inf),
+                          np.min(mono, where=where, initial=np.inf))
+        # False on a NaN or nonpositive depth too
+        if tau >= _MIN_TAU and tau * vmin >= _MIN_TAU_DEPTH:
+            nm = _gradient_norm(mono)
+            ng = _gradient_norm(geom)
+            margin = nm + ng
+            margin *= _MARGIN
+            nm -= ng
+            del ng
+            d = np.abs(nm, out=nm)
+            over = d > tau
+            d -= tau
+            np.abs(d, out=d)
+            near = d > margin
+            del d, margin
+            np.greater(where, near, out=near)  # where & ~(|d - tau| > margin)
+            over &= where
+        else:
+            over, near = np.zeros_like(where), where
+        if near.any():
+            pixels = np.nonzero(near)
+            exact = np.abs(_exact_norm_at(mono, pixels) - _exact_norm_at(geom, pixels))
+            over[pixels] = exact > tau
+    return over
 
 
 BAND_ROWS = 128  # 64 loses most of the two-thread gain; half maps raise the peak
@@ -189,10 +293,12 @@ def _filter_band(
     with np.errstate(over="ignore", under="ignore"):
         scaled = geom[lo:hi] * s
     valid_scaled = _valid(scaled)
-    joint = (valid_scaled & valid_mono)[rows]
-    by_depth = joint & (depth_discrepancy(scaled[rows], mono[rows]) > config.tau_depth)
-    by_grad = joint & _stencil_valid(valid_scaled)[rows] & _stencil_valid(valid_mono)[rows]
-    by_grad &= gradient_discrepancy(scaled, mono)[rows] > config.tau_grad
+    joint = valid_scaled & valid_mono
+    by_depth = joint[rows] & (depth_discrepancy(scaled[rows], mono[rows]) > config.tau_depth)
+    gated = joint & _stencil_valid(valid_scaled) & _stencil_valid(valid_mono)
+    gated[: rows.start] = False  # the halo rows are the neighbouring bands'
+    gated[rows.stop :] = False
+    by_grad = gradient_discrepancy(scaled, mono, config.tau_grad, gated)[rows]
     removed = by_depth | by_grad
     out[r0:r1] = np.where(removed, 0.0, geom[r0:r1])
     return tuple(int(np.count_nonzero(m)) for m in (by_depth, by_grad, removed))

@@ -48,8 +48,11 @@ def read_pfm(path: str) -> DepthMap:
             raise MalformedLine(3, f"scale must be finite and nonzero, got {scale}", path)
         dtype = "<f4" if scale < 0 else ">f4"
         # checked before reading, so a header claiming a huge map allocates nothing
-        if 4 * width * height > os.fstat(f.fileno()).st_size - f.tell():
+        extra = os.fstat(f.fileno()).st_size - f.tell() - 4 * width * height
+        if extra < 0:
             raise MalformedLine(3, "truncated pixel data", path)
+        if extra > 0:
+            raise MalformedLine(3, f"{extra} bytes after the {width}x{height} pixel data", path)
         data = f.read(4 * width * height)
         grid = np.frombuffer(data, dtype=dtype).reshape(height, width)
     return DepthMap(np.flipud(grid).astype(np.float64))

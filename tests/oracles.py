@@ -11,7 +11,14 @@ import itertools
 import math
 import random
 
-from sparseview.errors import DanglingReference, MalformedLine, SelfLoop
+from sparseview.errors import (
+    DanglingReference,
+    DimensionMismatch,
+    MalformedLine,
+    NoValidOverlap,
+    SelfLoop,
+    TooSmall,
+)
 from sparseview.recon_io import text_lines
 
 
@@ -385,3 +392,58 @@ def pose_pair_errors_loop(rs_pred, ts_pred, rs_gt, ts_gt):
                          a[0] * b[1] - a[1] * b[0])
                 trans.append(angle(norm(cross), dot(a, b)))
     return rot, trans
+
+
+def _stencil_ok(valid):
+    """Pixels whose neighbours one step either way along both axes, clipped
+    at the map edge (the pixels np.gradient reads), are all valid."""
+    import numpy as np
+
+    h, w = valid.shape
+    rows, cols = np.arange(h), np.arange(w)
+    up, down = np.maximum(rows - 1, 0), np.minimum(rows + 1, h - 1)
+    left, right = np.maximum(cols - 1, 0), np.minimum(cols + 1, w - 1)
+    return valid[up] & valid[down] & valid[:, left] & valid[:, right]
+
+
+def filter_depth_reference(geom, mono, tau_depth, tau_grad):
+    """The monocular-guided filter on whole maps in one piece, np.gradient and
+    np.hypot at every pixel: (filtered values, report fields as a dict).
+    Raises what filter_depth raises, in its order."""
+    import numpy as np
+
+    def valid(values):
+        return np.isfinite(values) & (values > 0)
+
+    def normalized_gradient(values):
+        gy, gx = np.gradient(values)
+        return np.hypot(gx, gy) / values
+
+    if geom.shape != mono.shape:
+        raise DimensionMismatch(f"{geom.shape} vs {mono.shape}")
+    valid_geom, valid_mono = valid(geom), valid(mono)
+    joint = valid_geom & valid_mono
+    if not joint.any():
+        raise NoValidOverlap("no jointly valid pixels")
+    if min(geom.shape) < 2:
+        raise TooSmall("gradients need width and height >= 2")
+    with np.errstate(all="ignore"):
+        s = float(np.median(mono[joint]) / np.median(geom[joint]))
+        if not (math.isfinite(s) and s > 0):
+            raise NoValidOverlap(f"scale {s!r}")
+        scaled = geom * s
+        valid_scaled = valid(scaled)
+        both = valid_scaled & valid_mono
+        by_depth = both & (np.abs(scaled - mono) / scaled > tau_depth)
+        grad = np.abs(normalized_gradient(mono) - normalized_gradient(scaled))
+    by_grad = both & _stencil_ok(valid_scaled) & _stencil_ok(valid_mono) & (grad > tau_grad)
+    removed = by_depth | by_grad
+    total = int(removed.sum())
+    report = {
+        "scale_s": s,
+        "removed_by_depth": int(by_depth.sum()),
+        "removed_by_grad": int(by_grad.sum()),
+        "removed_total": total,
+        "kept": int(valid_geom.sum()) - total,
+    }
+    return np.where(removed, 0.0, geom), report

@@ -95,8 +95,10 @@ BAD_FLAGS = [
     ("sample", ["--batches", "-3"], "--batches"),
     ("stats", ["--prune-threshold", "-1"], "--prune-threshold"),
     ("coverage", ["--k", "-1"], "--k"),
-    ("filter-depth", ["--tau-depth", "-1"], "tau_depth"),
-    ("filter-depth", ["--tau-grad", "nan"], "tau_grad"),
+    ("filter-depth", ["--tau-depth", "-1"], "--tau-depth"),
+    ("filter-depth", ["--tau-grad", "nan"], "--tau-grad"),
+    ("filter-depth", ["--tau-depth", "inf"], "--tau-depth"),
+    ("filter-depth", ["--tau-grad", "inf"], "--tau-grad"),
     ("pose-eval", ["--thresholds", "5,x"], "--thresholds"),
     ("pose-eval", ["--thresholds", "0"], "--thresholds"),
     ("pose-eval", ["--thresholds", ""], "--thresholds"),

@@ -3,11 +3,13 @@ import os
 import subprocess
 import sys
 import warnings
+from dataclasses import asdict
 
 import numpy as np
 import pytest
 
 from conftest import CHILD_ENV, ONE_CPU
+from oracles import filter_depth_reference
 from sparseview import depth_filter, synth
 from sparseview.cli import run
 from sparseview.depth_filter import (
@@ -94,19 +96,38 @@ class TestDepthDiscrepancy:
         assert report.removed_total == 0 and report.kept == 9
 
 
+def everywhere(shape):
+    return np.ones(shape, dtype=bool)
+
+
 class TestGradientDiscrepancy:
     def test_constant_maps_zero(self):
         a = np.full((4, 4), 3.0)
         b = np.full((4, 4), 9.0)
-        assert np.allclose(gradient_discrepancy(a, b), 0.0)
+        # tau 0 takes the exact path and finds every discrepancy exactly 0
+        for tau in (0.0, 1e-9):
+            assert not gradient_discrepancy(a, b, tau, everywhere(a.shape)).any()
 
     def test_scaled_map_zero(self):
         rng = np.random.default_rng(0)
+        below = np.nextafter(1e-9, 0.0)  # no True at this tau: every discrepancy < 1e-9
         for _ in range(10):
             base = smooth_map(rng)
             c = rng.uniform(0.2, 5.0)
-            delta = gradient_discrepancy(base, c * base)
-            assert np.max(delta) < 1e-9
+            assert not gradient_discrepancy(base, c * base, below, everywhere(base.shape)).any()
+
+    def test_any_memory_layout(self):
+        rng = np.random.default_rng(3)
+        geom, mono = smooth_map(rng, 9, 24), smooth_map(rng, 9, 24)
+
+        def formula(g, m):
+            return np.abs(np.hypot(*np.gradient(m)[::-1]) / m - np.hypot(*np.gradient(g)[::-1]) / g)
+
+        for layout in (np.ascontiguousarray, np.asfortranarray, lambda a: a[:, ::2]):
+            g, m = layout(geom), layout(mono)
+            tau = float(np.median(formula(g, m)))
+            expected = formula(g, m) > tau
+            assert np.array_equal(gradient_discrepancy(g, m, tau, everywhere(g.shape)), expected)
 
     def test_too_small(self):
         with pytest.raises(TooSmall):
@@ -124,12 +145,12 @@ class TestGradientDiscrepancy:
         geom = np.full((4, 4), 5.0)
         geom[1, 1] = 0.0  # invalid
         mono = np.full((4, 4), 5.0)
-        delta = gradient_discrepancy(geom, mono)
+        over = gradient_discrepancy(geom, mono, FilterConfig().tau_grad, everywhere((4, 4)))
         # the hole's stencil neighbours see a large gradient, yet have no
         # usable comparison, so they are kept
         for r, c in ((0, 1), (2, 1), (1, 0), (1, 2)):
-            assert delta[r, c] > FilterConfig().tau_grad
-        assert delta[3, 3] == 0.0
+            assert over[r, c]
+        assert not gradient_discrepancy(geom, mono, 0.0, everywhere((4, 4)))[3, 3]
         filtered, report = filter_depth(DepthMap(geom), DepthMap(mono))
         assert np.array_equal(filtered.values, geom)
         assert report.removed_total == 0 and report.kept == 15
@@ -243,7 +264,12 @@ def test_overflow_leaks_no_warning():
         assert report.removed_by_depth == 1 and filtered.values[0, 0] == 0.0
         # the kernels called on their own overflow quietly too
         assert depth_discrepancy(geom, mono)[0, 0] == np.inf
-        gradient_discrepancy(np.array([[1e308, -1e308], [1.0, 1.0]]), np.ones((2, 2)))
+        gradient_discrepancy(np.array([[1e308, -1e308], [1.0, 1.0]]), np.ones((2, 2)), 0.1,
+                             everywhere((2, 2)))
+        # squares that overflow on the fast path are decided on the exact one
+        over = gradient_discrepancy(np.array([[1e308, 1.0], [1.0, 1.0]]), np.ones((2, 2)), 0.1,
+                                    everywhere((2, 2)))
+        assert over.tolist() == [[True, True], [True, False]]
 
 
 def test_config_rejects_nonpositive_thresholds():
@@ -251,6 +277,72 @@ def test_config_rejects_nonpositive_thresholds():
         FilterConfig(tau_depth=0.0)
     with pytest.raises(InvalidSpec):
         FilterConfig(tau_grad=-1.0)
+    # an infinite threshold would switch its test off
+    for name in ("tau_depth", "tau_grad"):
+        with pytest.raises(InvalidSpec, match=name):
+            FilterConfig(**{name: float("inf")})
+
+
+def _smooth_pair():
+    """A seeded 6x6 pair, every pixel valid, so every pixel is gated."""
+    rng = np.random.default_rng(0)
+    geom = rng.uniform(1.0, 2.0, (6, 6))
+    return geom, geom * rng.uniform(0.8, 1.2, (6, 6))
+
+
+def _spike_pair():
+    """3x3 maps whose one gated pixel is a 1e300 centre over four valid
+    neighbours near 1e-13 (the corners are invalid), so its normalized
+    gradients are subnormal and 2**-40 (nm + ng) underflows to 0. Both maps
+    hold the same values, so s is 1."""
+    a, b, c, d = (float.fromhex(x) for x in ("0x1.b87f07a937964p-43", "0x1.2359ae48d0c2ap-43",
+                                           "0x1.61b52f675920fp-43", "0x1.6d47e2c5c6ceap-43"))
+    geom = np.zeros((3, 3))
+    geom[1, 1] = 1e300
+    mono = geom.copy()
+    geom[0, 1], geom[2, 1], geom[1, 0], geom[1, 2] = a, b, c, d
+    mono[0, 1], mono[2, 1], mono[1, 0], mono[1, 2] = a, c, b, d
+    return geom, mono
+
+
+def _fast_and_exact(geom, mono):
+    """|d| of the pair by sqrt(gx*gx + gy*gy)/v and by np.hypot(gx, gy)/v."""
+    with np.errstate(all="ignore"):  # the spike pair's edges overflow
+        (fast_g, exact_g), (fast_m, exact_m) = (
+            (np.sqrt(gx * gx + gy * gy) / v, np.hypot(gx, gy) / v)
+            for v in (geom, mono) for gy, gx in [np.gradient(v)]
+        )
+        return np.abs(fast_m - fast_g), np.abs(exact_m - exact_g)
+
+
+@pytest.mark.parametrize("pair", [_smooth_pair, _spike_pair], ids=["smooth", "subnormal"])
+def test_a_discrepancy_at_tau_is_decided_exactly(monkeypatch, pair):
+    geom, mono = pair()
+    s = filter_depth_reference(geom, mono, 0.25, 0.1)[1]["scale_s"]
+    fast, exact = _fast_and_exact(geom * s, mono)
+    gated = np.zeros(geom.shape, dtype=bool)
+    gated[1:-1, 1:-1] = True  # every pixel of either pair keeps its stencil here
+    p = tuple(int(i[0]) for i in np.nonzero(gated & (fast > exact)))
+    # a few ulps apart: the fast answer d > tau is True, the exact one False
+    tau = exact[p]
+    assert fast[p] - tau <= 8 * np.spacing(tau)
+
+    seen = []
+    exact_norm_at = depth_filter._exact_norm_at
+
+    def spy(values, pixels):
+        seen.extend(zip(*(i.tolist() for i in pixels)))
+        return exact_norm_at(values, pixels)
+
+    monkeypatch.setattr(depth_filter, "_exact_norm_at", spy)
+    config = FilterConfig(tau_grad=tau)
+    filtered, report = filter_depth(DepthMap(geom), DepthMap(mono), config)
+    # one band, so the band's pixel coordinates are the map's; each pixel is
+    # seen once per map, and at most 4 of them are near tau
+    assert p in seen and len(seen) <= 2 * 4
+    expected, expected_report = filter_depth_reference(geom, mono, config.tau_depth, tau)
+    assert filtered.values.tobytes() == expected.tobytes()
+    assert asdict(report) == expected_report
 
 
 def _write_raw_pfm(path, values):

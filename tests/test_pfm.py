@@ -96,9 +96,11 @@ def test_truncated_payload(tmp_path):
         (b"Pf\n2 1\n0.0\n" + b"\x00" * 8, "scale"),
         (b"Pf\n100000 100000\n-1.0\n" + b"\x00" * 8, "truncated pixel data"),
         (b"Pf\n2 x\n-1.0\n" + b"\x00" * 8, "bad dimensions or scale"),
+        # a 3x2 raster under a 3x1 header
+        (b"Pf\n3 1\n-1.0\n" + b"\x00" * 24, ":3: 12 bytes after the 3x1 pixel data"),
     ],
     ids=["truncated-header", "nan-scale", "inf-scale", "zero-scale", "oversized-claim",
-         "non-integer-height"],
+         "non-integer-height", "bytes-after-raster"],
 )
 def test_malformed_header_names_file(tmp_path, content, reason):
     path = tmp_path / "d.pfm"

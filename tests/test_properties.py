@@ -1,11 +1,13 @@
 """Property tests of the input contract: on any file content, the readers
 raise only SparseViewError (a MalformedLine always naming its file), and
 `coverage` exits 0 or 1, never 2; of the depth filter's invariants on any
-pair of small maps; of the sampler's batch invariants on small scenes; and
-of Louvain against its reference copy that evaluates every node."""
+pair of small maps, and of its bytes against the whole-map reference; of
+the sampler's batch invariants on small scenes; and of Louvain against its
+reference copy that evaluates every node."""
 
 import json
 import random
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -14,7 +16,13 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from oracles import louvain_reference, parse_match_graph_reference, union_find_components
+from oracles import (
+    filter_depth_reference,
+    louvain_reference,
+    parse_match_graph_reference,
+    union_find_components,
+)
+from sparseview import depth_filter
 from sparseview.batches import Phase, read_batches, write_batches
 from sparseview.cli import run
 from sparseview.community import louvain
@@ -230,6 +238,63 @@ def test_filter_depth_invariants(pair, taus):
     assert int(removed.sum()) == report.removed_total
     assert report.kept + report.removed_total == int(valid.sum())
     assert report.removed_total <= report.removed_by_depth + report.removed_by_grad
+
+
+# any magnitude a float64 depth may have, or an invalid depth of every kind
+wide_depths = st.one_of(
+    st.floats(1e-300, 1e300),
+    st.sampled_from([0.0, -0.0, -1.0, float("nan"), float("inf"), -float("inf")]),
+)
+
+
+@st.composite
+def wide_depth_pairs(draw):
+    """A pair of one shape. Each map has a magnitude of its own, from 1e-300
+    (every square of a gradient underflows) to 1e300; a seeded pattern of
+    three depths of that magnitude gives it flat regions and steps, and some
+    pixels are then drawn from `wide_depths`."""
+    shape = draw(st.tuples(st.integers(2, 6), st.integers(2, 6)))
+    size = shape[0] * shape[1]
+
+    def draw_map():
+        magnitude = draw(st.sampled_from([1e-300, 1e-160, 1.0, 1e160, 1e300]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        values = magnitude * rng.choice([1.0, 1.5, 2.0], size=shape, p=[0.6, 0.2, 0.2])
+        for index, value in draw(st.lists(st.tuples(st.integers(0, size - 1), wide_depths),
+                                          max_size=size // 2)):
+            values.flat[index] = value
+        return values
+
+    return draw_map(), draw_map()
+
+
+@settings(max_examples=300)
+@given(
+    pair=wide_depth_pairs(),
+    tau_depth=st.sampled_from([0.25, 1e-6, 10.0]),
+    tau_grad=st.one_of(st.floats(1e-320, 10.0), st.sampled_from([0.1, 1e-320, 1e-150])),
+    band_rows=st.sampled_from([1, 2, 128]),
+)
+def test_filter_depth_matches_whole_map_reference(pair, tau_depth, tau_grad, band_rows):
+    """Bands, the fast gradient gate and its exact fallback give the bytes and
+    the report of the whole-map np.gradient + np.hypot formula."""
+    geom, mono = pair
+    try:
+        expected = filter_depth_reference(geom, mono, tau_depth, tau_grad)
+    except SparseViewError as exc:
+        expected = type(exc)
+    rows = depth_filter.BAND_ROWS
+    depth_filter.BAND_ROWS = band_rows
+    try:
+        filtered, report = filter_depth(DepthMap(geom), DepthMap(mono),
+                                        FilterConfig(tau_depth, tau_grad))
+    except SparseViewError as exc:
+        assert type(exc) is expected
+        return
+    finally:
+        depth_filter.BAND_ROWS = rows
+    assert not isinstance(expected, type), f"filter_depth did not raise {expected.__name__}"
+    assert (filtered.values.tobytes(), asdict(report)) == (expected[0].tobytes(), expected[1])
 
 
 @st.composite
