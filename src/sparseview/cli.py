@@ -20,7 +20,7 @@ from . import community as community_mod
 from . import metrics as metrics_mod
 from . import synth as synth_mod
 from .depth_filter import FilterConfig, filter_depth
-from .errors import InvariantViolation, SparseViewError
+from .errors import EmptySample, InvariantViolation, SparseViewError
 from .metrics import DEFAULT_THRESHOLDS
 from .partition import partition_round_robin
 from .pfm import read_pfm, write_pfm
@@ -201,6 +201,8 @@ def cmd_coverage(args) -> int:
     positions = scene.positions()
     nodes = sorted(graph.adjacency)
     loaded = batches_io.read_batches(args.batches)
+    if not loaded:
+        raise EmptySample(f"{args.batches}: holds no batch")
     lines = []
     sums = {"cov": 0.0, "near": 0.0, "gdisp": 0.0, "edisp": 0.0}
     gdisp_count = 0
@@ -221,13 +223,12 @@ def cmd_coverage(args) -> int:
             f"excluded_pairs {disp.excluded_pairs}"
         )
     n = len(loaded)
-    if n:
-        lines.append(
-            f"aggregate batches {n} cov{args.k} {_fmt(sums['cov'] / n)} "
-            f"avg_nearest {_fmt(sums['near'] / n)} "
-            f"graph_disp {_fmt(sums['gdisp'] / gdisp_count if gdisp_count else None)} "
-            f"euclid_disp {_fmt(sums['edisp'] / n)}"
-        )
+    lines.append(
+        f"aggregate batches {n} cov{args.k} {_fmt(sums['cov'] / n)} "
+        f"avg_nearest {_fmt(sums['near'] / n)} "
+        f"graph_disp {_fmt(sums['gdisp'] / gdisp_count if gdisp_count else None)} "
+        f"euclid_disp {_fmt(sums['edisp'] / n)}"
+    )
     _write_out(args, "".join(line + "\n" for line in lines))
     return 0
 

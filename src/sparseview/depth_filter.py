@@ -22,6 +22,13 @@ derived next to `gradient_discrepancy`. np.hypot runs on the few pixels
 inside it, on any whose fast value overflowed, and on a whole band whose tau,
 or gated depths against tau, are so small that underflow could matter.
 
+A map is held in the dtype it arrives in: float32 as a PFM stores it,
+float64 from anything else. The validity masks and the medians work on the
+stored values, which float64 holds exactly, and each band widens its own
+rows to float64 before it scales them, so every comparison is made in
+float64: a float32 map gives the bytes and report the same map cast to
+float64 gives, and the output keeps the input's dtype.
+
 `filter_depth` works out each map's validity mask once; the depth kernel
 computes on every pixel, and only pixels with a usable comparison count.
 The map is filtered in bands of `BAND_ROWS` rows on a thread pool
@@ -56,14 +63,19 @@ def _valid(values: np.ndarray) -> np.ndarray:
 
 @dataclass
 class DepthMap:
-    """Row-major depth grid; a pixel is valid iff its value is finite and > 0."""
+    """Row-major depth grid; a pixel is valid iff its value is finite and > 0.
+    A float32 array (as a PFM stores it) is kept as given and any other input
+    becomes float64; the filter compares in float64 either way."""
 
     values: np.ndarray
 
     def __post_init__(self):
         import numpy as np
 
-        self.values = np.asarray(self.values, dtype=np.float64)
+        values = np.asarray(self.values)
+        if values.dtype != np.float32:
+            values = values.astype(np.float64, copy=False)
+        self.values = values
         if self.values.ndim != 2 or self.values.size == 0:
             raise ValueError(f"depth map must be a non-empty 2-D array, not {self.values.shape}")
 
@@ -102,11 +114,18 @@ class FilterReport:
     kept: int
 
 
-def _masked_median(values: np.ndarray, mask: np.ndarray) -> np.floating:
+def _masked_median(values: np.ndarray, mask: np.ndarray) -> np.float64:
+    """np.median of values[mask] taken in float64, with no float64 copy: the
+    stored dtype is partitioned, and the middle one or two values are
+    averaged by np.mean in float64, as np.median averages a float64 array.
+    `mask` selects at least one value and no NaN."""
     import numpy as np
 
-    # the masked copy is this call's own, so the median may reorder it
-    return np.median(values[mask], overwrite_input=True)
+    picked = values[mask]  # this call's own copy, so the partition may reorder it
+    half = picked.size // 2
+    middle = [half] if picked.size % 2 else [half - 1, half]
+    picked.partition(middle)
+    return np.mean(picked[middle].astype(np.float64))
 
 
 def median_scale(geom: np.ndarray, mono: np.ndarray, joint: np.ndarray) -> float:
@@ -287,11 +306,13 @@ def _filter_band(
     r1 = min(r0 + BAND_ROWS, height)
     lo, hi = max(r0 - 1, 0), min(r1 + 1, height)
     rows = slice(r0 - lo, r1 - lo)  # the band's own rows inside its halo
-    mono, valid_mono = mono[lo:hi], valid_mono[lo:hi]
+    # the band is widened to float64 here and nowhere else (a float32 * s
+    # would stay float32)
+    mono, valid_mono = mono[lo:hi].astype(np.float64, copy=False), valid_mono[lo:hi]
     # numpy's error state is per thread; scaling can overflow or underflow a
     # pixel out of the valid set
     with np.errstate(over="ignore", under="ignore"):
-        scaled = geom[lo:hi] * s
+        scaled = np.multiply(geom[lo:hi], s, dtype=np.float64)
     valid_scaled = _valid(scaled)
     joint = valid_scaled & valid_mono
     by_depth = joint[rows] & (depth_discrepancy(scaled[rows], mono[rows]) > config.tau_depth)
@@ -311,7 +332,7 @@ def filter_depth(
 
     Surviving pixels keep their original depth; removed pixels become 0.
     A pixel with no usable comparison (prior invalid there, or gradient
-    stencil contaminated) is kept.
+    stencil contaminated) is kept. The filtered map has `d_geom`'s dtype.
     """
     from concurrent.futures import ThreadPoolExecutor
 

@@ -2,7 +2,8 @@
 
 Canonical form written here: header `Pf`, `<width> <height>`, scale `-1.0`
 (little-endian float32), pixel rows stored bottom-to-top. Invalid depths, and
-finite depths beyond the float32 range, are encoded as 0.0. numpy is
+finite depths beyond the float32 range, are encoded as 0.0. A map is read as
+the native-endian float32 the file stores, with no widening. numpy is
 imported by the reader and the writer, not by this module.
 """
 
@@ -55,7 +56,8 @@ def read_pfm(path: str) -> DepthMap:
             raise MalformedLine(3, f"{extra} bytes after the {width}x{height} pixel data", path)
         data = f.read(4 * width * height)
         grid = np.frombuffer(data, dtype=dtype).reshape(height, width)
-    return DepthMap(np.flipud(grid).astype(np.float64))
+    # the one copy: rows flipped to top-to-bottom, a big-endian file byteswapped
+    return DepthMap(np.flipud(grid).astype(np.float32, order="C"))
 
 
 def write_pfm(path: str, depth: DepthMap) -> None:
@@ -63,9 +65,10 @@ def write_pfm(path: str, depth: DepthMap) -> None:
 
     # the one copy: rows flipped to bottom-to-top and cast to little-endian
     # float32; a finite depth beyond float32's range casts to inf, so the
-    # invalid pixels are zeroed after the cast
+    # invalid pixels are zeroed after the cast. The copy is forced: a float32
+    # map whose flip is already contiguous would otherwise be zeroed in place
     with np.errstate(over="ignore"):
-        grid = np.ascontiguousarray(np.flipud(depth.values), dtype="<f4")
+        grid = np.array(np.flipud(depth.values), dtype="<f4", order="C")
     grid[~np.isfinite(grid)] = 0.0
     with open(path, "wb") as f:
         f.write(b"Pf\n")

@@ -313,6 +313,16 @@ def test_coverage_of_a_view_outside_the_scene_exits_1(inputs, tmp_path, capsys):
     assert "error: unknown node 999" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("content", ["", "\n  \n"], ids=["empty", "blank-lines"])
+def test_coverage_of_a_file_with_no_batch_exits_1_naming_it(inputs, tmp_path, capsys, content):
+    batches, out = tmp_path / "b.jsonl", tmp_path / "c.txt"
+    batches.write_text(content)
+    assert run(["coverage", "--scene", inputs["ring"], "--batches", str(batches),
+                "--out", str(out)]) == 1
+    assert f"error: {batches}: holds no batch" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # synth arguments that put a camera where no look-at direction can be computed
 UNPOSABLE = [
     ["--kind", "ring", "--clusters", "3", "--cluster-size", "2", "--noise", "1e308"],

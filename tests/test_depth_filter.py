@@ -33,6 +33,12 @@ def test_depth_map_is_a_nonempty_2d_float_array():
     d = DepthMap([[1, 2, 3], [4, 5, 6]])
     assert d.values.dtype == np.float64
     assert (d.width, d.height) == (3, 2)
+    # a float32 map is kept as the array it is; float64 too; any other is float64
+    for dtype in (np.float32, np.float64):
+        values = np.ones((2, 3), dtype=dtype)
+        assert DepthMap(values).values is values
+    for other in (np.ones((2, 3), dtype=np.int32), np.ones((2, 3), dtype=np.float16)):
+        assert DepthMap(other).values.dtype == np.float64
     for bad in (np.ones(3), np.ones((0, 3)), np.ones((2, 2, 1))):
         with pytest.raises(ValueError):
             DepthMap(bad)
@@ -343,6 +349,45 @@ def test_a_discrepancy_at_tau_is_decided_exactly(monkeypatch, pair):
     expected, expected_report = filter_depth_reference(geom, mono, config.tau_depth, tau)
     assert filtered.values.tobytes() == expected.tobytes()
     assert asdict(report) == expected_report
+
+
+def _float32_sensitive_pair(kind):
+    """A float32 pair whose decisions float32 arithmetic would change.
+    "overflow": s = 2 scales a 3e38 depth outlier to 6e38, beyond float32's
+    range, so in float32 it and its four neighbours' stencils leave the valid
+    set and are kept. "underflow": depths near 1e-20 step by about 1e-23, so
+    every float32 square of a gradient underflows to 0 and sqrt(gx*gx +
+    gy*gy) reads 0 in float32, where the normalized gradients are about 2e-3
+    in float64 and equal in the two maps."""
+    if kind == "overflow":
+        geom = np.full((4, 4), 1e38, dtype=np.float32)
+        geom[1, 1] = 3e38
+        return geom, np.full((4, 4), 2e38, dtype=np.float32)
+    ys, xs = np.mgrid[0:6, 0:7]
+    geom = 1.0 + 1e-3 * xs + 2e-3 * ys
+    return geom.astype(np.float32), (1e-20 * geom).astype(np.float32)
+
+
+@pytest.mark.parametrize("kind", ["overflow", "underflow"])
+def test_float32_maps_are_decided_in_float64(kind):
+    geom, mono = _float32_sensitive_pair(kind)
+    config = FilterConfig(tau_grad=1e-4)
+    with np.errstate(over="ignore", under="ignore"):
+        if kind == "overflow":
+            assert np.isinf(geom[1, 1] * np.float32(2.0))
+        else:
+            gy, gx = np.gradient(mono)
+            assert gx.dtype == np.float32 and not np.any(gx * gx) and not np.any(gy * gy)
+    filtered, report = filter_depth(DepthMap(geom), DepthMap(mono), config)
+    expected, expected_report = filter_depth_reference(
+        geom.astype(np.float64), mono.astype(np.float64), config.tau_depth, config.tau_grad
+    )
+    assert filtered.values.dtype == np.float32
+    assert filtered.values.astype(np.float64).tobytes() == expected.tobytes()
+    assert asdict(report) == expected_report
+    # float64 removes the outlier and its neighbours, and keeps the whole ramp
+    removed = (1, 4, 5) if kind == "overflow" else (0, 0, 0)
+    assert (report.removed_by_depth, report.removed_by_grad, report.removed_total) == removed
 
 
 def _write_raw_pfm(path, values):

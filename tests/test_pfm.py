@@ -73,6 +73,45 @@ def test_big_endian_read(tmp_path):
     assert back.values.tolist() == [[1.5, 2.5]]
 
 
+@pytest.mark.parametrize("order,scale", [("<", "-1.0"), (">", "1.0")], ids=["little", "big"])
+def test_read_gives_native_float32_in_either_byte_order(tmp_path, order, scale):
+    values = np.array([[1.5, -0.0, np.nan], [3e38, 1e-45, np.inf]], dtype=np.float32)
+    path = tmp_path / "d.pfm"
+    raster = np.flipud(values).astype(order + "f4").tobytes()
+    path.write_bytes(f"Pf\n3 2\n{scale}\n".encode() + raster)
+    back = read_pfm(str(path)).values
+    assert back.dtype == np.float32 and back.dtype.isnative and back.flags.c_contiguous
+    assert back.tobytes() == values.tobytes()
+
+
+def test_read_then_write_is_byte_identical(tmp_path):
+    # any finite float32, subnormals, -0.0 and float32's extremes included:
+    # write_pfm changes only non-finite pixels
+    rng = np.random.default_rng(7)
+    bits = rng.integers(0, 2**32, size=(9, 6), dtype=np.uint64).astype(np.uint32)
+    values = bits.view(np.float32)
+    values[~np.isfinite(values)] = 1.0
+    values[0, :5] = [-0.0, 1e-45, -1e-45, np.finfo(np.float32).max, np.finfo(np.float32).min]
+    first, second = tmp_path / "a.pfm", tmp_path / "b.pfm"
+    first.write_bytes(b"Pf\n6 9\n-1.0\n" + np.flipud(values).astype("<f4").tobytes())
+    write_pfm(str(second), read_pfm(str(first)))
+    assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("shape", [(3, 4), (1, 4)], ids=["rows", "one-row"])
+def test_write_leaves_a_flipped_float32_input_unchanged(tmp_path, shape):
+    # flipping back makes these contiguous, so a cast that is no copy would
+    # zero the caller's NaN and inf in place
+    values = np.arange(1.0, 1.0 + np.prod(shape), dtype=np.float32).reshape(shape)
+    values[0, 1], values[-1, 2] = np.nan, np.inf
+    flipped = np.flipud(values)
+    before = flipped.tobytes()
+    depth = DepthMap(flipped)
+    assert depth.values is flipped
+    write_pfm(str(tmp_path / "d.pfm"), depth)
+    assert flipped.tobytes() == before
+
+
 def test_bad_magic(tmp_path):
     path = tmp_path / "d.pfm"
     path.write_bytes(b"PF\n2 1\n-1.0\n" + b"\x00" * 24)

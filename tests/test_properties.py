@@ -1,9 +1,10 @@
 """Property tests of the input contract: on any file content, the readers
 raise only SparseViewError (a MalformedLine always naming its file), and
 `coverage` exits 0 or 1, never 2; of the depth filter's invariants on any
-pair of small maps, and of its bytes against the whole-map reference; of
-the sampler's batch invariants on small scenes; and of Louvain against its
-reference copy that evaluates every node."""
+pair of small maps, of its bytes against the whole-map reference, and of
+float32 maps filtering as their float64 cast does; of the sampler's batch
+invariants on small scenes; and of Louvain against its reference copy that
+evaluates every node."""
 
 import json
 import random
@@ -295,6 +296,68 @@ def test_filter_depth_matches_whole_map_reference(pair, tau_depth, tau_grad, ban
         depth_filter.BAND_ROWS = rows
     assert not isinstance(expected, type), f"filter_depth did not raise {expected.__name__}"
     assert (filtered.values.tobytes(), asdict(report)) == (expected[0].tobytes(), expected[1])
+
+
+FLOAT32_MAX = float(np.finfo(np.float32).max)
+
+# any float32 depth, subnormals and infinities included, or an invalid depth
+# of every kind
+float32_depths = st.one_of(
+    st.floats(width=32),
+    st.sampled_from([0.0, -0.0, -1.0, float("nan"), float("inf"), -float("inf"), 1e-45,
+                     FLOAT32_MAX]),
+)
+
+
+@st.composite
+def float32_pairs(draw):
+    """A float32 pair of one shape, patterned as `wide_depth_pairs` is. Each
+    map has a magnitude of its own, from float32 subnormals to within a third
+    of float32's maximum, so s * geom can leave float32's range at either
+    end; some pixels are then drawn from `float32_depths`."""
+    shape = draw(st.tuples(st.integers(2, 6), st.integers(2, 6)))
+    size = shape[0] * shape[1]
+
+    def draw_map():
+        magnitude = draw(st.sampled_from([1e-44, 1e-39, 1e-20, 1.0, 1e20, 1e38, FLOAT32_MAX / 3]))
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        values = magnitude * rng.choice([1.0, 1.5, 2.0, 3.0], size=shape, p=[0.5, 0.2, 0.2, 0.1])
+        values = values.astype(np.float32)
+        for index, value in draw(st.lists(st.tuples(st.integers(0, size - 1), float32_depths),
+                                          max_size=size // 2)):
+            values.flat[index] = value
+        return values
+
+    return draw_map(), draw_map()
+
+
+@settings(max_examples=300)
+@given(
+    pair=float32_pairs(),
+    tau_depth=st.sampled_from([0.25, 1e-6, 10.0]),
+    tau_grad=st.one_of(st.floats(1e-320, 10.0), st.sampled_from([0.1, 1e-320, 1e-150])),
+    band_rows=st.sampled_from([1, 2, 128]),
+)
+def test_float32_maps_filter_as_their_float64_cast(pair, tau_depth, tau_grad, band_rows):
+    """A float32 pair, held as float32, gives the values and the report the
+    same pair cast to float64 gives, or raises the same error."""
+    results = []
+    rows = depth_filter.BAND_ROWS
+    depth_filter.BAND_ROWS = band_rows
+    try:
+        for dtype in (np.float32, np.float64):
+            geom, mono = (DepthMap(values.astype(dtype)) for values in pair)
+            assert geom.values.dtype == mono.values.dtype == dtype
+            try:
+                filtered, report = filter_depth(geom, mono, FilterConfig(tau_depth, tau_grad))
+            except SparseViewError as exc:
+                results.append(type(exc))
+                continue
+            assert filtered.values.dtype == dtype
+            results.append((filtered.values.astype(np.float64).tobytes(), asdict(report)))
+    finally:
+        depth_filter.BAND_ROWS = rows
+    assert results[0] == results[1]
 
 
 @st.composite
