@@ -79,8 +79,11 @@ _positive_float.__name__ = "float"  # argparse reports a non-number as "invalid 
 
 def _thresholds(text: str) -> list[int]:
     """argparse type: comma-separated distinct whole degrees, each >= 1."""
-    values = [_at_least(1)(t) for t in text.split(",") if t]
-    if not values or len(set(values)) < len(values):
+    entries = text.split(",")
+    if not all(t.strip() for t in entries):
+        raise argparse.ArgumentTypeError(f"has an empty entry, got {text!r}")
+    values = [_at_least(1)(t) for t in entries]
+    if len(set(values)) < len(values):
         raise argparse.ArgumentTypeError(f"needs distinct whole degrees, got {text!r}")
     return values
 
@@ -176,12 +179,14 @@ def cmd_partition(args) -> int:
 def cmd_sample(args) -> int:
     if not args.out:
         raise _UsageError("--out is required for sample")
+    if args.weight_mode is not None and args.preset == Preset.RANDOM.value:
+        raise _UsageError("sample --preset random does not read --weight-mode")
     config = SamplingConfig(
         n_views=args.n,
         max_components=args.ncc,
         search_depth=args.depth,
         prune_threshold=args.prune_threshold,
-        weight_mode=WeightMode(args.weight_mode),
+        weight_mode=WeightMode(args.weight_mode or SamplingConfig.weight_mode.value),
         seed=args.seed,
         preset=Preset(args.preset) if args.preset else None,
     )
@@ -207,9 +212,12 @@ def cmd_coverage(args) -> int:
     sums = {"cov": 0.0, "near": 0.0, "gdisp": 0.0, "edisp": 0.0}
     gdisp_count = 0
     for idx, batch in enumerate(loaded):
-        cov = metrics_mod.k_hop_coverage(graph, batch.views, args.k)
-        near = metrics_mod.avg_nearest_sample_dist(positions, nodes, batch.views)
-        disp = metrics_mod.dispersion(graph, positions, batch.views)
+        try:
+            cov = metrics_mod.k_hop_coverage(graph, batch.views, args.k)
+            near = metrics_mod.avg_nearest_sample_dist(positions, nodes, batch.views)
+            disp = metrics_mod.dispersion(graph, positions, batch.views)
+        except SparseViewError as exc:  # a fault of one batch, so name the file and the batch
+            raise SparseViewError(f"{args.batches}: batch {idx}: {exc}") from exc
         sums["cov"] += cov
         sums["near"] += near
         sums["edisp"] += disp.euclidean_dispersion
@@ -350,7 +358,7 @@ def build_parser() -> _Parser:
     p.add_argument(
         "--weight-mode",
         choices=[m.value for m in WeightMode],
-        default=SamplingConfig.weight_mode.value,
+        help=f"Steiner edge weights (default {SamplingConfig.weight_mode.value}; not with random)",
     )
     _add_common(p, seed=True)
     p.set_defaults(func=cmd_sample)

@@ -313,10 +313,9 @@ def _filter_band(
     # pixel out of the valid set
     with np.errstate(over="ignore", under="ignore"):
         scaled = np.multiply(geom[lo:hi], s, dtype=np.float64)
-    valid_scaled = _valid(scaled)
-    joint = valid_scaled & valid_mono
+    joint = _valid(scaled) & valid_mono
     by_depth = joint[rows] & (depth_discrepancy(scaled[rows], mono[rows]) > config.tau_depth)
-    gated = joint & _stencil_valid(valid_scaled) & _stencil_valid(valid_mono)
+    gated = joint & _stencil_valid(joint)  # the stencil of an AND is the AND of stencils
     gated[: rows.start] = False  # the halo rows are the neighbouring bands'
     gated[rows.stop :] = False
     by_grad = gradient_discrepancy(scaled, mono, config.tau_grad, gated)[rows]

@@ -149,13 +149,12 @@ def text_lines(path: str):
         raise MalformedLine(line_no, f"not UTF-8 text: {exc.reason}", path) from exc
 
 
-def _content_lines(path):
-    """Yield (line_no, stripped_line) skipping comments and blank lines."""
+def _content_tokens(path):
+    """Yield (line_no, tokens) for each line that is neither blank nor a comment."""
     for line_no, raw in text_lines(path):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield line_no, line
+        toks = raw.split()
+        if toks and toks[0][0] != "#":
+            yield line_no, toks
 
 
 def _known(kind: str, id_: int, known, line_no: int, path: str) -> None:
@@ -173,8 +172,7 @@ def _finite(values: tuple[float, ...], line_no: int, path: str) -> tuple[float, 
 
 def parse_cameras(path: str) -> dict[int, CameraIntrinsics]:
     cameras: dict[int, CameraIntrinsics] = {}
-    for line_no, line in _content_lines(path):
-        toks = line.split()
+    for line_no, toks in _content_tokens(path):
         if len(toks) < 4:
             raise MalformedLine(line_no, "camera line needs id, model, width, height", path)
         try:
@@ -236,8 +234,7 @@ def parse_images(path: str, camera_ids=None) -> dict[int, PosedView]:
 def parse_points(path: str, view_ids=None) -> list[ScenePoint]:
     """A track view outside `view_ids` raises DanglingReference; None checks none."""
     points: dict[int, ScenePoint] = {}
-    for line_no, line in _content_lines(path):
-        toks = line.split()
+    for line_no, toks in _content_tokens(path):
         if len(toks) < 8:
             raise MalformedLine(line_no, "point line needs at least 8 fields", path)
         if (len(toks) - 8) % 2 != 0:
@@ -264,12 +261,7 @@ def parse_match_graph(path: str, view_ids=None) -> dict[tuple[int, int], int]:
     DanglingReference; None checks none.
     """
     merged: dict[tuple[int, int], int] = {}
-    # the hot loop of a scene load: one split per line, and the checks that
-    # _content_lines and _known would make, inlined
-    for line_no, raw in text_lines(path):
-        toks = raw.split()
-        if not toks or toks[0][0] == "#":
-            continue
+    for line_no, toks in _content_tokens(path):
         if len(toks) != 3:
             raise MalformedLine(line_no, "match line needs 3 fields", path)
         try:

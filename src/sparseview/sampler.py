@@ -33,7 +33,8 @@ from .errors import EmptyPartition, InvalidK, InvalidSpec, InvariantViolation, U
 from .partition import partition_round_robin
 from .recon_io import SceneReconstruction
 from .steiner import WeightMode, approximate_steiner_tree, select_terminals
-from .view_graph import ViewGraph, build_graph, connected_components, prune_edges, subgraph
+from .view_graph import ViewGraph, build_graph, connected_components, from_edge_weights
+from .view_graph import prune_edges, subgraph
 
 
 class Preset(Enum):
@@ -96,7 +97,7 @@ def resolve_config(config: SamplingConfig, batch_seed: int) -> BatchConfig:
         depth = rng.randint(5, 24)
         n_cc = rng.randint(1, 4)
     elif config.preset is Preset.RANDOM:
-        # uniform choice imposes no component bound and runs no search
+        # uniform choice runs no search, and its bound of n_views always holds
         depth, n_cc = DEFAULT_SEARCH_DEPTH, config.n_views
     return BatchConfig(config.n_views, n_cc, depth, batch_seed)
 
@@ -136,12 +137,7 @@ def _max_terminal_subtree(tree_nodes, tree_edges, terminals, budget: int) -> set
     nodes = sorted(tree_nodes)
     if len(nodes) <= budget:
         return set(nodes)
-    adj: dict[int, list[int]] = {n: [] for n in nodes}
-    for u, v in tree_edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    for n in adj:
-        adj[n].sort()
+    adj = from_edge_weights(nodes, dict.fromkeys(tree_edges, 1)).adjacency
     root = nodes[0]
     parent: dict[int, int | None] = {root: None}
     order = []
@@ -149,7 +145,7 @@ def _max_terminal_subtree(tree_nodes, tree_edges, terminals, budget: int) -> set
     while stack:
         u = stack.pop()
         order.append(u)
-        for v in adj[u]:
+        for v, _ in adj[u]:
             if v != parent[u]:
                 parent[v] = u
                 stack.append(v)
@@ -158,7 +154,7 @@ def _max_terminal_subtree(tree_nodes, tree_edges, terminals, budget: int) -> set
     f: dict[int, dict[int, tuple[int, list[tuple[int, int]]]]] = {}
     for u in reversed(order):
         dp = {1: ((1 if u in terminals else 0), [])}
-        for c in adj[u]:
+        for c, _ in adj[u]:
             if c == parent[u]:
                 continue
             merged = dict(dp)
@@ -297,43 +293,40 @@ def _sample_one(ctx: SceneContext, config: SamplingConfig, batch_seed: int) -> S
     if config.preset is Preset.RANDOM:
         rng = random.Random(derive_seed(batch_seed, "random"))
         nodes = sorted(ctx.pruned.adjacency)
-        k = min(resolved.n_views, len(nodes))
-        views = rng.sample(nodes, k)
+        views = rng.sample(nodes, min(resolved.n_views, len(nodes)))
         prov = [ViewProvenance(0, labels[v], Phase.FILL) for v in views]
-        return SampledBatch(ctx.scene_id, resolved, views, prov, truncated=k < resolved.n_views)
-
-    n_cc = min(resolved.max_components, resolved.n_views, ctx.pruned.node_count)
-    if n_cc != resolved.max_components:
-        resolved = replace(resolved, max_components=n_cc)
-    parts = partition_round_robin(
-        ctx.pruned, n_cc, derive_seed(batch_seed, "partition"), ctx.communities
-    )
-    quotas = _random_composition(
-        resolved.n_views, n_cc, random.Random(derive_seed(batch_seed, "quota"))
-    )
-    views: list[int] = []
-    prov: list[ViewProvenance] = []
-    for i in range(n_cc):
-        picked = sample_partition(
-            ctx.pruned,
-            parts.parts[i],
-            quotas[i],
-            resolved.search_depth,
-            ctx.communities,
-            ctx.positions,
-            derive_seed(batch_seed, "part", i),
-            part_index=i,
-            weight_mode=config.weight_mode,
+    else:
+        n_cc = min(resolved.max_components, resolved.n_views, ctx.pruned.node_count)
+        if n_cc != resolved.max_components:
+            resolved = replace(resolved, max_components=n_cc)
+        parts = partition_round_robin(
+            ctx.pruned, n_cc, derive_seed(batch_seed, "partition"), ctx.communities
         )
-        for v, p in picked:
-            views.append(v)
-            prov.append(p)
+        quotas = _random_composition(
+            resolved.n_views, n_cc, random.Random(derive_seed(batch_seed, "quota"))
+        )
+        views, prov = [], []
+        for i in range(n_cc):
+            picked = sample_partition(
+                ctx.pruned,
+                parts.parts[i],
+                quotas[i],
+                resolved.search_depth,
+                ctx.communities,
+                ctx.positions,
+                derive_seed(batch_seed, "part", i),
+                part_index=i,
+                weight_mode=config.weight_mode,
+            )
+            for v, p in picked:
+                views.append(v)
+                prov.append(p)
     batch = SampledBatch(
         ctx.scene_id, resolved, views, prov, truncated=len(views) < resolved.n_views
     )
-    got = len(connected_components(subgraph(ctx.pruned, views)))
-    if got > n_cc:
-        raise InvariantViolation(f"sampled {got} components, bound is {n_cc}")
+    got, bound = len(connected_components(subgraph(ctx.pruned, views))), resolved.max_components
+    if got > bound:
+        raise InvariantViolation(f"sampled {got} components, bound is {bound}")
     return batch
 
 
@@ -426,6 +419,9 @@ def dfs_subsample(
     restarting from a random unvisited batch view when a component runs out."""
     if k < 2 or k > len(batch.views):
         raise InvalidK(f"k={k} not in [2, {len(batch.views)}]")
+    for v in batch.views:
+        if not graph.has_node(v):
+            raise UnknownNode(v)
     induced = subgraph(graph, batch.views)
     prov_of = dict(zip(batch.views, batch.provenance))
     rng = random.Random(seed)

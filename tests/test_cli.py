@@ -104,6 +104,8 @@ BAD_FLAGS = [
     ("pose-eval", ["--thresholds", ""], "--thresholds"),
     ("pose-eval", ["--thresholds", ","], "--thresholds"),
     ("pose-eval", ["--thresholds", "5,5"], "--thresholds"),
+    ("pose-eval", ["--thresholds", "5,,10"], "--thresholds"),
+    ("pose-eval", ["--thresholds", "5,"], "--thresholds"),
     ("communities", ["--resolution", "nan"], "--resolution"),
     ("communities", ["--resolution", "-1"], "--resolution"),
     ("communities", ["--resolution", "inf"], "--resolution"),
@@ -126,6 +128,8 @@ BAD_FLAGS = [
     ("sample", ["--preset", "dense", "--ncc", "3"], "max_components"),
     ("sample", ["--preset", "sparse", "--depth", "2"], "search_depth"),
     ("sample", ["--preset", "random", "--ncc", "2"], "max_components"),
+    # random runs no Steiner search
+    ("sample", ["--preset", "random", "--weight-mode", "inverse-match"], "--weight-mode"),
 ]
 
 
@@ -310,7 +314,21 @@ def test_coverage_of_a_view_outside_the_scene_exits_1(inputs, tmp_path, capsys):
     record["views"][0] = 999
     batches.write_text(json.dumps(record) + "\n")
     assert run(["coverage", "--scene", inputs["ring"], "--batches", str(batches)]) == 1
-    assert "error: unknown node 999" in capsys.readouterr().err
+    assert f"error: {batches}: batch 0: unknown node 999" in capsys.readouterr().err
+
+
+def test_coverage_of_a_one_view_batch_exits_1_naming_file_and_batch(tmp_path, capsys):
+    # `sample` itself writes a one-view batch, flagged truncated, for a one-view scene
+    one, batches, out = tmp_path / "one", tmp_path / "b.jsonl", tmp_path / "c.txt"
+    assert run(["synth", "--kind", "ring", "--clusters", "1", "--cluster-size", "1",
+                "--out", str(one), "--quiet"]) == 0
+    assert run(["sample", "--scene", str(one), "--n", "2", "--out", str(batches), "--quiet"]) == 0
+    assert [(b.views, b.truncated) for b in read_batches(str(batches))] == [([1], True)]
+    assert run(["coverage", "--scene", str(one), "--batches", str(batches),
+                "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"error: {batches}: batch 0: dispersion needs at least two samples" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("content", ["", "\n  \n"], ids=["empty", "blank-lines"])
@@ -394,6 +412,18 @@ def test_component_bound_violation_exits_2_even_under_O(inputs, tmp_path, monkey
     )
     assert proc.returncode == 2, proc.stderr.decode()
     assert b"invariant violation" in proc.stderr
+
+
+def test_component_bound_is_checked_on_random_batches(inputs, tmp_path, monkeypatch, capsys):
+    # a count past any batch's size breaks random's bound of n_views
+    def over_count(graph):
+        return [{v} for v in graph.adjacency] + [set()]
+
+    monkeypatch.setattr(sampler, "connected_components", over_count)
+    argv = ["sample", "--scene", inputs["ring"], "--preset", "random", "--n", "6",
+            "--out", str(tmp_path / "b.jsonl"), "--quiet"]
+    assert run(argv) == 2
+    assert "invariant violation: sampled 7 components, bound is 6" in capsys.readouterr().err
 
 
 def test_search_budget_violation_exits_2_even_under_O(inputs, tmp_path, monkeypatch):

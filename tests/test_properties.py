@@ -1,10 +1,10 @@
 """Property tests of the input contract: on any file content, the readers
 raise only SparseViewError (a MalformedLine always naming its file), and
 `coverage` exits 0 or 1, never 2; of the depth filter's invariants on any
-pair of small maps, of its bytes against the whole-map reference, and of
-float32 maps filtering as their float64 cast does; of the sampler's batch
-invariants on small scenes; and of Louvain against its reference copy that
-evaluates every node."""
+pair of small maps, of its bytes against the whole-map reference, of
+float32 maps filtering as their float64 cast does, and of its gradient
+stencil distributing over AND; of the sampler's batch invariants on small
+scenes; and of Louvain against its reference copy that evaluates every node."""
 
 import json
 import random
@@ -16,6 +16,7 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import array_shapes, arrays
 
 from oracles import (
     filter_depth_reference,
@@ -222,6 +223,23 @@ def depth_pairs(draw):
     shape = draw(shapes)
     mono_shape = shape if draw(st.integers(0, 9)) else draw(shapes)
     return draw(depth_map(shape)), draw(depth_map(mono_shape))
+
+
+@st.composite
+def mask_pairs(draw):
+    """Two boolean masks of one shape, 2 to 12 pixels a side, each pixel
+    drawn on its own, so the two masks often differ next to a pixel."""
+    shape = draw(array_shapes(min_dims=2, max_dims=2, min_side=2, max_side=12))
+    return tuple(draw(arrays(bool, shape, fill=st.nothing())) for _ in range(2))
+
+
+@settings(max_examples=200)
+@given(masks=mask_pairs())
+def test_the_stencil_of_an_and_is_the_and_of_the_stencils(masks):
+    """`_filter_band` gates on one stencil of the joint mask."""
+    a, b = masks
+    both = depth_filter._stencil_valid(a) & depth_filter._stencil_valid(b)
+    assert np.array_equal(depth_filter._stencil_valid(a & b), both)
 
 
 @given(pair=depth_pairs(), taus=st.sampled_from([(0.25, 0.10), (0.05, 0.02), (2.0, 1.0)]))

@@ -266,6 +266,26 @@ def test_non_finite_number_names_file_and_line(tmp_path, parse, text, field, bad
     assert (exc.value.path, exc.value.line_no) == (path, 2)
 
 
+@pytest.mark.parametrize(
+    "parse,good,bad",
+    [
+        pytest.param(parse_cameras, "1 SIMPLE_PINHOLE 640 480 500 320 240", "2 PINHOLE 640 480",
+                     id="cameras"),
+        pytest.param(parse_points, "7 1 2 3 255 0 0 0.5", "8 1 2 3 255 0 0 0.5 1", id="points"),
+        pytest.param(parse_match_graph, "1 2 50", "1 2", id="matches"),
+    ],
+)
+def test_indented_comments_and_whitespace_lines_are_skipped(tmp_path, parse, good, bad):
+    # a vertical tab and a form feed are whitespace to str.split(), as to
+    # str.strip(), but no line break to a text-mode read
+    skipped = f"  \t# indented {bad}\n \t\x0b\x0c \n\t#{bad}\n"
+    assert len(parse(write(tmp_path, "ok.txt", skipped + good + "\n" + skipped))) == 1
+    path = write(tmp_path, "bad.txt", skipped + good + "\n" + skipped + bad + "\n")
+    with pytest.raises(MalformedLine) as exc:
+        parse(path)
+    assert (exc.value.path, exc.value.line_no) == (path, 8)
+
+
 # (file, line, edit of its tokens, error, message after `path:line: `)
 LOCATED = [
     ("images.txt", 4, lambda toks: ["1", *toks[1:]], DuplicateId, "duplicate view id 1"),

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from dataclasses import replace
 
 import pytest
 
@@ -335,6 +336,13 @@ class TestDfsSubsample:
             dfs_subsample(batch, graph, 1, seed=0)
         with pytest.raises(InvalidK):
             dfs_subsample(batch, graph, len(batch.views) + 1, seed=0)
+
+    def test_view_outside_the_graph(self):
+        batch, graph = self.make_batch()
+        outside = replace(batch, views=[*batch.views[:-1], 999])
+        with pytest.raises(UnknownNode) as exc:
+            dfs_subsample(outside, graph, 2, seed=0)
+        assert exc.value.node == 999
 
     def test_preserves_partition_community(self):
         batch, graph = self.make_batch()
