@@ -108,20 +108,23 @@ def greedy_step(
     sampled,
     communities: CommunityAssignment,
     positions,
+    part=None,
 ) -> int | None:
     """Best unsampled neighbor of `current`, or None if there is none.
 
     Candidates are ranked by (community not yet sampled, Euclidean distance
-    from `current`) descending, with node id ascending as the final
-    tie-break.
+    from `current`) descending, with node id ascending as the final tie-break.
+    Only nodes of `part` (None: the whole graph) are candidates, as on
+    `subgraph(graph, part)`; a `current` outside the part is UnknownNode.
     """
-    if not graph.has_node(current):
+    inside = graph.adjacency if part is None else part
+    if not graph.has_node(current) or current not in inside:
         raise UnknownNode(current)
     sampled = set(sampled)
     seen_comms = {communities.labels[s] for s in sampled}
     best_key, best = None, None
     for u, _ in graph.adjacency[current]:
-        if u in sampled:
+        if u in sampled or u not in inside:
             continue
         novelty = communities.labels[u] not in seen_comms
         dist = math.dist(positions[u], positions[current])
@@ -182,12 +185,12 @@ def _max_terminal_subtree(tree_nodes, tree_edges, terminals, budget: int) -> set
     return keep
 
 
-def _fill_draw(sub: ViewGraph, sampled: set[int], rng: random.Random) -> int | None:
-    """One local fill draw from the 1-hop neighborhood of the sampled set, or
-    None when it is empty. So the fill never leaves the sampled set's
-    component: a round-robin part is connected, and its sampled set always
-    has an unsampled neighbour until the whole part is sampled."""
-    pool = {v for s in sampled for v, _ in sub.adjacency[s]} - sampled
+def _fill_draw(graph: ViewGraph, part, sampled: set[int], rng: random.Random) -> int | None:
+    """One local fill draw from the 1-hop neighborhood of the sampled set
+    inside the part, or None when it is empty. So the fill never leaves the
+    sampled set's component: a round-robin part is connected, and its sampled
+    set always has an unsampled neighbour until the whole part is sampled."""
+    pool = ({v for s in sampled for v, _ in graph.adjacency[s]} & part) - sampled
     return rng.choice(sorted(pool)) if pool else None
 
 
@@ -206,19 +209,18 @@ def sample_partition(
 
     Steiner-tree views come first (phases terminal/steiner), then greedy
     expansion, then local fill; terminal+steiner+greedy together never
-    exceed min(quota, depth).
+    exceed min(quota, depth). Each stage walks `graph` only inside `part`.
     """
     part = set(part)
     if not part:
         raise EmptyPartition("cannot sample from an empty partition")
     if quota < 1:
         raise ValueError("quota must be >= 1")
-    sub = subgraph(graph, part)
     labels = communities.labels
     budget = min(quota, depth)
 
     terminals = select_terminals(part, communities, derive_seed(seed, "terminals"))
-    tree = approximate_steiner_tree(sub, terminals, weight_mode)
+    tree = approximate_steiner_tree(graph, terminals, weight_mode, part)
     keep = _max_terminal_subtree(tree.tree_nodes, tree.tree_edges, tree.terminals, budget)
 
     out: list[tuple[int, ViewProvenance]] = []
@@ -231,7 +233,7 @@ def sample_partition(
     walk_rng = random.Random(derive_seed(seed, "walk"))
     walk = [walk_rng.choice(sorted(keep))]
     while len(sampled) < budget and walk:
-        nxt = greedy_step(sub, walk[-1], sampled, communities, positions)
+        nxt = greedy_step(graph, walk[-1], sampled, communities, positions, part)
         if nxt is None:
             walk.pop()  # backtrack to the most recent node with candidates
         else:
@@ -245,7 +247,7 @@ def sample_partition(
 
     fill_rng = random.Random(derive_seed(seed, "fill"))
     while len(sampled) < quota:
-        pick = _fill_draw(sub, sampled, fill_rng)
+        pick = _fill_draw(graph, part, sampled, fill_rng)
         if pick is None:
             break
         sampled.add(pick)

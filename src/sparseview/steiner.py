@@ -1,17 +1,17 @@
 """Approximate Steiner trees linking community representatives.
 
-Mehlhorn's construction: one multi-source shortest-path pass grows Voronoi
-regions around the terminals and, in the same pass, keeps the cheapest
-boundary edge between each pair of regions; those edges form a terminal
-closure graph, and the MST of that closure is expanded back to graph paths.
-That expansion is already the tree: a node and its shortest-path predecessor
-share a source, so each predecessor path stays inside one Voronoi region and
-each region adds a subtree of its shortest-path tree rooted at its terminal,
-while the closure MST joins the regions through one boundary edge each. The
-union is a forest whose every leaf is a terminal, and a tree when the closure
-MST spans the terminals; when it does not, DisconnectedTerminals names the
-terminals cut off. The result is within 2(1 - 1/|T|) of the optimal Steiner
-weight.
+Mehlhorn's construction: one multi-source shortest-path pass (a BFS under unit
+hops, a heap under inverse-match) grows Voronoi regions around the terminals
+and, in the same pass, keeps the cheapest boundary edge between each pair of
+regions; those edges form a terminal closure graph, and the MST of that
+closure is expanded back to graph paths. That expansion is already the tree:
+a node and its shortest-path predecessor share a source, so each predecessor
+path stays inside one Voronoi region and each region adds a subtree of its
+shortest-path tree rooted at its terminal, while the closure MST joins the
+regions through one boundary edge each. The union is a forest whose every
+leaf is a terminal, and a tree when the closure MST spans the terminals; when
+it does not, DisconnectedTerminals names the terminals cut off. The result is
+within 2(1 - 1/|T|) of the optimal Steiner weight.
 """
 
 from __future__ import annotations
@@ -53,20 +53,54 @@ def select_terminals(
     return {rng.choice(members[cid]) for cid in sorted(members)}
 
 
-def _multi_source_dijkstra(graph: ViewGraph, sources, mode: WeightMode):
-    """Shortest-path predecessor of every reachable node (-1 at a source),
-    the length of the edge to it, and the closure: the cheapest boundary edge
-    per pair of Voronoi regions, as
+def _multi_source_bfs(graph: ViewGraph, sources, inside):
+    """`_multi_source_dijkstra`'s result under unit hops, by a level-synchronous
+    BFS: each level is scanned in ascending id order, so a node's first visitor
+    is its smallest-id predecessor, as the heap's tie-break picks. An edge is
+    weighed when the scan meets a reached node of another region, whose level
+    and region are then final."""
+    level = sorted(sources)
+    dist = dict.fromkeys(level, 0)
+    pred = dict.fromkeys(level, -1)
+    src = {t: t for t in level}
+    closure: dict[tuple[int, int], tuple[int, int, int, float]] = {}
+    d = 0
+    while level:
+        d += 1
+        reached = []
+        for u in level:
+            su = src[u]
+            for v, _ in graph.adjacency[u]:
+                sv = src.get(v)
+                if sv is None:
+                    if v in inside:
+                        dist[v] = d
+                        pred[v] = u
+                        src[v] = su
+                        reached.append(v)
+                elif sv != su:
+                    lo, hi = (u, v) if u < v else (v, u)
+                    key = (su, sv) if su < sv else (sv, su)
+                    cand = (dist[lo] + 1 + dist[hi], lo, hi, 1.0)
+                    if key not in closure or cand < closure[key]:
+                        closure[key] = cand
+        level = sorted(reached)
+    pred_length = {v: 1.0 for v, p in pred.items() if p != -1}
+    return pred, pred_length, closure
+
+
+def _multi_source_dijkstra(graph: ViewGraph, sources, inside):
+    """Shortest-path predecessor of every node of `inside` a source reaches
+    (-1 at a source), the length of the edge to it, and the closure: the
+    cheapest boundary edge per pair of Voronoi regions, as
     {(source, source): (path length, low end, high end, edge length)}.
-    An edge of match count w is one unit long, or 1/w under inverse-match;
-    this is the only place that rule is applied.
+    An edge of match count w is 1/w long (inverse-match).
 
     Ties are resolved toward the smallest (distance, predecessor id) pair so
     the Voronoi regions are deterministic. An edge is weighed as a boundary
     edge when its second endpoint settles, once `dist` and `src` are final at
     both ends; per region pair the smallest (length, low end, high end) wins.
     """
-    unit_hop = mode is WeightMode.UNIT_HOP
     inf = float("inf")
     dist: dict[int, float] = {}
     pred: dict[int, int] = {}
@@ -87,7 +121,7 @@ def _multi_source_dijkstra(graph: ViewGraph, sources, mode: WeightMode):
         settled.add(u)
         su = src[u]
         for v, w in graph.adjacency[u]:
-            length = 1.0 if unit_hop else 1.0 / w
+            length = 1.0 / w
             if v in settled:
                 sv = src[v]
                 if sv != su:
@@ -99,7 +133,7 @@ def _multi_source_dijkstra(graph: ViewGraph, sources, mode: WeightMode):
                 continue
             nd = d + length
             dv = dist.get(v, inf)
-            if nd < dv or (nd == dv and u < pred[v]):
+            if v in inside and (nd < dv or (nd == dv and u < pred[v])):
                 dist[v] = nd
                 pred[v] = u
                 pred_length[v] = length
@@ -112,23 +146,28 @@ def approximate_steiner_tree(
     graph: ViewGraph,
     terminals,
     weight_mode: WeightMode = WeightMode.UNIT_HOP,
+    part=None,
 ) -> SteinerResult:
+    """Mehlhorn's tree over `terminals`, inside `part` (None: the whole graph)
+    as on `subgraph(graph, part)`; a terminal outside the part is UnknownNode."""
     terminals = set(terminals)
     if not terminals:
         raise ValueError("terminal set is empty")
+    inside = graph.adjacency if part is None else part
     for t in terminals:
-        if not graph.has_node(t):
+        if not graph.has_node(t) or t not in inside:
             raise UnknownNode(t)
     if len(terminals) == 1:
         return SteinerResult(frozenset(terminals), frozenset(terminals), frozenset(), 0.0)
 
     first = min(terminals)
-    reach = bfs_distances(graph, first, terminals)
+    reach = bfs_distances(graph, first, terminals, part)
     unreachable = [t for t in terminals if t not in reach]
     if unreachable:
         raise DisconnectedTerminals(unreachable)
 
-    pred, pred_length, closure = _multi_source_dijkstra(graph, terminals, weight_mode)
+    search = _multi_source_bfs if weight_mode is WeightMode.UNIT_HOP else _multi_source_dijkstra
+    pred, pred_length, closure = search(graph, terminals, inside)
     # Kruskal over the closure
     root = {t: t for t in terminals}
 

@@ -129,14 +129,15 @@ def compute_stats(graph: ViewGraph) -> GraphStatsReport:
     )
 
 
-def bfs_distances(graph: ViewGraph, start: int, targets) -> dict[int, int]:
+def bfs_distances(graph: ViewGraph, start: int, targets, part=None) -> dict[int, int]:
     """Hop distances from start, found in BFS order until every target has one.
 
     Nodes farther out than the last target may be missing from the map. A
     target that start cannot reach, or that is not in the graph, makes the
-    search exhaust start's component.
+    search exhaust start's component. Only nodes of `part` (None: the whole
+    graph) are walked, as on `subgraph(graph, part)`; a start outside is UnknownNode.
     """
-    if not graph.has_node(start):
+    if not graph.has_node(start) or (part is not None and start not in part):
         raise UnknownNode(start)
     dist = {start: 0}
     queue = deque([start])
@@ -145,7 +146,7 @@ def bfs_distances(graph: ViewGraph, start: int, targets) -> dict[int, int]:
     while queue and remaining:
         u = queue.popleft()
         for v, _ in graph.adjacency[u]:
-            if v not in dist:
+            if v not in dist and (part is None or v in part):
                 dist[v] = dist[u] + 1
                 queue.append(v)
                 remaining.discard(v)

@@ -45,7 +45,7 @@ from sparseview.sampler import (
 )
 from sparseview.steiner import WeightMode, approximate_steiner_tree
 from sparseview.synth import SynthSpec, gen_depth_fixture, gen_ring_scene
-from sparseview.view_graph import connected_components, subgraph
+from sparseview.view_graph import compute_stats, connected_components, subgraph
 from test_community import triple_triangles, two_cliques_with_bridge
 from test_metrics import apply_similarity, random_pose
 from test_sampler import component_count
@@ -406,3 +406,46 @@ def test_cli_determinism(tmp_path):
                    "--out", str(tmp_path / f"pose{t}.txt"), "--quiet"],
         lambda t: [tmp_path / f"pose{t}.txt"],
     )
+
+
+@criterion(12, "presets order by sparsity: dense < mixed < sparse < random (3 seeds)")
+def test_presets_sample_the_sparsity_they_name():
+    """Per preset, the mean over 32 batches of four measures of a batch's own
+    views: the components and the share of views with degree <= 1 of the
+    graph they induce, `subgraph(pruned, batch.views)`, their 2-hop coverage
+    of the scene, and their graph dispersion. Each orders dense < mixed <
+    sparse < random at every seed.
+
+    The scene is the 12x12 ring's spec with 36 clusters (432 views). On the
+    12x12 ring itself, 24 views reach most of the 144 within two hops, so
+    mixed, sparse and random batches all cover about 0.9 and the coverage
+    order fails at about a third of the seeds; and the sparse preset's four
+    parts have no room to spread further than mixed's one to four, so mixed
+    has the larger graph dispersion at about a third of the seeds too."""
+    start = time.monotonic()
+    scene = gen_ring_scene(SynthSpec(
+        cluster_count=36, cluster_size=12,
+        intra_weight=100, inter_weight=60, radius=10.0, noise_sigma=0.1, seed=0,
+    ))
+    order = (Preset.DENSE, Preset.MIXED, Preset.SPARSE, Preset.RANDOM)
+    measures = ("components", "share of degree <= 1", "2-hop coverage", "graph dispersion")
+    for seed in (0, 11, 23):
+        ctx = prepare_scene(scene, SamplingConfig().prune_threshold, seed)
+        means = []
+        for preset in order:
+            cfg = SamplingConfig(n_views=24, seed=seed, preset=preset)
+            acc = [0.0] * len(measures)
+            for i in range(32):
+                batch = _sample_one(ctx, cfg, derive_seed(seed, "batch", i))
+                stats = compute_stats(subgraph(ctx.pruned, batch.views))
+                acc[0] += len(stats.connected_component_sizes)
+                acc[1] += stats.frac_degree_le[1]
+                acc[2] += k_hop_coverage(ctx.pruned, batch.views, 2)
+                acc[3] += dispersion(ctx.pruned, ctx.positions, batch.views).graph_dispersion
+            means.append([a / 32 for a in acc])
+        for k, measure in enumerate(measures):
+            column = [m[k] for m in means]
+            assert all(a < b for a, b in zip(column, column[1:])), (
+                f"seed {seed}: {measure} {column} not increasing over {[p.value for p in order]}"
+            )
+    assert time.monotonic() - start < 5.0

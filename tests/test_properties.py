@@ -4,7 +4,9 @@ raise only SparseViewError (a MalformedLine always naming its file), and
 pair of small maps, of its bytes against the whole-map reference, of
 float32 maps filtering as their float64 cast does, and of its gradient
 stencil distributing over AND; of the sampler's batch invariants on small
-scenes; and of Louvain against its reference copy that evaluates every node."""
+scenes; of Louvain against its reference copy that evaluates every node; of
+a part given as membership against its induced copy; and of the unit-hop
+BFS against the heap search on unit weights."""
 
 import json
 import random
@@ -24,18 +26,18 @@ from oracles import (
     parse_match_graph_reference,
     union_find_components,
 )
-from sparseview import depth_filter
+from sparseview import depth_filter, steiner
 from sparseview.batches import Phase, read_batches, write_batches
 from sparseview.cli import run
-from sparseview.community import louvain
+from sparseview.community import CommunityAssignment, louvain
 from sparseview.depth_filter import DepthMap, FilterConfig, filter_depth
-from sparseview.errors import MalformedLine, SparseViewError
+from sparseview.errors import DisconnectedTerminals, MalformedLine, SparseViewError, UnknownNode
 from sparseview.pfm import read_pfm
 from sparseview.recon_io import parse_cameras, parse_images, parse_match_graph, parse_points
-from sparseview.sampler import Preset, SamplingConfig, derive_seed, generate_batches
-from sparseview.steiner import WeightMode
+from sparseview.sampler import Preset, SamplingConfig, derive_seed, generate_batches, greedy_step
+from sparseview.steiner import WeightMode, approximate_steiner_tree
 from sparseview.synth import SynthSpec, gen_grid_scene, gen_ring_scene
-from sparseview.view_graph import from_edge_weights
+from sparseview.view_graph import bfs_distances, from_edge_weights, subgraph
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -480,3 +482,80 @@ def test_louvain_matches_the_unskipped_reference(graph, seed, resolution):
     got = louvain(graph, seed, resolution)
     expected = louvain_reference(graph.adjacency, seed, resolution)
     assert (got.labels, got.modularity, got.level_count, got.level_modularities) == expected
+
+
+def steiner_outcome(graph, terminals, mode, part=None):
+    """The tree as comparable fields, or the error's type and what it names."""
+    try:
+        res = approximate_steiner_tree(graph, terminals, mode, part)
+    except UnknownNode as exc:
+        return UnknownNode, exc.node
+    except DisconnectedTerminals as exc:
+        return DisconnectedTerminals, exc.unreachable
+    return res.tree_nodes, res.tree_edges, repr(res.total_weight)
+
+
+def raised_or_result(fn, *args):
+    try:
+        return fn(*args)
+    except UnknownNode as exc:
+        return UnknownNode, exc.node
+
+
+@st.composite
+def parts_of(draw, graph):
+    """A part of the graph's nodes, often disconnected in it, now and then
+    with an id the graph does not have, and a seeded rng for the rest."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    nodes = sorted(graph.adjacency)
+    part = set(rng.sample(nodes, rng.randint(1, len(nodes))))
+    if draw(st.integers(0, 4)) == 0:
+        part.add(len(nodes) + 7)
+    return part, rng
+
+
+@settings(max_examples=300)
+@given(data=st.data(), graph=weighted_graphs())
+def test_a_part_as_membership_walks_as_its_induced_copy(data, graph):
+    """Steiner trees, greedy steps and BFS distances given `part` equal those
+    on `subgraph(graph, part)`, errors included, for terminals, a current
+    view and a start inside or outside the part."""
+    part, rng = data.draw(parts_of(graph))
+    copy = subgraph(graph, part)
+    nodes = sorted(graph.adjacency)
+    inner = sorted(part & graph.adjacency.keys())
+    outside = [v for v in nodes if v not in part]
+    terminals = set(rng.sample(inner, rng.randint(1, min(5, len(inner)))))
+    if outside and rng.random() < 0.3:
+        terminals.add(rng.choice(outside))
+    for mode in WeightMode:
+        assert steiner_outcome(graph, terminals, mode, part) == steiner_outcome(copy, terminals, mode)
+
+    current = rng.choice(nodes + sorted(part - graph.adjacency.keys()))
+    sampled = {current, *rng.sample(nodes, rng.randint(0, len(nodes) // 2))}
+    communities = CommunityAssignment({v: rng.randint(0, 3) for v in nodes}, (0.0,))
+    positions = {v: (rng.random(), rng.random(), rng.random()) for v in nodes}
+    assert raised_or_result(greedy_step, graph, current, sampled, communities, positions, part) == (
+        raised_or_result(greedy_step, copy, current, sampled, communities, positions)
+    )
+
+    targets = rng.sample(nodes, rng.randint(0, len(nodes)))
+    assert raised_or_result(bfs_distances, graph, current, targets, part) == (
+        raised_or_result(bfs_distances, copy, current, targets)
+    )
+
+
+@settings(max_examples=300)
+@given(data=st.data(), graph=weighted_graphs())
+def test_the_unit_hop_bfs_grows_the_regions_the_heap_grows_on_unit_weights(data, graph):
+    """With every match count 1, inverse-match lengths are 1/1 == 1.0, so the
+    heap search is a unit-hop search and the BFS must give its predecessors,
+    edge lengths and closure, over the whole graph or a part of it."""
+    part, rng = data.draw(parts_of(graph))
+    inside = graph.adjacency if rng.random() < 0.3 else part
+    unit = from_edge_weights(graph.adjacency, {(u, v): 1 for u, v, _ in graph.edges()})
+    inner = sorted(part & graph.adjacency.keys())
+    sources = rng.sample(inner, rng.randint(1, min(6, len(inner))))
+    bfs = steiner._multi_source_bfs(graph, sources, inside)
+    heap = steiner._multi_source_dijkstra(unit, sources, inside)
+    assert bfs == heap
