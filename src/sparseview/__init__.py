@@ -16,7 +16,7 @@ from .metrics import (
     k_hop_coverage,
     pose_pair_errors,
 )
-from .partition import Partitioning, partition_round_robin
+from .partition import partition_round_robin
 from .pfm import read_pfm, write_pfm
 from .recon_io import (
     CameraIntrinsics,

@@ -158,11 +158,10 @@ def cmd_stats(args) -> int:
 
 
 def cmd_communities(args) -> int:
-    scene = _load_scene(args)
-    assignment = prepare_scene(scene, args.prune_threshold, args.seed, args.resolution).communities
+    ctx = prepare_scene(_load_scene(args), args.prune_threshold, args.seed, args.resolution)
     _log(args, f"seed {args.seed}")
-    _log(args, f"modularity {assignment.modularity!r} levels {assignment.level_count}")
-    lines = [f"{v} {assignment.labels[v]}" for v in sorted(assignment.labels)]
+    _log(args, f"modularity {ctx.communities.modularity!r} levels {ctx.communities.level_count}")
+    lines = [f"{v} {c}" for v, c in zip(ctx.pruned.ids, ctx.communities.labels)]
     _write_out(args, "".join(line + "\n" for line in lines))
     return 0
 
@@ -170,8 +169,8 @@ def cmd_communities(args) -> int:
 def cmd_partition(args) -> int:
     ctx = prepare_scene(_load_scene(args), args.prune_threshold, args.seed)
     _log(args, f"seed {args.seed}")
-    parts = partition_round_robin(ctx.pruned, args.ncc, args.seed, ctx.communities)
-    lines = [f"{v} {parts.assignment[v]}" for v in sorted(parts.assignment)]
+    assignment = partition_round_robin(ctx.pruned, args.ncc, args.seed, ctx.communities)
+    lines = [f"{v} {i}" for v, i in zip(ctx.pruned.ids, assignment) if i >= 0]
     _write_out(args, "".join(line + "\n" for line in lines))
     return 0
 
@@ -204,7 +203,7 @@ def cmd_sample(args) -> int:
 def cmd_coverage(args) -> int:
     scene, graph = _load_graph(args)
     positions = scene.positions()
-    nodes = sorted(graph.adjacency)
+    nodes = range(graph.node_count)
     loaded = batches_io.read_batches(args.batches)
     if not loaded:
         raise EmptySample(f"{args.batches}: holds no batch")
@@ -213,9 +212,10 @@ def cmd_coverage(args) -> int:
     gdisp_count = 0
     for idx, batch in enumerate(loaded):
         try:
-            cov = metrics_mod.k_hop_coverage(graph, batch.views, args.k)
-            near = metrics_mod.avg_nearest_sample_dist(positions, nodes, batch.views)
-            disp = metrics_mod.dispersion(graph, positions, batch.views)
+            views = [graph.node(v) for v in batch.views]
+            cov = metrics_mod.k_hop_coverage(graph, views, args.k)
+            near = metrics_mod.avg_nearest_sample_dist(positions, nodes, views)
+            disp = metrics_mod.dispersion(graph, positions, views)
         except SparseViewError as exc:  # a fault of one batch, so name the file and the batch
             raise SparseViewError(f"{args.batches}: batch {idx}: {exc}") from exc
         sums["cov"] += cov

@@ -10,10 +10,10 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Mapping
+from functools import cached_property
 
 from .errors import EmptyGraph, InvalidSpec
-from .view_graph import ViewGraph, from_edge_weights
+from .view_graph import ViewGraph
 
 
 DEFAULT_RESOLUTION = 1.0  # wherever no resolution is given
@@ -21,7 +21,7 @@ DEFAULT_RESOLUTION = 1.0  # wherever no resolution is given
 
 @dataclass(frozen=True)
 class CommunityAssignment:
-    labels: dict[int, int]
+    labels: list[int]  # node -> community, a label >= 0
     level_modularities: tuple[float, ...]  # on the input graph, after each level
 
     @property
@@ -32,15 +32,17 @@ class CommunityAssignment:
     def level_count(self) -> int:
         return len(self.level_modularities)
 
-    def community_members(self) -> dict[int, list[int]]:
-        members: dict[int, list[int]] = {}
-        for node in sorted(self.labels):
-            members.setdefault(self.labels[node], []).append(node)
+    @cached_property
+    def members(self) -> list[list[int]]:
+        """Each label's nodes, ascending (empty for an unused label)."""
+        members: list[list[int]] = [[] for _ in range(max(self.labels, default=-1) + 1)]
+        for v, c in enumerate(self.labels):
+            members[c].append(v)
         return members
 
 
-def modularity(graph: ViewGraph, labels: Mapping[int, int], resolution=DEFAULT_RESOLUTION) -> float:
-    """Weighted Newman-Girvan modularity.
+def modularity(graph: ViewGraph, labels, resolution=DEFAULT_RESOLUTION) -> float:
+    """Weighted Newman-Girvan modularity of `labels` (node -> community).
 
     Q = sum_c [ w_in(c)/m - resolution * (k(c)/(2m))^2 ], where w_in(c) is the
     total weight of edges internal to community c, k(c) the summed weighted
@@ -49,10 +51,10 @@ def modularity(graph: ViewGraph, labels: Mapping[int, int], resolution=DEFAULT_R
     w_in: dict[int, int] = {}  # twice the internal weight: each edge is seen from both ends
     k_tot: dict[int, int] = {}
     two_m = 0
-    for u, nbrs in graph.adjacency.items():
+    for u, (nbrs, wts) in enumerate(zip(graph.adjacency, graph.weights)):
         c = labels[u]
         k = inside = 0
-        for v, w in nbrs:
+        for v, w in zip(nbrs, wts):
             k += w
             if labels[v] == c:
                 inside += w
@@ -67,27 +69,24 @@ def modularity(graph: ViewGraph, labels: Mapping[int, int], resolution=DEFAULT_R
     return q
 
 
-def _aggregate(
-    graph: ViewGraph, degree: dict[int, int], community: dict[int, int]
-) -> tuple[ViewGraph, dict[int, int]]:
+def _aggregate(adj, wts, degree: list[int], community: list[int], k: int):
     """One node per community, joined by the summed boundary weights; the
     weight inside a community survives only in its summed member degree."""
-    boundary: dict[tuple[int, int], int] = {}
-    for u, nbrs in graph.adjacency.items():
+    boundary: list[dict[int, int]] = [{} for _ in range(k)]
+    summed = [0] * k
+    for u, nbrs in enumerate(adj):
         cu = community[u]
-        for v, w in nbrs:
+        summed[cu] += degree[u]
+        row = boundary[cu]
+        for v, w in zip(nbrs, wts[u]):
             cv = community[v]
-            if cu < cv:
-                boundary[(cu, cv)] = boundary.get((cu, cv), 0) + w
-    summed: dict[int, int] = {}
-    for u, k in degree.items():
-        summed[community[u]] = summed.get(community[u], 0) + k
-    return from_edge_weights(summed, boundary), summed
+            if cv != cu:
+                row[cv] = row.get(cv, 0) + w
+    rows = [sorted(row) for row in boundary]
+    return rows, [[row[c] for c in cs] for row, cs in zip(boundary, rows)], summed
 
 
-def _one_level(
-    graph: ViewGraph, degree: dict[int, int], two_m: int, rng: random.Random, resolution: float
-) -> dict[int, int]:
+def _one_level(adj, wts, degree: list[int], two_m: int, rng: random.Random, resolution: float):
     """Local-move phase; returns node -> community after convergence.
 
     A node's choice depends only on its own community, its neighbours'
@@ -99,27 +98,27 @@ def _one_level(
     skipped. The integer `k_tot` makes its gains bit-identical, so the skip
     changes no result; every sweep still shuffles, so the seeded order is kept.
     """
-    community = {u: u for u in graph.adjacency}
-    k_tot = dict(degree)  # community -> summed degree
+    n = len(adj)
+    community = list(range(n))
+    k_tot = list(degree)  # community -> summed degree
     tick = 0  # moves so far
-    changed_at = dict.fromkeys(k_tot, 0)  # community -> tick its k_tot last changed
-    evaluated: dict[int, tuple[int, tuple[int, ...]]] = {}  # node -> (tick, candidates)
+    changed_at = [0] * n  # community -> tick its k_tot last changed
+    evaluated: list = [None] * n  # node -> (tick, candidates) at its last evaluation
     moved = True
     while moved:
         moved = False
-        order = sorted(graph.adjacency)
+        order = list(range(n))
         rng.shuffle(order)
         for u in order:
-            if u in evaluated:
-                at, candidates = evaluated[u]
-                if all(changed_at[c] <= at for c in candidates):
-                    continue
+            last = evaluated[u]
+            if last is not None and all(changed_at[c] <= last[0] for c in last[1]):
+                continue
             cu = community[u]
             ku = degree[u]
             # weights from u into each neighboring community, u removed from its own
             k_tot[cu] -= ku
             links: dict[int, int] = {cu: 0}
-            for v, w in graph.adjacency[u]:
+            for v, w in zip(adj[u], wts[u]):
                 cv = community[v]
                 links[cv] = links.get(cv, 0) + w
             # ascending candidate order + strict improvement = lowest-id tie-break
@@ -131,7 +130,7 @@ def _one_level(
                 gain = links[c] - resolution * k_tot[c] * ku / two_m
                 if gain > best_gain + 1e-12:
                     best_c, best_gain = c, gain
-            k_tot[best_c] = k_tot.get(best_c, 0) + ku
+            k_tot[best_c] += ku
             evaluated[u] = (tick, tuple(links))
             if best_c != cu:
                 tick += 1
@@ -146,28 +145,34 @@ def louvain(graph: ViewGraph, seed: int, resolution=DEFAULT_RESOLUTION) -> Commu
 
     Levels alternate local moves with graph aggregation until a level makes
     no move. Modularity (on the input graph) is recorded after each level.
-    `resolution` must be a finite number > 0 (InvalidSpec otherwise).
+    Each level renumbers its communities in ascending order, which keeps the
+    next level's lowest-id tie-break. `resolution` must be a finite number
+    > 0 (InvalidSpec otherwise).
     """
     if not (math.isfinite(resolution) and resolution > 0):
         raise InvalidSpec(f"resolution must be a finite number > 0, got {resolution}")
-    if graph.node_count == 0:
+    n = graph.node_count
+    if n == 0:
         raise EmptyGraph("louvain needs at least one node")
-    nodes = sorted(graph.adjacency)
     if graph.edge_count == 0:
-        labels = {v: i for i, v in enumerate(nodes)}
         # modularity undefined without edges; 0.0 by convention
-        return CommunityAssignment(labels, (0.0,))
+        return CommunityAssignment(list(range(n)), (0.0,))
 
     rng = random.Random(seed)
-    work = graph
-    degree = {u: sum(w for _, w in nbrs) for u, nbrs in graph.adjacency.items()}
-    two_m = sum(degree.values())  # aggregation keeps the total weight
-    labels = {v: v for v in nodes}  # original node -> its node in the work graph
+    work, wts = graph.adjacency, graph.weights
+    degree = [sum(row) for row in wts]
+    two_m = sum(degree)  # aggregation keeps the total weight
+    labels = list(range(n))  # original node -> its node in the work graph
     level_mods: list[float] = []
     while True:
-        community = _one_level(work, degree, two_m, rng, resolution)
-        labels = {v: community[labels[v]] for v in nodes}
-        settled = all(community[u] == u for u in work.adjacency)
+        community = _one_level(work, wts, degree, two_m, rng, resolution)
+        settled = all(c == u for u, c in enumerate(community))
+        used = sorted(set(community))
+        rank = [0] * len(work)  # community -> its rank among the communities
+        for i, c in enumerate(used):
+            rank[c] = i
+        community = [rank[c] for c in community]
+        labels = [community[c] for c in labels]
         # a level that moves nothing keeps the previous level's grouping, and
         # modularity depends only on the grouping, so its score is the same
         if settled and level_mods:
@@ -176,8 +181,7 @@ def louvain(graph: ViewGraph, seed: int, resolution=DEFAULT_RESOLUTION) -> Commu
             level_mods.append(modularity(graph, labels, resolution))
         if settled:
             break
-        work, degree = _aggregate(work, degree, community)
+        work, wts, degree = _aggregate(work, wts, degree, community, len(used))
 
     dense: dict[int, int] = {}  # community -> its rank by first member
-    relabeled = {v: dense.setdefault(labels[v], len(dense)) for v in nodes}
-    return CommunityAssignment(relabeled, tuple(level_mods))
+    return CommunityAssignment([dense.setdefault(c, len(dense)) for c in labels], tuple(level_mods))

@@ -18,7 +18,6 @@ from .errors import (
     NoCameras,
     NoPoints,
     TooFewSamples,
-    UnknownNode,
 )
 from .recon_io import PosedView, SceneReconstruction, rotation_matrix
 from .view_graph import ViewGraph, bfs_distances
@@ -29,31 +28,29 @@ if TYPE_CHECKING:
 
 def k_hop_coverage(graph: ViewGraph, sampled, k: int) -> float:
     """Fraction of graph nodes within k hops of any sampled node."""
-    sampled = set(sampled)
-    if not sampled:
+    frontier = sorted(set(sampled))
+    if not frontier:
         raise EmptySample("sampled set is empty")
-    for v in sampled:
-        if not graph.has_node(v):
-            raise UnknownNode(v)
     if k < 0:
         raise InvalidK(f"k={k} must be >= 0")
-    reached = set(sampled)
-    frontier = set(sampled)
+    reached = [False] * graph.node_count
+    for v in frontier:
+        reached[v] = True
     for _ in range(k):
-        nxt = set()
+        nxt = []
         for u in frontier:
-            for v, _ in graph.adjacency[u]:
-                if v not in reached:
-                    reached.add(v)
-                    nxt.add(v)
+            for v in graph.adjacency[u]:
+                if not reached[v]:
+                    reached[v] = True
+                    nxt.append(v)
         frontier = nxt
         if not frontier:
             break
-    return len(reached) / graph.node_count
+    return sum(reached) / graph.node_count
 
 
 def avg_nearest_sample_dist(positions, nodes, sampled) -> float:
-    """Mean distance from every node to its closest sampled node."""
+    """Mean distance from every node to its closest sampled node (by node)."""
     import numpy as np
 
     sampled = sorted(set(sampled))
@@ -97,7 +94,7 @@ class DispersionResult:
 
 
 def dispersion(graph: ViewGraph, positions, sampled) -> DispersionResult:
-    """Mean pairwise hop distance and Euclidean distance within the sample.
+    """Mean pairwise hop distance and Euclidean distance within the sampled nodes.
 
     Unreachable pairs are excluded from the hop mean and counted.
     """

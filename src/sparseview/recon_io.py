@@ -123,8 +123,9 @@ class SceneReconstruction:
     edges: dict[tuple[int, int], int]  # (view_a, view_b) -> match count, view_a < view_b
     points: list[ScenePoint] = field(default_factory=list)
 
-    def positions(self) -> dict[int, tuple[float, float, float]]:
-        return {vid: view.position for vid, view in self.views.items()}
+    def positions(self) -> list[tuple[float, float, float]]:
+        """Camera centers in view-id order, so indexed by the scene graph's nodes."""
+        return [self.views[v].position for v in sorted(self.views)]
 
     def centroid(self) -> tuple[float, float, float]:
         if not self.points:

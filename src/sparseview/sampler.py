@@ -113,22 +113,20 @@ def greedy_step(
     """Best unsampled neighbor of `current`, or None if there is none.
 
     Candidates are ranked by (community not yet sampled, Euclidean distance
-    from `current`) descending, with node id ascending as the final tie-break.
+    from `current`) descending, with node ascending as the final tie-break.
     Only nodes of `part` (None: the whole graph) are candidates, as on
     `subgraph(graph, part)`; a `current` outside the part is UnknownNode.
     """
-    inside = graph.adjacency if part is None else part
-    if not graph.has_node(current) or current not in inside:
-        raise UnknownNode(current)
+    if part is not None and not part[current]:
+        raise UnknownNode(graph.ids[current])
+    labels = communities.labels
     sampled = set(sampled)
-    seen_comms = {communities.labels[s] for s in sampled}
+    seen_comms = {labels[s] for s in sampled}
     best_key, best = None, None
-    for u, _ in graph.adjacency[current]:
-        if u in sampled or u not in inside:
+    for u in graph.adjacency[current]:
+        if u in sampled or (part is not None and not part[u]):
             continue
-        novelty = communities.labels[u] not in seen_comms
-        dist = math.dist(positions[u], positions[current])
-        key = (novelty, dist, -u)
+        key = (labels[u] not in seen_comms, math.dist(positions[u], positions[current]), -u)
         if best_key is None or key > best_key:
             best_key, best = key, u
     return best
@@ -140,24 +138,23 @@ def _max_terminal_subtree(tree_nodes, tree_edges, terminals, budget: int) -> set
     nodes = sorted(tree_nodes)
     if len(nodes) <= budget:
         return set(nodes)
-    adj = from_edge_weights(nodes, dict.fromkeys(tree_edges, 1)).adjacency
-    root = nodes[0]
-    parent: dict[int, int | None] = {root: None}
+    adj = from_edge_weights(nodes, dict.fromkeys(tree_edges, 1)).adjacency  # over 0..k-1
+    parent = [-1] * len(nodes)
     order = []
-    stack = [root]
+    stack = [0]
     while stack:
         u = stack.pop()
         order.append(u)
-        for v, _ in adj[u]:
+        for v in adj[u]:
             if v != parent[u]:
                 parent[v] = u
                 stack.append(v)
     # f[u][k] = (max terminals, child splits) over connected subtrees of
     # size k rooted at u inside u's subtree
-    f: dict[int, dict[int, tuple[int, list[tuple[int, int]]]]] = {}
+    f: list[dict[int, tuple[int, list[tuple[int, int]]]]] = [{} for _ in nodes]
     for u in reversed(order):
-        dp = {1: ((1 if u in terminals else 0), [])}
-        for c, _ in adj[u]:
+        dp = {1: (int(nodes[u] in terminals), [])}
+        for c in adj[u]:
             if c == parent[u]:
                 continue
             merged = dict(dp)
@@ -171,27 +168,18 @@ def _max_terminal_subtree(tree_nodes, tree_edges, terminals, budget: int) -> set
             dp = merged
         f[u] = dp
     best_u, best_t = None, -1
-    for u in nodes:
-        if budget in f[u] and f[u][budget][0] > best_t:
-            best_u, best_t = u, f[u][budget][0]
+    for u, dp in enumerate(f):
+        if budget in dp and dp[budget][0] > best_t:
+            best_u, best_t = u, dp[budget][0]
     keep: set[int] = set()
 
     def collect(u: int, k: int) -> None:
-        keep.add(u)
+        keep.add(nodes[u])
         for c, j in f[u][k][1]:
             collect(c, j)
 
     collect(best_u, budget)
     return keep
-
-
-def _fill_draw(graph: ViewGraph, part, sampled: set[int], rng: random.Random) -> int | None:
-    """One local fill draw from the 1-hop neighborhood of the sampled set
-    inside the part, or None when it is empty. So the fill never leaves the
-    sampled set's component: a round-robin part is connected, and its sampled
-    set always has an unsampled neighbour until the whole part is sampled."""
-    pool = ({v for s in sampled for v, _ in graph.adjacency[s]} & part) - sampled
-    return rng.choice(sorted(pool)) if pool else None
 
 
 def sample_partition(
@@ -205,14 +193,13 @@ def sample_partition(
     part_index: int = 0,
     weight_mode: WeightMode = WeightMode.UNIT_HOP,
 ) -> list[tuple[int, ViewProvenance]]:
-    """Sample up to `quota` views from one partition.
+    """Sample up to `quota` nodes from one partition.
 
-    Steiner-tree views come first (phases terminal/steiner), then greedy
+    Steiner-tree nodes come first (phases terminal/steiner), then greedy
     expansion, then local fill; terminal+steiner+greedy together never
     exceed min(quota, depth). Each stage walks `graph` only inside `part`.
     """
-    part = set(part)
-    if not part:
+    if not any(part):
         raise EmptyPartition("cannot sample from an empty partition")
     if quota < 1:
         raise ValueError("quota must be >= 1")
@@ -221,23 +208,20 @@ def sample_partition(
 
     terminals = select_terminals(part, communities, derive_seed(seed, "terminals"))
     tree = approximate_steiner_tree(graph, terminals, weight_mode, part)
-    keep = _max_terminal_subtree(tree.tree_nodes, tree.tree_edges, tree.terminals, budget)
+    keep = sorted(_max_terminal_subtree(tree.tree_nodes, tree.tree_edges, tree.terminals, budget))
 
-    out: list[tuple[int, ViewProvenance]] = []
-    sampled: set[int] = set()
-    for n in sorted(keep):
-        phase = Phase.TERMINAL if n in terminals else Phase.STEINER
-        out.append((n, ViewProvenance(part_index, labels[n], phase)))
-        sampled.add(n)
+    phase = {True: Phase.TERMINAL, False: Phase.STEINER}
+    out = [(n, ViewProvenance(part_index, labels[n], phase[n in tree.terminals])) for n in keep]
+    sampled = list(keep)
 
     walk_rng = random.Random(derive_seed(seed, "walk"))
-    walk = [walk_rng.choice(sorted(keep))]
+    walk = [walk_rng.choice(keep)]
     while len(sampled) < budget and walk:
         nxt = greedy_step(graph, walk[-1], sampled, communities, positions, part)
         if nxt is None:
             walk.pop()  # backtrack to the most recent node with candidates
         else:
-            sampled.add(nxt)
+            sampled.append(nxt)
             out.append((nxt, ViewProvenance(part_index, labels[nxt], Phase.GREEDY)))
             walk.append(nxt)
     if len(sampled) > budget:
@@ -245,12 +229,17 @@ def sample_partition(
             f"part {part_index}: {len(sampled)} search views, budget min(quota, depth) is {budget}"
         )
 
+    # local fill: each draw is from the part's unsampled neighbours of the
+    # sampled set. So the fill never leaves the sampled set's component: a
+    # round-robin part is connected, and its sampled set always has an
+    # unsampled neighbour until the whole part is sampled.
     fill_rng = random.Random(derive_seed(seed, "fill"))
     while len(sampled) < quota:
-        pick = _fill_draw(graph, part, sampled, fill_rng)
-        if pick is None:
+        pool = {v for s in sampled for v in graph.adjacency[s] if part[v]}.difference(sampled)
+        if not pool:
             break
-        sampled.add(pick)
+        pick = fill_rng.choice(sorted(pool))
+        sampled.append(pick)
         out.append((pick, ViewProvenance(part_index, labels[pick], Phase.FILL)))
     return out
 
@@ -271,7 +260,7 @@ class SceneContext:
     scene_id: str
     pruned: ViewGraph
     communities: CommunityAssignment
-    positions: dict[int, tuple[float, float, float]]
+    positions: list[tuple[float, float, float]]  # by node of `pruned`
 
 
 def prepare_scene(
@@ -291,17 +280,17 @@ def prepare_scene(
 def _sample_one(ctx: SceneContext, config: SamplingConfig, batch_seed: int) -> SampledBatch:
     resolved = resolve_config(config, batch_seed)
     labels = ctx.communities.labels
+    n = ctx.pruned.node_count
 
     if config.preset is Preset.RANDOM:
         rng = random.Random(derive_seed(batch_seed, "random"))
-        nodes = sorted(ctx.pruned.adjacency)
-        views = rng.sample(nodes, min(resolved.n_views, len(nodes)))
+        views = rng.sample(range(n), min(resolved.n_views, n))
         prov = [ViewProvenance(0, labels[v], Phase.FILL) for v in views]
     else:
-        n_cc = min(resolved.max_components, resolved.n_views, ctx.pruned.node_count)
+        n_cc = min(resolved.max_components, resolved.n_views, n)
         if n_cc != resolved.max_components:
             resolved = replace(resolved, max_components=n_cc)
-        parts = partition_round_robin(
+        assignment = partition_round_robin(
             ctx.pruned, n_cc, derive_seed(batch_seed, "partition"), ctx.communities
         )
         quotas = _random_composition(
@@ -311,7 +300,7 @@ def _sample_one(ctx: SceneContext, config: SamplingConfig, batch_seed: int) -> S
         for i in range(n_cc):
             picked = sample_partition(
                 ctx.pruned,
-                parts.parts[i],
+                list(map(i.__eq__, assignment)),
                 quotas[i],
                 resolved.search_depth,
                 ctx.communities,
@@ -323,13 +312,16 @@ def _sample_one(ctx: SceneContext, config: SamplingConfig, batch_seed: int) -> S
             for v, p in picked:
                 views.append(v)
                 prov.append(p)
-    batch = SampledBatch(
-        ctx.scene_id, resolved, views, prov, truncated=len(views) < resolved.n_views
-    )
-    got, bound = len(connected_components(subgraph(ctx.pruned, views))), resolved.max_components
-    if got > bound:
-        raise InvariantViolation(f"sampled {got} components, bound is {bound}")
-    return batch
+    sub = subgraph(ctx.pruned, views)
+    components, bound = connected_components(sub), resolved.max_components
+    if len(components) > bound:
+        lows = sorted(sub.ids[c[0]] for c in components)
+        raise InvariantViolation(
+            f"sampled {len(components)} components, bound is {bound}; they start at views {lows}"
+        )
+    views = [ctx.pruned.ids[v] for v in views]
+    truncated = len(views) < resolved.n_views
+    return SampledBatch(ctx.scene_id, resolved, views, prov, truncated=truncated)
 
 
 def _sample_share(ctx: SceneContext, config: SamplingConfig, seeds, first: int, step: int):
@@ -421,25 +413,22 @@ def dfs_subsample(
     restarting from a random unvisited batch view when a component runs out."""
     if k < 2 or k > len(batch.views):
         raise InvalidK(f"k={k} not in [2, {len(batch.views)}]")
-    for v in batch.views:
-        if not graph.has_node(v):
-            raise UnknownNode(v)
-    induced = subgraph(graph, batch.views)
+    induced = subgraph(graph, [graph.node(v) for v in batch.views])
     prov_of = dict(zip(batch.views, batch.provenance))
     rng = random.Random(seed)
-    visited: set[int] = set()
+    visited = [False] * induced.node_count
     out: list[int] = []
     while len(out) < k:
-        remaining = sorted(set(batch.views) - visited)
-        stack = [rng.choice(remaining)]
+        stack = [rng.choice([v for v, seen in enumerate(visited) if not seen])]
         while stack and len(out) < k:
             u = stack.pop()
-            if u in visited:
+            if visited[u]:
                 continue
-            visited.add(u)
+            visited[u] = True
             out.append(u)
-            for v, _ in reversed(induced.adjacency[u]):
-                if v not in visited:
+            for v in reversed(induced.adjacency[u]):
+                if not visited[v]:
                     stack.append(v)
-    prov = [replace(prov_of[v], phase=Phase.DFS) for v in out]
-    return SampledBatch(batch.scene_id, batch.config, out, prov, batch.truncated)
+    views = [induced.ids[u] for u in out]
+    prov = [replace(prov_of[v], phase=Phase.DFS) for v in views]
+    return SampledBatch(batch.scene_id, batch.config, views, prov, batch.truncated)

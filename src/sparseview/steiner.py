@@ -39,30 +39,33 @@ class SteinerResult:
     total_weight: float
 
 
-def select_terminals(
-    part, communities: CommunityAssignment, seed: int
-) -> set[int]:
+def select_terminals(part, communities: CommunityAssignment, seed: int) -> list[int]:
     """One seeded-random representative per community intersecting the part."""
-    part = sorted(part)
-    if not part:
-        raise ValueError("part is empty")
     rng = random.Random(seed)
-    members: dict[int, list[int]] = {}
-    for v in part:
-        members.setdefault(communities.labels[v], []).append(v)
-    return {rng.choice(members[cid]) for cid in sorted(members)}
+    picks = []
+    for members in communities.members:
+        inner = [v for v in members if part[v]]
+        if inner:
+            picks.append(rng.choice(inner))
+    if not picks:
+        raise ValueError("part is empty")
+    return picks
 
 
 def _multi_source_bfs(graph: ViewGraph, sources, inside):
     """`_multi_source_dijkstra`'s result under unit hops, by a level-synchronous
-    BFS: each level is scanned in ascending id order, so a node's first visitor
-    is its smallest-id predecessor, as the heap's tie-break picks. An edge is
-    weighed when the scan meets a reached node of another region, whose level
-    and region are then final."""
+    BFS: each level is scanned in ascending node order, so a node's first
+    visitor is its smallest predecessor, as the heap's tie-break picks. An
+    edge is weighed when the scan meets a reached node of another region,
+    whose level and region are then final."""
+    adj = graph.adjacency
     level = sorted(sources)
-    dist = dict.fromkeys(level, 0)
-    pred = dict.fromkeys(level, -1)
-    src = {t: t for t in level}
+    dist = [0] * graph.node_count
+    pred = [-1] * graph.node_count
+    pred_length = [0.0] * graph.node_count
+    src = [-1] * graph.node_count
+    for t in level:
+        src[t] = t
     closure: dict[tuple[int, int], tuple[int, int, int, float]] = {}
     d = 0
     while level:
@@ -70,59 +73,62 @@ def _multi_source_bfs(graph: ViewGraph, sources, inside):
         reached = []
         for u in level:
             su = src[u]
-            for v, _ in graph.adjacency[u]:
-                sv = src.get(v)
-                if sv is None:
-                    if v in inside:
+            for v in adj[u]:
+                if src[v] == su:  # most edges stay inside one region
+                    continue
+                sv = src[v]
+                if sv < 0:
+                    if inside[v]:
                         dist[v] = d
                         pred[v] = u
+                        pred_length[v] = 1.0
                         src[v] = su
                         reached.append(v)
-                elif sv != su:
+                else:
                     lo, hi = (u, v) if u < v else (v, u)
                     key = (su, sv) if su < sv else (sv, su)
                     cand = (dist[lo] + 1 + dist[hi], lo, hi, 1.0)
                     if key not in closure or cand < closure[key]:
                         closure[key] = cand
         level = sorted(reached)
-    pred_length = {v: 1.0 for v, p in pred.items() if p != -1}
     return pred, pred_length, closure
 
 
 def _multi_source_dijkstra(graph: ViewGraph, sources, inside):
     """Shortest-path predecessor of every node of `inside` a source reaches
-    (-1 at a source), the length of the edge to it, and the closure: the
-    cheapest boundary edge per pair of Voronoi regions, as
+    (-1 at a source or where none reaches), the length of the edge to it
+    (0.0 where there is none), and the closure: the cheapest boundary edge
+    per pair of Voronoi regions, as
     {(source, source): (path length, low end, high end, edge length)}.
     An edge of match count w is 1/w long (inverse-match).
 
-    Ties are resolved toward the smallest (distance, predecessor id) pair so
+    Ties are resolved toward the smallest (distance, predecessor) pair so
     the Voronoi regions are deterministic. An edge is weighed as a boundary
     edge when its second endpoint settles, once `dist` and `src` are final at
     both ends; per region pair the smallest (length, low end, high end) wins.
     """
-    inf = float("inf")
-    dist: dict[int, float] = {}
-    pred: dict[int, int] = {}
-    pred_length: dict[int, float] = {}
-    src: dict[int, int] = {}
+    n = graph.node_count
+    adj, wts = graph.adjacency, graph.weights
+    dist = [float("inf")] * n
+    pred = [-1] * n
+    pred_length = [0.0] * n
+    src = [-1] * n
+    settled = [False] * n
     closure: dict[tuple[int, int], tuple[float, int, int, float]] = {}
-    settled: set[int] = set()
     heap: list[tuple[float, int, int]] = []
     for t in sorted(sources):
         dist[t] = 0.0
-        pred[t] = -1
         src[t] = t
         heapq.heappush(heap, (0.0, -1, t))
     while heap:
         d, p, u = heapq.heappop(heap)
-        if u in settled or d > dist[u] or (d == dist[u] and p > pred[u]):
+        if settled[u] or d > dist[u] or (d == dist[u] and p > pred[u]):
             continue
-        settled.add(u)
+        settled[u] = True
         su = src[u]
-        for v, w in graph.adjacency[u]:
+        for v, w in zip(adj[u], wts[u]):
             length = 1.0 / w
-            if v in settled:
+            if settled[v]:
                 sv = src[v]
                 if sv != su:
                     lo, hi = (u, v) if u < v else (v, u)
@@ -132,8 +138,8 @@ def _multi_source_dijkstra(graph: ViewGraph, sources, inside):
                         closure[key] = cand
                 continue
             nd = d + length
-            dv = dist.get(v, inf)
-            if v in inside and (nd < dv or (nd == dv and u < pred[v])):
+            dv = dist[v]
+            if inside[v] and (nd < dv or (nd == dv and u < pred[v])):
                 dist[v] = nd
                 pred[v] = u
                 pred_length[v] = length
@@ -153,18 +159,17 @@ def approximate_steiner_tree(
     terminals = set(terminals)
     if not terminals:
         raise ValueError("terminal set is empty")
-    inside = graph.adjacency if part is None else part
-    for t in terminals:
-        if not graph.has_node(t) or t not in inside:
-            raise UnknownNode(t)
+    inside = [True] * graph.node_count if part is None else part
+    for t in sorted(terminals):
+        if not inside[t]:
+            raise UnknownNode(graph.ids[t])
     if len(terminals) == 1:
         return SteinerResult(frozenset(terminals), frozenset(terminals), frozenset(), 0.0)
 
     first = min(terminals)
     reach = bfs_distances(graph, first, terminals, part)
-    unreachable = [t for t in terminals if t not in reach]
-    if unreachable:
-        raise DisconnectedTerminals(unreachable)
+    if not terminals <= reach.keys():
+        raise DisconnectedTerminals(graph.ids[t] for t in terminals if t not in reach)
 
     search = _multi_source_bfs if weight_mode is WeightMode.UNIT_HOP else _multi_source_dijkstra
     pred, pred_length, closure = search(graph, terminals, inside)
@@ -184,7 +189,7 @@ def approximate_steiner_tree(
             root[rb] = ra
             closure_mst.append((a, b))
     if len(closure_mst) < len(terminals) - 1:
-        raise DisconnectedTerminals(t for t in terminals if find(t) != find(first))
+        raise DisconnectedTerminals(graph.ids[t] for t in terminals if find(t) != find(first))
 
     # expand each closure edge into its boundary edge plus both endpoints'
     # predecessor paths back to their sources, keeping each edge's length

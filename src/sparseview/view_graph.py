@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-from collections import deque
+from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import not_
 
 from .errors import UnknownNode
 from .recon_io import SceneReconstruction
@@ -11,41 +13,48 @@ from .recon_io import SceneReconstruction
 
 @dataclass(frozen=True)
 class ViewGraph:
-    """Undirected weighted graph, adjacency lists sorted by neighbor id."""
+    """Undirected weighted graph over nodes 0..n-1, node i being view ids[i]
+    (ascending); adjacency[i] holds i's neighbours, ascending, weights[i] their weights."""
 
-    adjacency: dict[int, tuple[tuple[int, int], ...]]
+    ids: tuple[int, ...]
+    adjacency: list[tuple[int, ...]]
+    weights: list[tuple[int, ...]]
 
     @property
     def node_count(self) -> int:
-        return len(self.adjacency)
+        return len(self.ids)
 
     @property
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency.values()) // 2
+        return sum(map(len, self.adjacency)) // 2
 
-    def has_node(self, v: int) -> bool:
-        return v in self.adjacency
-
-    def edges(self):
-        """Yield (u, v, weight) with u < v, in sorted order."""
-        for u in self.adjacency:
-            for v, w in self.adjacency[u]:
-                if u < v:
-                    yield u, v, w
+    def node(self, view: int) -> int:
+        """The node of a view id; UnknownNode names a view the graph lacks."""
+        i = bisect_left(self.ids, view)
+        if i == len(self.ids) or self.ids[i] != view:
+            raise UnknownNode(view)
+        return i
 
 
 def from_edge_weights(nodes, edge_weights: dict[tuple[int, int], int]) -> ViewGraph:
-    """Build a ViewGraph from a {(u, v): weight} map; isolated nodes kept.
-
-    A pair of weight 0 has no matches, so it is no edge.
-    """
-    adj: dict[int, list[tuple[int, int]]] = {v: [] for v in sorted(nodes)}
+    """Build a ViewGraph from view ids and a {(view, view): weight} map, isolated
+    views kept; the sorted ids become nodes 0..n-1. A weight-0 pair is no edge."""
+    ids = tuple(sorted(set(nodes)))
+    index = {v: i for i, v in enumerate(ids)}
+    rows: list[list[tuple[int, int]]] = [[] for _ in ids]
     for (u, v), w in edge_weights.items():
         if w == 0:
             continue
-        adj[u].append((v, w))
-        adj[v].append((u, w))
-    return ViewGraph(adjacency={v: tuple(sorted(nbrs)) for v, nbrs in adj.items()})
+        u, v = index[u], index[v]
+        rows[u].append((v, w))
+        rows[v].append((u, w))
+    adjacency, weights = [], []
+    for row in rows:
+        row.sort()
+        nbrs, wts = zip(*row) if row else ((), ())
+        adjacency.append(nbrs)
+        weights.append(wts)
+    return ViewGraph(ids, adjacency, weights)
 
 
 def build_graph(scene: SceneReconstruction) -> ViewGraph:
@@ -57,41 +66,38 @@ def prune_edges(graph: ViewGraph, threshold: int) -> ViewGraph:
     """Keep only edges with weight >= threshold; the node set is unchanged."""
     if threshold < 0:
         raise ValueError("threshold must be >= 0")
-    adj = {
-        v: tuple((u, w) for u, w in nbrs if w >= threshold)
-        for v, nbrs in graph.adjacency.items()
-    }
-    return ViewGraph(adjacency=adj)
+    keep = [[i for i, w in enumerate(wts) if w >= threshold] for wts in graph.weights]
+    adjacency = [tuple([nbrs[i] for i in k]) for nbrs, k in zip(graph.adjacency, keep)]
+    weights = [tuple([wts[i] for i in k]) for wts, k in zip(graph.weights, keep)]
+    return ViewGraph(graph.ids, adjacency, weights)
 
 
 def subgraph(graph: ViewGraph, keep) -> ViewGraph:
-    """Induced subgraph on `keep`."""
-    keep = set(keep)
-    adj = {
-        v: tuple([e for e in graph.adjacency[v] if e[0] in keep])
-        for v in sorted(keep)
-        if v in graph.adjacency
-    }
-    return ViewGraph(adjacency=adj)
+    """Induced subgraph on the nodes `keep`, renumbered 0..k-1 in node order."""
+    keep = sorted(set(keep))
+    new = [-1] * graph.node_count
+    for i, v in enumerate(keep):
+        new[v] = i
+    adj, wts = graph.adjacency, graph.weights
+    adjacency = [tuple([new[u] for u in adj[v] if new[u] >= 0]) for v in keep]
+    weights = [tuple([w for u, w in zip(adj[v], wts[v]) if new[u] >= 0]) for v in keep]
+    return ViewGraph(tuple([graph.ids[v] for v in keep]), adjacency, weights)
 
 
-def connected_components(graph: ViewGraph) -> list[set[int]]:
-    """BFS partition of the node set into connected components."""
-    seen: set[int] = set()
+def connected_components(graph: ViewGraph) -> list[list[int]]:
+    """BFS partition of the nodes into components, each from its smallest node."""
+    seen = [False] * graph.node_count
     components = []
-    for start in graph.adjacency:
-        if start in seen:
+    for start in range(graph.node_count):
+        if seen[start]:
             continue
-        comp = {start}
-        seen.add(start)
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for v, _ in graph.adjacency[u]:
-                if v not in seen:
-                    seen.add(v)
-                    comp.add(v)
-                    queue.append(v)
+        seen[start] = True
+        comp = [start]
+        for u in comp:  # the list is the BFS queue
+            for v in graph.adjacency[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    comp.append(v)
         components.append(comp)
     return components
 
@@ -108,20 +114,15 @@ class GraphStatsReport:
 
 def compute_stats(graph: ViewGraph) -> GraphStatsReport:
     """Degree histogram, low-degree fractions, mean edge weight, components."""
-    n = graph.node_count
-    histogram: dict[int, int] = {}
-    for v in graph.adjacency:
-        d = len(graph.adjacency[v])
-        histogram[d] = histogram.get(d, 0) + 1
-    frac = {}
-    for k in (0, 1, 2, 3):
-        frac[k] = sum(c for d, c in histogram.items() if d <= k) / n if n else 0.0
-    weights = [w for _, _, w in graph.edges()]
-    mean = sum(weights) / len(weights) if weights else None
+    n, m = graph.node_count, graph.edge_count
+    histogram = Counter(map(len, graph.adjacency))
+    frac = {k: sum(c for d, c in histogram.items() if d <= k) / n if n else 0.0 for k in range(4)}
+    # each edge's weight is listed at both its ends
+    mean = sum(map(sum, graph.weights)) / (2 * m) if m else None
     sizes = sorted((len(c) for c in connected_components(graph)), reverse=True)
     return GraphStatsReport(
         node_count=n,
-        edge_count=graph.edge_count,
+        edge_count=m,
         degree_histogram=dict(sorted(histogram.items())),
         frac_degree_le=frac,
         mean_match_count=mean,
@@ -130,24 +131,31 @@ def compute_stats(graph: ViewGraph) -> GraphStatsReport:
 
 
 def bfs_distances(graph: ViewGraph, start: int, targets, part=None) -> dict[int, int]:
-    """Hop distances from start, found in BFS order until every target has one.
+    """Hop distances from node start, found in BFS order until every target has one.
 
     Nodes farther out than the last target may be missing from the map. A
-    target that start cannot reach, or that is not in the graph, makes the
-    search exhaust start's component. Only nodes of `part` (None: the whole
-    graph) are walked, as on `subgraph(graph, part)`; a start outside is UnknownNode.
+    target that start cannot reach makes the search exhaust start's component.
+    Only nodes of `part` (a per-node membership list; None: the whole graph)
+    are walked, as on `subgraph(graph, part)`; a start outside is UnknownNode.
     """
-    if not graph.has_node(start) or (part is not None and start not in part):
-        raise UnknownNode(start)
+    if part is not None and not part[start]:
+        raise UnknownNode(graph.ids[start])
+    seen = [False] * graph.node_count if part is None else list(map(not_, part))
+    wanted = [False] * graph.node_count
+    for t in targets:
+        wanted[t] = True
+    left = sum(wanted) - wanted[start]
+    seen[start] = True
     dist = {start: 0}
-    queue = deque([start])
-    remaining = set(targets)
-    remaining.discard(start)
-    while queue and remaining:
-        u = queue.popleft()
-        for v, _ in graph.adjacency[u]:
-            if v not in dist and (part is None or v in part):
-                dist[v] = dist[u] + 1
+    queue = [start]
+    for u in queue:  # the list is the BFS queue
+        if not left:
+            break
+        d = dist[u] + 1
+        for v in graph.adjacency[u]:
+            if not seen[v]:
+                seen[v] = True
+                dist[v] = d
+                left -= wanted[v]
                 queue.append(v)
-                remaining.discard(v)
     return dist

@@ -4,6 +4,8 @@ import random
 import pytest
 
 import sparseview
+from sparseview.community import CommunityAssignment
+from sparseview.partition import _pick_seeds
 from sparseview.view_graph import ViewGraph, from_edge_weights
 
 # child interpreters import sparseview from this checkout and test modules from here
@@ -47,6 +49,62 @@ def random_graph(rng: random.Random, n: int, p: float, max_w: int = 100) -> View
     return graph_of(edges, nodes=range(1, n + 1))
 
 
+def edges_of(graph: ViewGraph):
+    """(u, v, weight) over nodes with u < v, in sorted order."""
+    return [
+        (u, v, w)
+        for u, (nbrs, wts) in enumerate(zip(graph.adjacency, graph.weights))
+        for v, w in zip(nbrs, wts)
+        if u < v
+    ]
+
+
+def nodes_of(graph: ViewGraph, views) -> list[int]:
+    """The nodes of view ids, in the order given."""
+    return [graph.node(v) for v in views]
+
+
+def views_of(graph: ViewGraph, nodes) -> set[int]:
+    """The view ids of nodes."""
+    return {graph.ids[v] for v in nodes}
+
+
+def member_list(graph: ViewGraph, views) -> list[bool]:
+    """The per-node membership list of a set of view ids; ids the graph
+    lacks are left out."""
+    views = set(views)
+    return [v in views for v in graph.ids]
+
+
+def by_view(graph: ViewGraph, per_node) -> dict:
+    """{view id: value} from a list indexed by node."""
+    return dict(zip(graph.ids, per_node))
+
+
+def by_node(graph: ViewGraph, per_view: dict) -> list:
+    """A list indexed by node from {view id: value}."""
+    return [per_view[v] for v in graph.ids]
+
+
+def communities_for(graph: ViewGraph, labels: dict) -> CommunityAssignment:
+    """A one-level assignment from {view id: label}."""
+    return CommunityAssignment(by_node(graph, labels), (0.0,))
+
+
+def part_views(graph: ViewGraph, assignment) -> list[set[int]]:
+    """Each part's view ids, from a node -> part (-1: none) list."""
+    parts = [set() for _ in range(max(assignment) + 1)]
+    for v, i in zip(graph.ids, assignment):
+        if i >= 0:
+            parts[i].add(v)
+    return parts
+
+
+def seeds_of(graph: ViewGraph, n_cc: int, seed: int, communities) -> list[int]:
+    """The seed views partition_round_robin(graph, n_cc, seed, communities) grows from."""
+    return [graph.ids[s] for s in _pick_seeds(graph, n_cc, random.Random(seed), communities)]
+
+
 def random_positions(rng: random.Random, nodes, scale: float = 10.0):
     return {
         v: (rng.uniform(-scale, scale), rng.uniform(-scale, scale), rng.uniform(-scale, scale))
@@ -57,3 +115,4 @@ def random_positions(rng: random.Random, nodes, scale: float = 10.0):
 @pytest.fixture
 def rng():
     return random.Random(1234)
+

@@ -13,7 +13,9 @@ from collections import deque
 import numpy as np
 import pytest
 
-from conftest import graph_of, random_graph, random_positions
+from conftest import (
+    edges_of, graph_of, nodes_of, part_views, random_graph, random_positions, seeds_of,
+)
 from oracles import (
     best_modularity_partition,
     greedy_choice,
@@ -95,13 +97,13 @@ def test_depth_sweep_monotonicity():
     for depth in (2, 6, 12, 24):
         cfg = SamplingConfig(n_views=24, max_components=1, search_depth=depth, seed=0)
         ctx = prepare_scene(scene, cfg.prune_threshold, cfg.seed)
-        nodes = sorted(ctx.pruned.adjacency)
+        nodes = range(ctx.pruned.node_count)
         acc = {"cov": 0.0, "near": 0.0, "gdisp": 0.0, "edisp": 0.0}
         for s in range(32):
-            batch = _sample_one(ctx, cfg, derive_seed(0, "batch", s))
-            acc["cov"] += k_hop_coverage(ctx.pruned, batch.views, 2)
-            acc["near"] += avg_nearest_sample_dist(ctx.positions, nodes, batch.views)
-            disp = dispersion(ctx.pruned, ctx.positions, batch.views)
+            views = nodes_of(ctx.pruned, _sample_one(ctx, cfg, derive_seed(0, "batch", s)).views)
+            acc["cov"] += k_hop_coverage(ctx.pruned, views, 2)
+            acc["near"] += avg_nearest_sample_dist(ctx.positions, nodes, views)
+            disp = dispersion(ctx.pruned, ctx.positions, views)
             acc["gdisp"] += disp.graph_dispersion
             acc["edisp"] += disp.euclidean_dispersion
         for key in acc:
@@ -161,12 +163,13 @@ def test_steiner_approximation_bound():
         n = rng.randint(4, 10)
         g = random_graph(rng, n, rng.uniform(0.25, 0.8))
         t_count = rng.randint(2, 4)
-        terminals = set(rng.sample(sorted(g.adjacency), t_count))
+        terminals = set(rng.sample(range(g.node_count), t_count))
         try:
             res = approximate_steiner_tree(g, terminals, WeightMode.UNIT_HOP)
         except DisconnectedTerminals:
             continue
-        opt = steiner_optimum(g.adjacency, [(u, v, 1.0) for u, v, _ in g.edges()], terminals)
+        unit = [(u, v, 1.0) for u, v, _ in edges_of(g)]
+        opt = steiner_optimum(range(g.node_count), unit, terminals)
         assert res.total_weight <= 2.0 * (1.0 - 1.0 / t_count) * opt + 1e-9
         checked += 1
     # terminals = whole node set reduces to the MST
@@ -174,10 +177,10 @@ def test_steiner_approximation_bound():
     mst_checked = 0
     while mst_checked < 30:
         g = random_graph(rng, rng.randint(2, 9), 0.7)
-        want = mst_weight(set(g.adjacency), [(u, v, 1.0) for u, v, _ in g.edges()])
+        want = mst_weight(set(range(g.node_count)), [(u, v, 1.0) for u, v, _ in edges_of(g)])
         if want is None:
             continue
-        res = approximate_steiner_tree(g, set(g.adjacency), WeightMode.UNIT_HOP)
+        res = approximate_steiner_tree(g, range(g.node_count), WeightMode.UNIT_HOP)
         assert sum(sorted([1.0] * len(res.tree_edges))) == want
         assert res.total_weight == want
         mst_checked += 1
@@ -187,8 +190,8 @@ def test_steiner_approximation_bound():
 def test_louvain_against_brute_force():
     for g, seed in ((two_cliques_with_bridge(), 0), (triple_triangles(), 3)):
         got = louvain(g, seed=seed)
-        blocks = {frozenset(m) for m in got.community_members().values()}
-        _, best_blocks = best_modularity_partition(g.adjacency, list(g.edges()))
+        blocks = {frozenset(m) for m in got.members}
+        _, best_blocks = best_modularity_partition(range(g.node_count), list(edges_of(g)))
         assert blocks == set(best_blocks)
     rng = random.Random(17)
     done = 0
@@ -208,8 +211,8 @@ def test_greedy_step_oracle():
     for _ in range(1000):
         n = rng.randint(3, 16)
         g = random_graph(rng, n, rng.uniform(0.2, 0.9))
-        nodes = sorted(g.adjacency)
-        labels = {v: rng.randint(0, 4) for v in nodes}
+        nodes = list(range(g.node_count))
+        labels = [rng.randint(0, 4) for _ in nodes]
         positions = random_positions(rng, nodes)
         current = rng.choice(nodes)
         sampled = {current} | set(rng.sample(nodes, rng.randint(0, n - 1)))
@@ -217,9 +220,7 @@ def test_greedy_step_oracle():
 
         comms = CommunityAssignment(labels, (0.0,))
         got = greedy_step(g, current, sampled, comms, positions)
-        want = greedy_choice(
-            [u for u, _ in g.adjacency[current]], current, sampled, labels, positions
-        )
+        want = greedy_choice(g.adjacency[current], current, sampled, labels, positions)
         assert got == want
 
 
@@ -229,20 +230,23 @@ def test_partition_invariants():
     for trial in range(500):
         g = random_graph(rng, rng.randint(4, 30), rng.uniform(0.05, 0.5))
         n_cc = rng.randint(1, min(5, g.node_count))
-        parts = partition_round_robin(g, n_cc, trial, louvain(g, seed=trial))
+        communities = louvain(g, seed=trial)
+        parts = part_views(g, partition_round_robin(g, n_cc, trial, communities))
+        seeds = nodes_of(g, seeds_of(g, n_cc, trial, communities))
         # disjointness and seed containment
         seen = set()
-        for i, part in enumerate(parts.parts):
+        for i, part in enumerate(parts):
+            part = set(nodes_of(g, part))
             assert not (part & seen)
             seen |= part
-            assert parts.seed_nodes[i] in part
+            assert seeds[i] in part
             assert len(connected_components(subgraph(g, part))) == 1
         # cover of exactly the nodes reachable from the seed set
-        reachable = set(parts.seed_nodes)
-        queue = deque(parts.seed_nodes)
+        reachable = set(seeds)
+        queue = deque(seeds)
         while queue:
             u = queue.popleft()
-            for v, _ in g.adjacency[u]:
+            for v in g.adjacency[u]:
                 if v not in reachable:
                     reachable.add(v)
                     queue.append(v)
@@ -437,11 +441,12 @@ def test_presets_sample_the_sparsity_they_name():
             acc = [0.0] * len(measures)
             for i in range(32):
                 batch = _sample_one(ctx, cfg, derive_seed(seed, "batch", i))
-                stats = compute_stats(subgraph(ctx.pruned, batch.views))
+                views = nodes_of(ctx.pruned, batch.views)
+                stats = compute_stats(subgraph(ctx.pruned, views))
                 acc[0] += len(stats.connected_component_sizes)
                 acc[1] += stats.frac_degree_le[1]
-                acc[2] += k_hop_coverage(ctx.pruned, batch.views, 2)
-                acc[3] += dispersion(ctx.pruned, ctx.positions, batch.views).graph_dispersion
+                acc[2] += k_hop_coverage(ctx.pruned, views, 2)
+                acc[3] += dispersion(ctx.pruned, ctx.positions, views).graph_dispersion
             means.append([a / 32 for a in acc])
         for k, measure in enumerate(measures):
             column = [m[k] for m in means]

@@ -390,10 +390,10 @@ def test_filter_depth_pair_error_names_both_files(tmp_path, capsys, geom, mono, 
 
 def disconnected_pair(graph, part, quota, depth, communities, positions, seed, **_):
     """Stand-in for sample_partition that breaks the component bound: two
-    views of the part with no edge between them."""
-    first = min(part)
-    near = {v for v, _ in graph.adjacency[first]}
-    second = next(v for v in sorted(part) if v != first and v not in near)
+    nodes of the part with no edge between them."""
+    inside = [v for v, p in enumerate(part) if p]
+    first = inside[0]
+    second = next(v for v in inside if v != first and v not in graph.adjacency[first])
     return [(v, ViewProvenance(0, communities.labels[v], Phase.FILL)) for v in (first, second)]
 
 
@@ -417,7 +417,7 @@ def test_component_bound_violation_exits_2_even_under_O(inputs, tmp_path, monkey
 def test_component_bound_is_checked_on_random_batches(inputs, tmp_path, monkeypatch, capsys):
     # a count past any batch's size breaks random's bound of n_views
     def over_count(graph):
-        return [{v} for v in graph.adjacency] + [set()]
+        return [[v] for v in range(graph.node_count)] + [[0]]
 
     monkeypatch.setattr(sampler, "connected_components", over_count)
     argv = ["sample", "--scene", inputs["ring"], "--preset", "random", "--n", "6",
@@ -494,7 +494,7 @@ class TestSubcommands:
                     "--out", str(out), "--quiet"]) == 0
         graph = prune_edges(build_graph(load_scene_dir(str(ring_dir))), 50)
         labels = louvain(graph, sampler.derive_seed(0, "louvain"), resolution=0.5).labels
-        assert out.read_text() == "".join(f"{v} {labels[v]}\n" for v in sorted(labels))
+        assert out.read_text() == "".join(f"{v} {c}\n" for v, c in zip(graph.ids, labels))
 
     def test_partition_labels(self, ring_dir, tmp_path):
         out = tmp_path / "parts.txt"

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import graph_of, random_graph
+from conftest import by_view, edges_of, graph_of, random_graph
 from oracles import best_modularity_partition, modularity_direct
 from sparseview.community import louvain, modularity
 from sparseview.errors import EmptyGraph, InvalidSpec
@@ -31,23 +31,23 @@ def triple_triangles():
 class TestModularity:
     def test_triangle_single_community_is_zero(self):
         g = graph_of([(1, 2, 1), (2, 3, 1), (1, 3, 1)])
-        labels = {1: 0, 2: 0, 3: 0}
+        labels = [0, 0, 0]
         # hand evaluation: w_in/m - (k/2m)^2 = 3/3 - (6/6)^2 = 0
         assert modularity(g, labels) == pytest.approx(0.0, abs=1e-12)
 
     def test_weighted_triangle_single_community_is_zero(self):
         g = graph_of([(1, 2, 7), (2, 3, 11), (1, 3, 3)])
-        assert modularity(g, {1: 0, 2: 0, 3: 0}) == pytest.approx(0.0, abs=1e-12)
+        assert modularity(g, [0, 0, 0]) == pytest.approx(0.0, abs=1e-12)
 
     def test_two_cliques_matches_direct_sum(self):
         g = two_cliques_with_bridge()
-        labels = {v: (0 if v <= 4 else 1) for v in g.adjacency}
-        direct = modularity_direct(g.adjacency, list(g.edges()), labels)
+        labels = [0 if v <= 4 else 1 for v in g.ids]
+        direct = modularity_direct(range(g.node_count), list(edges_of(g)), labels)
         assert modularity(g, labels) == pytest.approx(direct, abs=1e-12)
 
     def test_singletons_on_triangle_negative(self):
         g = graph_of([(1, 2, 1), (2, 3, 1), (1, 3, 1)])
-        q = modularity(g, {1: 0, 2: 1, 3: 2})
+        q = modularity(g, [0, 1, 2])
         assert q == pytest.approx(-1.0 / 3.0, abs=1e-12)
         assert q < 0
 
@@ -56,20 +56,20 @@ class TestModularity:
             g = random_graph(rng, rng.randint(2, 10), 0.6)
             if g.edge_count == 0:
                 continue
-            labels = {v: rng.randint(0, 3) for v in g.adjacency}
+            labels = [rng.randint(0, 3) for _ in g.ids]
             assert modularity(g, labels) == pytest.approx(
-                modularity_direct(g.adjacency, list(g.edges()), labels), abs=1e-9
+                modularity_direct(range(g.node_count), list(edges_of(g)), labels), abs=1e-9
             )
 
     def test_empty_graph_raises(self):
         g = graph_of([], nodes=[1, 2])
         with pytest.raises(EmptyGraph):
-            modularity(g, {1: 0, 2: 0})
+            modularity(g, [0, 0])
 
     def test_label_permutation_invariance(self, rng):
         g = two_cliques_with_bridge()
-        labels = {v: (0 if v <= 4 else 1) for v in g.adjacency}
-        permuted = {v: 1 - c for v, c in labels.items()}
+        labels = [0 if v <= 4 else 1 for v in g.ids]
+        permuted = [1 - c for c in labels]
         assert abs(modularity(g, labels) - modularity(g, permuted)) < 1e-12
 
 
@@ -77,16 +77,16 @@ class TestLouvain:
     def test_two_cliques_split_at_bridge(self):
         g = two_cliques_with_bridge()
         got = louvain(g, seed=0)
-        blocks = {frozenset(m) for m in got.community_members().values()}
-        best_q, best_blocks = best_modularity_partition(g.adjacency, list(g.edges()))
+        blocks = {frozenset(m) for m in got.members}
+        best_q, best_blocks = best_modularity_partition(range(g.node_count), list(edges_of(g)))
         assert blocks == set(best_blocks)
         assert got.modularity == pytest.approx(best_q, abs=1e-9)
 
     def test_triple_triangles(self):
         g = triple_triangles()
         got = louvain(g, seed=3)
-        blocks = {frozenset(m) for m in got.community_members().values()}
-        _, best_blocks = best_modularity_partition(g.adjacency, list(g.edges()))
+        blocks = {frozenset(m) for m in got.members}
+        _, best_blocks = best_modularity_partition(range(g.node_count), list(edges_of(g)))
         assert blocks == set(best_blocks)
 
     def test_no_nodes_raises(self):
@@ -96,19 +96,19 @@ class TestLouvain:
     def test_single_node(self):
         g = graph_of([], nodes=[5])
         got = louvain(g, seed=0)
-        assert got.labels == {5: 0}
+        assert got.labels == [0]
 
     def test_isolated_nodes_are_singletons(self):
         g = graph_of([(1, 2, 9)], nodes=[1, 2, 7, 8])
-        got = louvain(g, seed=0)
-        assert got.labels[7] != got.labels[8]
-        assert got.labels[7] not in (got.labels[1], got.labels[2])
+        labels = by_view(g, louvain(g, seed=0).labels)
+        assert labels[7] != labels[8]
+        assert labels[7] not in (labels[1], labels[2])
 
     def test_labels_dense_from_zero(self, rng):
         for seed in range(5):
             g = random_graph(rng, 14, 0.3)
             got = louvain(g, seed=seed)
-            ids = sorted(set(got.labels.values()))
+            ids = sorted(set(got.labels))
             assert ids == list(range(len(ids)))
 
     def test_deterministic(self):
@@ -175,7 +175,7 @@ def test_louvain_golden_digest():
         for resolution in (1.0, 0.5, 2.0):
             got = louvain(g, seed=i, resolution=resolution)
             record = (
-                sorted(got.labels.items()),
+                sorted(by_view(g, got.labels).items()),
                 repr(got.modularity),
                 [repr(q) for q in got.level_modularities],
                 got.level_count,
@@ -189,5 +189,5 @@ def test_all_zero_weight_graph_gives_singletons():
     g = graph_of([(1, 2, 0), (2, 3, 0), (1, 3, 0)])
     assert g.edge_count == 0
     got = louvain(g, seed=0)
-    assert got.labels == {1: 0, 2: 1, 3: 2}
+    assert got.labels == [0, 1, 2]
     assert got.modularity == 0.0

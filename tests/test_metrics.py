@@ -8,7 +8,7 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import CHILD_ENV, graph_of, random_graph, random_positions
+from conftest import CHILD_ENV, by_node, edges_of, graph_of, random_graph, random_positions
 from oracles import (
     dispersion_full_bfs,
     hop_distance,
@@ -46,19 +46,20 @@ CAM = CameraIntrinsics(1, CameraModel.SIMPLE_PINHOLE, 10, 10, (1.0, 5.0, 5.0))
 
 
 def path_graph(n):
+    """Views 1..n on a path; node i is view i + 1."""
     return graph_of([(i, i + 1, 10) for i in range(1, n)])
 
 
 class TestKHopCoverage:
     def test_path_center_k2(self):
-        assert k_hop_coverage(path_graph(5), {3}, 2) == 1.0
+        assert k_hop_coverage(path_graph(5), {2}, 2) == 1.0
 
     def test_path_center_k1(self):
-        assert k_hop_coverage(path_graph(5), {3}, 1) == pytest.approx(3 / 5)
+        assert k_hop_coverage(path_graph(5), {2}, 1) == pytest.approx(3 / 5)
 
     def test_full_sample_any_k(self):
         g = path_graph(4)
-        assert k_hop_coverage(g, set(g.adjacency), 0) == 1.0
+        assert k_hop_coverage(g, range(g.node_count), 0) == 1.0
 
     def test_empty_sample(self):
         with pytest.raises(EmptySample):
@@ -69,13 +70,16 @@ class TestKHopCoverage:
             k_hop_coverage(path_graph(3), {1}, -1)
 
     def test_sampled_node_outside_graph(self):
-        with pytest.raises(UnknownNode, match="unknown node 9"):
-            k_hop_coverage(path_graph(3), {1, 9}, 1)
+        # the metrics take nodes; a sampled view id is mapped to its node
+        # first, and one the graph lacks is named there
+        g = path_graph(3)
+        with pytest.raises(UnknownNode, match="unknown node 9$"):
+            k_hop_coverage(g, [g.node(v) for v in (1, 9)], 1)
 
     def test_monotone_in_k_and_sample(self, rng):
         for _ in range(20):
             g = random_graph(rng, 20, 0.1)
-            nodes = sorted(g.adjacency)
+            nodes = list(range(g.node_count))
             small = set(rng.sample(nodes, 3))
             big = small | set(rng.sample(nodes, 5))
             prev = 0.0
@@ -113,39 +117,39 @@ class TestAvgNearest:
 class TestDispersion:
     def test_two_nodes(self):
         g = path_graph(4)
-        pos = {1: (0, 0, 0), 2: (0, 0, 0), 3: (0, 0, 0), 4: (5, 0, 0)}
-        res = dispersion(g, pos, {1, 4})
+        pos = [(0, 0, 0), (0, 0, 0), (0, 0, 0), (5, 0, 0)]
+        res = dispersion(g, pos, {0, 3})
         assert res.graph_dispersion == pytest.approx(3.0)
         assert res.euclidean_dispersion == pytest.approx(5.0)
         assert res.excluded_pairs == 0
 
     def test_adjacent_identical_positions(self):
         g = graph_of([(1, 2, 5)])
-        pos = {1: (1, 2, 3), 2: (1, 2, 3)}
-        res = dispersion(g, pos, {1, 2})
+        pos = [(1, 2, 3), (1, 2, 3)]
+        res = dispersion(g, pos, {0, 1})
         assert res.graph_dispersion == pytest.approx(1.0)
         assert res.euclidean_dispersion == 0.0
 
     def test_disconnected_pairs_excluded(self):
         g = graph_of([(1, 2, 5), (3, 4, 5)])
-        pos = {v: (float(v), 0, 0) for v in (1, 2, 3, 4)}
-        res = dispersion(g, pos, {1, 3})
+        pos = [(float(v), 0, 0) for v in g.ids]
+        res = dispersion(g, pos, {0, 2})
         assert res.graph_dispersion is None
         assert res.excluded_pairs == 1
         assert res.euclidean_dispersion == pytest.approx(2.0)
 
     def test_too_few(self):
         with pytest.raises(TooFewSamples):
-            dispersion(path_graph(3), {}, {1})
+            dispersion(path_graph(3), [], {1})
 
     def test_grid_matches_bfs_oracle(self, rng):
         for _ in range(10):
             g = random_graph(rng, 25, 0.12)
-            nodes = sorted(g.adjacency)
+            nodes = list(range(g.node_count))
             pos = random_positions(rng, nodes)
             sampled = sorted(rng.sample(nodes, 6))
             res = dispersion(g, pos, sampled)
-            adj = {u: [v for v, _ in g.adjacency[u]] for u in nodes}
+            adj = dict(enumerate(g.adjacency))
             hops, eu = [], []
             for i, u in enumerate(sampled):
                 for v in sampled[i + 1 :]:
@@ -162,8 +166,8 @@ class TestDispersion:
 
     def test_permutation_invariance(self, rng):
         g = random_graph(rng, 15, 0.3)
-        pos = random_positions(rng, g.adjacency)
-        sampled = sorted(g.adjacency)[:6]
+        pos = random_positions(rng, range(g.node_count))
+        sampled = list(range(6))
         shuffled = list(sampled)
         random.Random(3).shuffle(shuffled)
         assert dispersion(g, pos, sampled) == dispersion(g, pos, shuffled)
@@ -458,13 +462,13 @@ class TestExactAgainstScalarOracles:
             edges, nodes = [], []
             for base in (0, 100, 200):
                 g = random_graph(rng, rng.randint(2, 20), rng.uniform(0.05, 0.4))
-                edges += [(u + base, v + base, w) for u, v, w in g.edges()]
-                nodes += [v + base for v in g.adjacency]
+                edges += [(g.ids[u] + base, g.ids[v] + base, w) for u, v, w in edges_of(g)]
+                nodes += [v + base for v in g.ids]
             g = graph_of(edges, nodes=nodes)
             pos = random_positions(rng, nodes)
             sampled = rng.sample(nodes, rng.randint(2, min(12, len(nodes))))
-            res = dispersion(g, pos, sampled)
-            adj = {u: [v for v, _ in g.adjacency[u]] for u in g.adjacency}
+            res = dispersion(g, by_node(g, pos), [g.node(v) for v in sampled])
+            adj = {g.ids[u]: [g.ids[v] for v in nbrs] for u, nbrs in enumerate(g.adjacency)}
             want = dispersion_full_bfs(adj, pos, sampled)
             assert (res.graph_dispersion, res.euclidean_dispersion, res.excluded_pairs) == want
             excluded += res.excluded_pairs

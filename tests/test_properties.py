@@ -20,6 +20,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import array_shapes, arrays
 
+from conftest import edges_of
 from oracles import (
     filter_depth_reference,
     louvain_reference,
@@ -33,11 +34,14 @@ from sparseview.community import CommunityAssignment, louvain
 from sparseview.depth_filter import DepthMap, FilterConfig, filter_depth
 from sparseview.errors import DisconnectedTerminals, MalformedLine, SparseViewError, UnknownNode
 from sparseview.pfm import read_pfm
+from sparseview.partition import partition_round_robin
 from sparseview.recon_io import parse_cameras, parse_images, parse_match_graph, parse_points
 from sparseview.sampler import Preset, SamplingConfig, derive_seed, generate_batches, greedy_step
+from sparseview.sampler import prepare_scene
 from sparseview.steiner import WeightMode, approximate_steiner_tree
 from sparseview.synth import SynthSpec, gen_grid_scene, gen_ring_scene
 from sparseview.view_graph import bfs_distances, from_edge_weights, subgraph
+from test_graph_golden import spread_ids
 
 json_values = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
@@ -463,6 +467,45 @@ def test_sampled_batches_keep_their_invariants(tmp_path_factory, preset, data):
 
 
 @st.composite
+def increasing_maps(draw, ids):
+    """A strictly increasing map of `ids`: random gaps from a random start."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    at = draw(st.sampled_from([-(10**6), 0, 10**9, 2**62]))
+    widest = draw(st.sampled_from([1, 3, 1000]))
+    out = {}
+    for v in sorted(ids):
+        at += rng.randint(1, widest)
+        out[v] = at
+    return out
+
+
+@settings(max_examples=25)
+@given(data=st.data())
+def test_an_order_keeping_relabel_changes_nothing(data):
+    """The graph layers see view ids only through their order: under a
+    strictly increasing renaming f of a scene's views, the communities and
+    partitions by node are unchanged, and every batch is the original's
+    with each view mapped through f."""
+    scene = data.draw(small_scenes())
+    config = data.draw(sampling_configs(data.draw(st.sampled_from([None, *Preset]))))
+    f = data.draw(increasing_maps(scene.views))
+    moved = spread_ids(scene, f.__getitem__)
+    a = prepare_scene(scene, config.prune_threshold, config.seed)
+    b = prepare_scene(moved, config.prune_threshold, config.seed)
+    assert [f[v] for v in a.pruned.ids] == list(b.pruned.ids)
+    assert (a.pruned.adjacency, a.pruned.weights) == (b.pruned.adjacency, b.pruned.weights)
+    assert a.communities == b.communities
+    for n_cc in range(1, min(4, a.pruned.node_count) + 1):
+        assert partition_round_robin(a.pruned, n_cc, config.seed, a.communities) == (
+            partition_round_robin(b.pruned, n_cc, config.seed, b.communities)
+        )
+    batches = zip(generate_batches(scene, config, 3), generate_batches(moved, config, 3), strict=True)
+    for x, y in batches:
+        assert [f[v] for v in x.views] == y.views
+        assert (x.config, x.provenance, x.truncated) == (y.config, y.provenance, y.truncated)
+
+
+@st.composite
 def weighted_graphs(draw):
     """2-80 nodes at densities 0.05-0.8, weights up to 1, 2, 5 or 1000, and
     at least one edge; dense graphs are what move many nodes per sweep."""
@@ -480,69 +523,96 @@ def weighted_graphs(draw):
 @given(graph=weighted_graphs(), seed=st.integers(0, 2**32), resolution=st.sampled_from([0.1, 0.5, 1.0, 2.0]))
 def test_louvain_matches_the_unskipped_reference(graph, seed, resolution):
     got = louvain(graph, seed, resolution)
-    expected = louvain_reference(graph.adjacency, seed, resolution)
-    assert (got.labels, got.modularity, got.level_count, got.level_modularities) == expected
+    rows = {u: tuple(zip(nbrs, wts)) for u, (nbrs, wts) in enumerate(zip(graph.adjacency, graph.weights))}
+    expected = louvain_reference(rows, seed, resolution)
+    assert (dict(enumerate(got.labels)), got.modularity, got.level_count, got.level_modularities) == expected
 
 
 def steiner_outcome(graph, terminals, mode, part=None):
-    """The tree as comparable fields, or the error's type and what it names."""
+    """The tree as comparable view-id fields, or the error's type and the
+    views it names."""
     try:
         res = approximate_steiner_tree(graph, terminals, mode, part)
     except UnknownNode as exc:
         return UnknownNode, exc.node
     except DisconnectedTerminals as exc:
         return DisconnectedTerminals, exc.unreachable
-    return res.tree_nodes, res.tree_edges, repr(res.total_weight)
-
-
-def raised_or_result(fn, *args):
-    try:
-        return fn(*args)
-    except UnknownNode as exc:
-        return UnknownNode, exc.node
+    views = graph.ids
+    edges = frozenset((views[u], views[v]) for u, v in res.tree_edges)
+    return frozenset(views[v] for v in res.tree_nodes), edges, repr(res.total_weight)
 
 
 @st.composite
 def parts_of(draw, graph):
-    """A part of the graph's nodes, often disconnected in it, now and then
-    with an id the graph does not have, and a seeded rng for the rest."""
+    """A part of the graph's nodes as a membership list, often disconnected
+    in it, and a seeded rng for the rest."""
     rng = random.Random(draw(st.integers(0, 2**32)))
-    nodes = sorted(graph.adjacency)
+    nodes = range(graph.node_count)
     part = set(rng.sample(nodes, rng.randint(1, len(nodes))))
-    if draw(st.integers(0, 4)) == 0:
-        part.add(len(nodes) + 7)
-    return part, rng
+    return [v in part for v in nodes], rng
+
+
+def spread(graph):
+    """The graph with view v renamed 7 v + 10**9, so a node and its view differ."""
+    return from_edge_weights(
+        [7 * v + 10**9 for v in graph.ids],
+        {(7 * graph.ids[u] + 10**9, 7 * graph.ids[v] + 10**9): w for u, v, w in edges_of(graph)},
+    )
 
 
 @settings(max_examples=300)
-@given(data=st.data(), graph=weighted_graphs())
+@given(data=st.data(), graph=weighted_graphs().map(spread))
 def test_a_part_as_membership_walks_as_its_induced_copy(data, graph):
     """Steiner trees, greedy steps and BFS distances given `part` equal those
-    on `subgraph(graph, part)`, errors included, for terminals, a current
-    view and a start inside or outside the part."""
+    on `subgraph(graph, part)` once both are read as view ids, errors
+    included, for terminals, a current view and a start inside or outside
+    the part."""
     part, rng = data.draw(parts_of(graph))
-    copy = subgraph(graph, part)
-    nodes = sorted(graph.adjacency)
-    inner = sorted(part & graph.adjacency.keys())
-    outside = [v for v in nodes if v not in part]
+    inner = [v for v, p in enumerate(part) if p]
+    copy = subgraph(graph, inner)  # copy node j is graph node inner[j]
+    to_copy = {v: j for j, v in enumerate(inner)}
+    nodes = list(range(graph.node_count))
+    outside = [v for v in nodes if not part[v]]
     terminals = set(rng.sample(inner, rng.randint(1, min(5, len(inner)))))
-    if outside and rng.random() < 0.3:
+    stray = outside and rng.random() < 0.3
+    if stray:
         terminals.add(rng.choice(outside))
     for mode in WeightMode:
-        assert steiner_outcome(graph, terminals, mode, part) == steiner_outcome(copy, terminals, mode)
+        got = steiner_outcome(graph, terminals, mode, part)
+        if stray:  # the smallest terminal outside the part is named
+            assert got == (UnknownNode, graph.ids[min(t for t in terminals if not part[t])])
+        else:
+            assert got == steiner_outcome(copy, [to_copy[t] for t in terminals], mode)
 
-    current = rng.choice(nodes + sorted(part - graph.adjacency.keys()))
-    sampled = {current, *rng.sample(nodes, rng.randint(0, len(nodes) // 2))}
-    communities = CommunityAssignment({v: rng.randint(0, 3) for v in nodes}, (0.0,))
-    positions = {v: (rng.random(), rng.random(), rng.random()) for v in nodes}
-    assert raised_or_result(greedy_step, graph, current, sampled, communities, positions, part) == (
-        raised_or_result(greedy_step, copy, current, sampled, communities, positions)
-    )
-
+    current = rng.choice(nodes)
+    sampled = {current, *rng.sample(inner, rng.randint(0, len(inner) // 2))} & set(inner)
+    labels = [rng.randint(0, 3) for _ in nodes]
+    positions = [(rng.random(), rng.random(), rng.random()) for _ in nodes]
     targets = rng.sample(nodes, rng.randint(0, len(nodes)))
-    assert raised_or_result(bfs_distances, graph, current, targets, part) == (
-        raised_or_result(bfs_distances, copy, current, targets)
+    if not part[current]:
+        for call in (
+            lambda: greedy_step(graph, current, sampled, CommunityAssignment(labels, (0.0,)), positions, part),
+            lambda: bfs_distances(graph, current, targets, part),
+        ):
+            with pytest.raises(UnknownNode) as exc:
+                call()
+            assert exc.value.node == graph.ids[current]
+        return
+    step = greedy_step(graph, current, sampled, CommunityAssignment(labels, (0.0,)), positions, part)
+    copy_step = greedy_step(
+        copy, to_copy[current], [to_copy[s] for s in sampled],
+        CommunityAssignment([labels[v] for v in inner], (0.0,)), [positions[v] for v in inner],
     )
+    assert (step is None and copy_step is None) or graph.ids[step] == copy.ids[copy_step]
+
+    # a target outside the part is never reached, so the search exhausts
+    # the start's component, as an unreachable target in the copy makes it
+    copy_targets = range(copy.node_count) if any(not part[t] for t in targets) else [
+        to_copy[t] for t in targets
+    ]
+    got = bfs_distances(graph, current, targets, part)
+    want = bfs_distances(copy, to_copy[current], copy_targets)
+    assert {graph.ids[v]: d for v, d in got.items()} == {copy.ids[v]: d for v, d in want.items()}
 
 
 @settings(max_examples=300)
@@ -552,9 +622,9 @@ def test_the_unit_hop_bfs_grows_the_regions_the_heap_grows_on_unit_weights(data,
     heap search is a unit-hop search and the BFS must give its predecessors,
     edge lengths and closure, over the whole graph or a part of it."""
     part, rng = data.draw(parts_of(graph))
-    inside = graph.adjacency if rng.random() < 0.3 else part
-    unit = from_edge_weights(graph.adjacency, {(u, v): 1 for u, v, _ in graph.edges()})
-    inner = sorted(part & graph.adjacency.keys())
+    inside = [True] * graph.node_count if rng.random() < 0.3 else part
+    unit = from_edge_weights(graph.ids, {(graph.ids[u], graph.ids[v]): 1 for u, v, _ in edges_of(graph)})
+    inner = [v for v, p in enumerate(part) if p]
     sources = rng.sample(inner, rng.randint(1, min(6, len(inner))))
     bfs = steiner._multi_source_bfs(graph, sources, inside)
     heap = steiner._multi_source_dijkstra(unit, sources, inside)

@@ -9,7 +9,7 @@ from dataclasses import replace
 
 import pytest
 
-from conftest import CHILD_ENV, ONE_CPU, graph_of, random_graph, random_positions
+from conftest import CHILD_ENV, ONE_CPU, by_node, communities_for, graph_of, random_graph, random_positions
 from oracles import greedy_choice, max_terminal_subtree_reference, union_find_components
 from sparseview import sampler
 from sparseview.batches import Phase, read_batches
@@ -39,14 +39,11 @@ from sparseview.view_graph import build_graph, prune_edges
 
 
 def component_count(graph, views):
-    """Components of the subgraph `views` induce, by the union-find oracle."""
-    views = set(views)
-    edges = [(u, v) for u in views for v, _ in graph.adjacency[u] if v in views]
-    return len(union_find_components(views, edges))
-
-
-def communities_of(labels):
-    return CommunityAssignment(labels, (0.0,))
+    """Components of the subgraph the view ids `views` induce, by the
+    union-find oracle."""
+    nodes = {graph.node(v) for v in views}
+    edges = [(u, v) for u in nodes for v in graph.adjacency[u] if v in nodes]
+    return len(union_find_components(nodes, edges))
 
 
 def keep_whole_tree(tree_nodes, tree_edges, terminals, budget):
@@ -72,47 +69,47 @@ def ring_scene(clusters=12, size=12, seed=0):
 
 class TestGreedyStep:
     def test_novelty_beats_distance(self):
-        g = graph_of([(0, 1, 9), (0, 2, 9)])
-        comms = communities_of({0: 0, 1: 1, 2: 0})
-        pos = {0: (0, 0, 0), 1: (1, 0, 0), 2: (100, 0, 0)}
+        g = graph_of([(0, 1, 9), (0, 2, 9)])  # node v is view v
+        comms = CommunityAssignment([0, 1, 0], (0.0,))
+        pos = [(0, 0, 0), (1, 0, 0), (100, 0, 0)]
         assert greedy_step(g, 0, {0}, comms, pos) == 1
 
     def test_distance_within_seen_communities(self):
         g = graph_of([(0, 1, 9), (0, 2, 9)])
-        comms = communities_of({0: 0, 1: 0, 2: 0})
-        pos = {0: (0, 0, 0), 1: (2, 0, 0), 2: (5, 0, 0)}
+        comms = CommunityAssignment([0, 0, 0], (0.0,))
+        pos = [(0, 0, 0), (2, 0, 0), (5, 0, 0)]
         assert greedy_step(g, 0, {0}, comms, pos) == 2
 
     def test_id_tiebreak(self):
         g = graph_of([(0, 3, 9), (0, 7, 9)])
-        comms = communities_of({0: 0, 3: 0, 7: 0})
-        pos = {0: (0, 0, 0), 3: (1, 0, 0), 7: (-1, 0, 0)}
-        assert greedy_step(g, 0, {0}, comms, pos) == 3
+        comms = communities_for(g, {0: 0, 3: 0, 7: 0})
+        pos = by_node(g, {0: (0, 0, 0), 3: (1, 0, 0), 7: (-1, 0, 0)})
+        assert g.ids[greedy_step(g, 0, {0}, comms, pos)] == 3
 
     def test_no_candidates(self):
         g = graph_of([(0, 1, 9)])
-        comms = communities_of({0: 0, 1: 0})
-        pos = {0: (0, 0, 0), 1: (1, 0, 0)}
+        comms = CommunityAssignment([0, 0], (0.0,))
+        pos = [(0, 0, 0), (1, 0, 0)]
         assert greedy_step(g, 0, {0, 1}, comms, pos) is None
 
     def test_unknown_node(self):
-        g = graph_of([(0, 1, 9)])
-        with pytest.raises(UnknownNode):
-            greedy_step(g, 5, {5}, communities_of({0: 0, 1: 0}), {})
+        # a current outside the part is unknown there, and the error names its view
+        g = graph_of([(10**9, 10**9 + 7, 9)])
+        pos = [(0, 0, 0), (1, 0, 0)]
+        with pytest.raises(UnknownNode, match=f"unknown node {10**9}$"):
+            greedy_step(g, 0, {0}, CommunityAssignment([0, 0], (0.0,)), pos, part=[False, True])
 
     def test_matches_sort_oracle(self, rng):
         for _ in range(300):
             n = rng.randint(3, 14)
             g = random_graph(rng, n, rng.uniform(0.3, 0.9))
-            nodes = sorted(g.adjacency)
-            labels = {v: rng.randint(0, 3) for v in nodes}
+            nodes = list(range(g.node_count))
+            labels = [rng.randint(0, 3) for _ in nodes]
             pos = random_positions(rng, nodes)
             current = rng.choice(nodes)
             sampled = {current} | set(rng.sample(nodes, rng.randint(0, n - 1)))
-            got = greedy_step(g, current, sampled, communities_of(labels), pos)
-            want = greedy_choice(
-                [u for u, _ in g.adjacency[current]], current, sampled, labels, pos
-            )
+            got = greedy_step(g, current, sampled, CommunityAssignment(labels, (0.0,)), pos)
+            want = greedy_choice(g.adjacency[current], current, sampled, labels, pos)
             assert got == want
 
 
@@ -142,9 +139,9 @@ class TestSamplePartition:
         scene = clique_scene()
         graph = prune_edges(build_graph(scene), 50)
         comms = louvain(graph, seed=1)
-        assert len(set(comms.labels.values())) == 1
+        assert len(set(comms.labels)) == 1
         return sample_partition(
-            graph, set(graph.adjacency), quota, depth,
+            graph, [True] * graph.node_count, quota, depth,
             comms, scene.positions(), seed,
         )
 
@@ -170,14 +167,14 @@ class TestSamplePartition:
         graph = prune_edges(build_graph(scene), 50)
         comms = louvain(graph, seed=1)
         with pytest.raises(EmptyPartition):
-            sample_partition(graph, set(), 3, 3, comms, scene.positions(), 0)
+            sample_partition(graph, [False] * graph.node_count, 3, 3, comms, scene.positions(), 0)
 
     def test_quota_below_one(self):
         scene = clique_scene(5)
         graph = prune_edges(build_graph(scene), 50)
         comms = louvain(graph, seed=1)
         with pytest.raises(ValueError, match="quota"):
-            sample_partition(graph, set(graph.adjacency), 0, 3, comms, scene.positions(), 0)
+            sample_partition(graph, [True] * graph.node_count, 0, 3, comms, scene.positions(), 0)
 
     def test_search_views_past_the_budget_raise(self, monkeypatch):
         # with the Steiner tree kept whole, its views overrun min(quota, depth)
@@ -186,7 +183,7 @@ class TestSamplePartition:
         scene = ring_scene(6, 8)
         graph = prune_edges(build_graph(scene), 50)
         comms = louvain(graph, seed=1)
-        args = (graph, set(graph.adjacency), 40)
+        args = (graph, [True] * graph.node_count, 40)
         picked = sample_partition(*args, 40, comms, scene.positions(), 0)
         tree = sum(1 for _, p in picked if p.phase in (Phase.TERMINAL, Phase.STEINER))
         assert 6 <= tree < 40
@@ -202,7 +199,7 @@ class TestSamplePartition:
         for trial in range(30):
             depth = rng.randint(1, 20)
             quota = rng.randint(1, 20)
-            picked = sample_partition(graph, set(graph.adjacency), quota, depth, comms, pos, trial)
+            picked = sample_partition(graph, [True] * graph.node_count, quota, depth, comms, pos, trial)
             phases = [p.phase for _, p in picked]
             non_fill = [ph for ph in phases if ph is not Phase.FILL]
             assert sum(1 for ph in phases if ph is Phase.GREEDY) <= depth
@@ -219,12 +216,12 @@ def test_fill_stays_in_the_sampled_component():
     # fill draws from the 1-hop ring of the sampled set only, so on a part of
     # two components it stops once the terminal's component is sampled
     graph = graph_of([(1, 2, 100), (2, 3, 100), (10, 11, 100), (11, 12, 100)])
-    part = set(graph.adjacency)
-    comms = communities_of(dict.fromkeys(part, 0))
-    positions = {v: (float(v), 0.0, 0.0) for v in part}
+    part = [True] * graph.node_count
+    comms = CommunityAssignment([0] * graph.node_count, (0.0,))
+    positions = [(float(v), 0.0, 0.0) for v in graph.ids]
     for seed in range(10):
         picked = sample_partition(graph, part, 6, 1, comms, positions, seed)
-        assert {v for v, _ in picked} in ({1, 2, 3}, {10, 11, 12})
+        assert {graph.ids[v] for v, _ in picked} in ({1, 2, 3}, {10, 11, 12})
         assert [p.phase for _, p in picked] == [Phase.TERMINAL, Phase.FILL, Phase.FILL]
 
 
@@ -319,7 +316,7 @@ class TestDfsSubsample:
         batch, graph = self.make_batch()
         sub = dfs_subsample(batch, graph, 2, seed=4)
         a, b = sub.views
-        assert b in {v for v, _ in graph.adjacency[a]}
+        assert graph.node(b) in graph.adjacency[graph.node(a)]
 
     def test_subset_and_size_over_seeds(self, rng):
         batch, graph = self.make_batch()

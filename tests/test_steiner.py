@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from conftest import graph_of, random_graph
+from conftest import edges_of, graph_of, random_graph
 from oracles import mst_weight, steiner_optimum
 from sparseview.community import CommunityAssignment
 from sparseview.errors import DisconnectedTerminals, UnknownNode
@@ -33,7 +33,7 @@ def is_tree(nodes, edges):
 
 
 def unit_edges(graph):
-    return [(u, v, 1.0) for u, v, _ in graph.edges()]
+    return [(u, v, 1.0) for u, v, _ in edges_of(graph)]
 
 
 class TestSelectTerminals:
@@ -41,36 +41,35 @@ class TestSelectTerminals:
         return CommunityAssignment(labels, (0.0,))
 
     def test_one_per_community(self):
-        labels = {1: 0, 2: 0, 3: 1, 4: 1, 5: 2}
+        labels = [0, 0, 1, 1, 2]
         comms = self.make_communities(labels)
-        terms = select_terminals({1, 2, 3, 4, 5}, comms, seed=0)
+        terms = select_terminals([True] * 5, comms, seed=0)
         assert len(terms) == 3
         assert {labels[t] for t in terms} == {0, 1, 2}
 
     def test_single_community(self):
-        comms = self.make_communities({1: 0, 2: 0, 3: 0})
-        assert len(select_terminals({1, 2, 3}, comms, seed=9)) == 1
+        comms = self.make_communities([0, 0, 0])
+        assert len(select_terminals([True] * 3, comms, seed=9)) == 1
 
     def test_empty_part(self):
         with pytest.raises(ValueError, match="part is empty"):
-            select_terminals(set(), self.make_communities({1: 0}), seed=0)
+            select_terminals([False], self.make_communities([0]), seed=0)
 
     def test_deterministic(self):
-        labels = {v: v % 3 for v in range(1, 20)}
+        labels = [v % 3 for v in range(19)]
         comms = self.make_communities(labels)
-        part = set(range(1, 20))
+        part = [True] * 19
         assert select_terminals(part, comms, 7) == select_terminals(part, comms, 7)
 
     def test_respects_part_restriction(self):
-        labels = {1: 0, 2: 0, 3: 1, 4: 1}
-        comms = self.make_communities(labels)
-        terms = select_terminals({1, 2}, comms, seed=0)
-        assert len(terms) == 1 and terms <= {1, 2}
+        comms = self.make_communities([0, 0, 1, 1])
+        terms = select_terminals([True, True, False, False], comms, seed=0)
+        assert len(terms) == 1 and set(terms) <= {0, 1}
 
 
 class TestSteinerTree:
     def test_star_spokes(self):
-        g = graph_of([(0, 1, 10), (0, 2, 10), (0, 3, 10)])
+        g = graph_of([(0, 1, 10), (0, 2, 10), (0, 3, 10)])  # node v is view v
         res = approximate_steiner_tree(g, {1, 2, 3}, WeightMode.UNIT_HOP)
         assert res.tree_nodes == frozenset({0, 1, 2, 3})
         assert res.total_weight == 3.0
@@ -78,7 +77,7 @@ class TestSteinerTree:
     def test_all_terminals_equals_mst(self, rng):
         for _ in range(30):
             g = random_graph(rng, rng.randint(2, 9), 0.7)
-            nodes = set(g.adjacency)
+            nodes = set(range(g.node_count))
             edges = unit_edges(g)
             want = mst_weight(nodes, edges)
             if want is None:
@@ -88,32 +87,32 @@ class TestSteinerTree:
 
     @pytest.mark.parametrize(
         "terminals,error,message",
-        [(set(), ValueError, "terminal set is empty"), ({1, 9}, UnknownNode, "unknown node 9")],
-        ids=["no-terminal", "unknown-terminal"],
+        [(set(), ValueError, "terminal set is empty"), ({0, 1}, UnknownNode, "unknown node 9$")],
+        ids=["no-terminal", "unknown-terminal"],  # the second lies outside the part
     )
     def test_refuses_terminals_it_cannot_join(self, terminals, error, message):
         with pytest.raises(error, match=message):
-            approximate_steiner_tree(graph_of([(1, 2, 5)]), terminals)
+            approximate_steiner_tree(graph_of([(1, 9, 5)]), terminals, part=[True, False])
 
     def test_single_terminal(self):
         g = graph_of([(1, 2, 5)])
-        res = approximate_steiner_tree(g, {1})
-        assert res.tree_nodes == frozenset({1})
+        res = approximate_steiner_tree(g, {0})
+        assert res.tree_nodes == frozenset({0})
         assert res.tree_edges == frozenset()
         assert res.total_weight == 0.0
 
     def test_disconnected_terminals(self):
         g = graph_of([(1, 2, 5), (3, 4, 5)])
         with pytest.raises(DisconnectedTerminals) as exc:
-            approximate_steiner_tree(g, {1, 3})
-        assert exc.value.unreachable == [3]
+            approximate_steiner_tree(g, {0, 2})
+        assert exc.value.unreachable == [3]  # a view id
 
     def test_terminals_joined_only_by_zero_matches_are_disconnected(self):
         # a pair with no matches is no edge, so 1, 2 and 3 are isolated
         g = graph_of([(1, 2, 0), (2, 3, 0)])
         for mode in WeightMode:
             with pytest.raises(DisconnectedTerminals) as exc:
-                approximate_steiner_tree(g, {1, 3}, mode)
+                approximate_steiner_tree(g, {0, 2}, mode)
             assert exc.value.unreachable == [3]
 
     def test_zero_match_boundary_edge_does_not_join_regions(self):
@@ -122,13 +121,13 @@ class TestSteinerTree:
         g = graph_of([(1, 2, 5), (2, 3, 0), (3, 4, 5)])
         for mode in WeightMode:
             with pytest.raises(DisconnectedTerminals) as exc:
-                approximate_steiner_tree(g, {1, 4}, mode)
+                approximate_steiner_tree(g, {0, 3}, mode)
             assert exc.value.unreachable == [4]
 
     def test_non_terminal_leaves_pruned(self, rng):
         for trial in range(40):
             g = random_graph(rng, 10, 0.35)
-            nodes = sorted(g.adjacency)
+            nodes = list(range(g.node_count))
             terms = set(rng.sample(nodes, rng.randint(2, 4)))
             try:
                 res = approximate_steiner_tree(g, terms, WeightMode.UNIT_HOP)
@@ -149,12 +148,12 @@ class TestSteinerTree:
         while checked < 60:
             n = rng.randint(4, 10)
             g = random_graph(rng, n, rng.uniform(0.3, 0.8))
-            terms = set(rng.sample(sorted(g.adjacency), rng.randint(2, 4)))
+            terms = set(rng.sample(range(g.node_count), rng.randint(2, 4)))
             try:
                 res = approximate_steiner_tree(g, terms, WeightMode.UNIT_HOP)
             except DisconnectedTerminals:
                 continue
-            opt = steiner_optimum(g.adjacency, unit_edges(g), terms)
+            opt = steiner_optimum(range(g.node_count), unit_edges(g), terms)
             bound = 2.0 * (1.0 - 1.0 / len(terms)) * opt + 1e-9
             assert res.total_weight <= max(bound, opt + 1e-9)
             checked += 1
@@ -164,20 +163,20 @@ class TestSteinerTree:
         while checked < 40:
             n = rng.randint(4, 9)
             g = random_graph(rng, n, rng.uniform(0.3, 0.8), max_w=50)
-            terms = set(rng.sample(sorted(g.adjacency), rng.randint(2, 4)))
+            terms = set(rng.sample(range(g.node_count), rng.randint(2, 4)))
             try:
                 res = approximate_steiner_tree(g, terms, WeightMode.INVERSE_MATCH)
             except DisconnectedTerminals:
                 continue
-            inv_edges = [(u, v, 1.0 / w) for u, v, w in g.edges()]
-            opt = steiner_optimum(g.adjacency, inv_edges, terms)
+            inv_edges = [(u, v, 1.0 / w) for u, v, w in edges_of(g)]
+            opt = steiner_optimum(range(g.node_count), inv_edges, terms)
             bound = 2.0 * (1.0 - 1.0 / len(terms)) * opt + 1e-9
             assert res.total_weight <= max(bound, opt + 1e-9)
             checked += 1
 
     def test_deterministic(self, rng):
         g = random_graph(rng, 12, 0.3)
-        terms = set(sorted(g.adjacency)[:3])
+        terms = {0, 1, 2}
         try:
             a = approximate_steiner_tree(g, terms)
             b = approximate_steiner_tree(g, terms)
@@ -241,12 +240,14 @@ def test_golden_digest():
     for g, terms in _golden_cases():
         for mode in WeightMode:
             try:
-                res = approximate_steiner_tree(g, terms, mode)
+                res = approximate_steiner_tree(g, [g.node(t) for t in terms], mode)
             except DisconnectedTerminals as exc:
                 record = ("disconnected", exc.unreachable)
             else:
                 record = (
-                    sorted(res.tree_nodes), sorted(res.tree_edges), repr(res.total_weight)
+                    sorted(g.ids[v] for v in res.tree_nodes),
+                    sorted((g.ids[u], g.ids[v]) for u, v in res.tree_edges),
+                    repr(res.total_weight),
                 )
             h.update(repr(record).encode())
     assert h.hexdigest() == GOLDEN_DIGEST
@@ -274,16 +275,18 @@ def test_networkx_mehlhorn_oracle():
             e: 1.0 if mode is WeightMode.UNIT_HOP else 1.0 / w for e, w in weights.items()
         }
 
-        res = approximate_steiner_tree(g, terms, mode)
-        assert is_tree(res.tree_nodes, res.tree_edges)
-        assert terms <= res.tree_nodes
-        assert res.tree_edges <= length.keys()
-        degree = {n: 0 for n in res.tree_nodes}
-        for u, v in res.tree_edges:
+        res = approximate_steiner_tree(g, [g.node(t) for t in terms], mode)
+        tree_nodes = {g.ids[v] for v in res.tree_nodes}
+        tree_edges = {(g.ids[u], g.ids[v]) for u, v in res.tree_edges}
+        assert is_tree(tree_nodes, tree_edges)
+        assert terms <= tree_nodes
+        assert tree_edges <= length.keys()
+        degree = {n: 0 for n in tree_nodes}
+        for u, v in tree_edges:
             degree[u] += 1
             degree[v] += 1
         assert {n for n, d in degree.items() if d <= 1} <= terms
-        assert res.total_weight == pytest.approx(sum(length[e] for e in res.tree_edges))
+        assert res.total_weight == pytest.approx(sum(length[e] for e in tree_edges))
 
         nxg = nx.Graph()
         nxg.add_weighted_edges_from((u, v, x) for (u, v), x in length.items())

@@ -82,10 +82,10 @@ class TestRingScene:
         graph = prune_edges(build_graph(scene), 50)
         got = louvain(graph, seed=0)
         truth = ring_ground_truth(spec)
-        assert len(set(got.labels.values())) == spec.cluster_count
+        assert len(set(got.labels)) == spec.cluster_count
         # detected labels must be a relabeling of the generator's clusters
         mapping = {}
-        for v, c in got.labels.items():
+        for v, c in zip(graph.ids, got.labels):
             mapping.setdefault(c, truth[v])
             assert mapping[c] == truth[v]
 
@@ -126,7 +126,7 @@ class TestGridScene:
         assert len(scene.views) == 16
         assert len(scene.edges) == 2 * 4 * 3  # grid edges
         graph = build_graph(scene)
-        corner_degrees = sorted(len(graph.adjacency[v]) for v in (1, 4, 13, 16))
+        corner_degrees = sorted(len(graph.adjacency[graph.node(v)]) for v in (1, 4, 13, 16))
         assert corner_degrees == [2, 2, 2, 2]
 
     def test_deterministic(self):
