@@ -20,7 +20,7 @@ from . import community as community_mod
 from . import metrics as metrics_mod
 from . import synth as synth_mod
 from .depth_filter import FilterConfig, filter_depth
-from .errors import EmptySample, InvariantViolation, SparseViewError
+from .errors import EmptySample, InvalidSpec, InvariantViolation, SparseViewError
 from .metrics import DEFAULT_THRESHOLDS
 from .partition import partition_round_robin
 from .pfm import read_pfm, write_pfm
@@ -78,13 +78,15 @@ _positive_float.__name__ = "float"  # argparse reports a non-number as "invalid 
 
 
 def _thresholds(text: str) -> list[int]:
-    """argparse type: comma-separated distinct whole degrees, each >= 1."""
+    """argparse type: comma-separated degrees under `metrics.check_thresholds`."""
     entries = text.split(",")
     if not all(t.strip() for t in entries):
         raise argparse.ArgumentTypeError(f"has an empty entry, got {text!r}")
-    values = [_at_least(1)(t) for t in entries]
-    if len(set(values)) < len(values):
-        raise argparse.ArgumentTypeError(f"needs distinct whole degrees, got {text!r}")
+    values = [int(t) for t in entries]
+    try:
+        metrics_mod.check_thresholds(values)
+    except InvalidSpec as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
     return values
 
 
@@ -158,7 +160,8 @@ def cmd_stats(args) -> int:
 
 
 def cmd_communities(args) -> int:
-    ctx = prepare_scene(_load_scene(args), args.prune_threshold, args.seed, args.resolution)
+    config = SamplingConfig(prune_threshold=args.prune_threshold, seed=args.seed)
+    ctx = prepare_scene(_load_scene(args), config, args.resolution)
     _log(args, f"seed {args.seed}")
     _log(args, f"modularity {ctx.communities.modularity!r} levels {ctx.communities.level_count}")
     lines = [f"{v} {c}" for v, c in zip(ctx.pruned.ids, ctx.communities.labels)]
@@ -167,7 +170,8 @@ def cmd_communities(args) -> int:
 
 
 def cmd_partition(args) -> int:
-    ctx = prepare_scene(_load_scene(args), args.prune_threshold, args.seed)
+    config = SamplingConfig(prune_threshold=args.prune_threshold, seed=args.seed)
+    ctx = prepare_scene(_load_scene(args), config)
     _log(args, f"seed {args.seed}")
     assignment = partition_round_robin(ctx.pruned, args.ncc, args.seed, ctx.communities)
     lines = [f"{v} {i}" for v, i in zip(ctx.pruned.ids, assignment) if i >= 0]
@@ -202,7 +206,7 @@ def cmd_sample(args) -> int:
 
 def cmd_coverage(args) -> int:
     scene, graph = _load_graph(args)
-    positions = scene.positions()
+    positions = scene.positions(graph.ids)
     nodes = range(graph.node_count)
     loaded = batches_io.read_batches(args.batches)
     if not loaded:

@@ -14,6 +14,7 @@ from .errors import (
     EmptySample,
     IdMismatch,
     InvalidK,
+    InvalidSpec,
     LengthMismatch,
     NoCameras,
     NoPoints,
@@ -226,6 +227,17 @@ _PAIR_BLOCK = 1 << 14  # pairs per stacked block in pose_pair_errors
 DEFAULT_THRESHOLDS = (5, 10, 15, 30)  # degrees, for RRA, RTA and AUC
 
 
+def check_thresholds(thresholds) -> None:
+    """InvalidSpec unless `thresholds` are distinct whole degrees in [1, 180]:
+    AUC@t averages the accuracy at 0, 1, ..., t degrees, and no rotation or
+    direction error exceeds 180."""
+    for t in thresholds:
+        if not (isinstance(t, int) and 1 <= t <= 180):
+            raise InvalidSpec(f"thresholds must be whole degrees in [1, 180], got {t!r}")
+    if len(set(thresholds)) < len(thresholds):
+        raise InvalidSpec(f"thresholds must be distinct, got {list(thresholds)}")
+
+
 def _pair_errors(pred, gt, i: np.ndarray, j: np.ndarray) -> tuple[list[float], list[float]]:
     """Rotation and translation-direction errors in degrees of the pairs
     (i[k], j[k]); pred and gt are (rotations (n, 3, 3), translations (n, 3))."""
@@ -265,6 +277,7 @@ def pose_pair_errors(
     import numpy as np
 
     trapezoid = getattr(np, "trapezoid", None) or np.trapz
+    check_thresholds(thresholds)
     if len(views_pred) != len(views_gt):
         raise LengthMismatch(f"{len(views_pred)} pred vs {len(views_gt)} gt")
     if len(views_pred) < 2:
@@ -300,7 +313,7 @@ def pose_pair_errors(
     rta = {t: float((trans < t).mean()) for t in thresholds}
     auc = {}
     for t in thresholds:
-        xs = np.arange(0, int(t) + 1)
+        xs = np.arange(t + 1)
         acc = np.array([(joint <= x).mean() for x in xs])
         auc[t] = float(trapezoid(acc, xs) / t)
     return PosePairErrors(

@@ -1,10 +1,11 @@
 """Portable float map (PFM) reader/writer for single-channel depth maps.
 
 Canonical form written here: header `Pf`, `<width> <height>`, scale `-1.0`
-(little-endian float32), pixel rows stored bottom-to-top. Invalid depths, and
-finite depths beyond the float32 range, are encoded as 0.0. A map is read as
-the native-endian float32 the file stores, with no widening. numpy is
-imported by the reader and the writer, not by this module.
+(little-endian float32), pixel rows stored bottom-to-top. Non-finite depths,
+and finite depths beyond the float32 range, are encoded as 0.0; any other
+value is written as it is, so an invalid depth of -1.0 reads back as -1.0.
+A map is read as the native-endian float32 the file stores, with no
+widening. numpy is imported by the reader and the writer, not by this module.
 """
 
 from __future__ import annotations

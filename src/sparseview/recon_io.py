@@ -23,6 +23,11 @@ from enum import Enum
 from .errors import DanglingReference, DuplicateId, MalformedLine, SelfLoop
 
 
+# match counts are below 2**63, so sums and means of them stay well inside
+# the float range that the graph statistics and Louvain compute in
+MATCH_COUNT_LIMIT = 2**63
+
+
 class CameraModel(Enum):
     SIMPLE_PINHOLE = "SIMPLE_PINHOLE"
     PINHOLE = "PINHOLE"
@@ -123,9 +128,10 @@ class SceneReconstruction:
     edges: dict[tuple[int, int], int]  # (view_a, view_b) -> match count, view_a < view_b
     points: list[ScenePoint] = field(default_factory=list)
 
-    def positions(self) -> list[tuple[float, float, float]]:
-        """Camera centers in view-id order, so indexed by the scene graph's nodes."""
-        return [self.views[v].position for v in sorted(self.views)]
+    def positions(self, ids) -> list[tuple[float, float, float]]:
+        """Camera centers of the views `ids`, in that order: given a graph's
+        `ids`, they are indexed by its nodes."""
+        return [self.views[v].position for v in ids]
 
     def centroid(self) -> tuple[float, float, float]:
         if not self.points:
@@ -273,6 +279,8 @@ def parse_match_graph(path: str, view_ids=None) -> dict[tuple[int, int], int]:
             raise SelfLoop(line_no, f"self-loop on view {a}", path)
         if count < 0:
             raise MalformedLine(line_no, "negative match count", path)
+        if count >= MATCH_COUNT_LIMIT:
+            raise MalformedLine(line_no, f"match count {count} is not below 2**63", path)
         if view_ids is not None and (a not in view_ids or b not in view_ids):
             _known("view", a, view_ids, line_no, path)
             _known("view", b, view_ids, line_no, path)

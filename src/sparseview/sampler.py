@@ -135,27 +135,19 @@ def greedy_step(
 def _max_terminal_subtree(tree_nodes, tree_edges, terminals, budget: int) -> set[int]:
     """Connected subtree of exactly `budget` nodes keeping as many terminals
     as possible (tree knapsack, deterministic over ascending node ids)."""
-    nodes = sorted(tree_nodes)
-    if len(nodes) <= budget:
-        return set(nodes)
-    adj = from_edge_weights(nodes, dict.fromkeys(tree_edges, 1)).adjacency  # over 0..k-1
-    parent = [-1] * len(nodes)
-    order = []
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        order.append(u)
-        for v in adj[u]:
-            if v != parent[u]:
-                parent[v] = u
-                stack.append(v)
+    if len(tree_nodes) <= budget:
+        return set(tree_nodes)
+    tree = from_edge_weights(tree_nodes, dict.fromkeys(tree_edges, 1))
+    adj = tree.adjacency
     # f[u][k] = (max terminals, child splits) over connected subtrees of
-    # size k rooted at u inside u's subtree
-    f: list[dict[int, tuple[int, list[tuple[int, int]]]]] = [{} for _ in nodes]
-    for u in reversed(order):
-        dp = {1: (int(nodes[u] in terminals), [])}
+    # size k rooted at u inside u's subtree, the tree rooted at node 0. In
+    # reverse BFS order from 0 every child is done before its parent, so a
+    # neighbour with an f is a child and the one without is the parent
+    f: list[dict[int, tuple[int, list[tuple[int, int]]]]] = [{} for _ in adj]
+    for u in reversed(connected_components(tree)[0]):
+        dp = {1: (int(tree.ids[u] in terminals), [])}
         for c in adj[u]:
-            if c == parent[u]:
+            if not f[c]:
                 continue
             merged = dict(dp)
             for k, (t, ch) in dp.items():
@@ -174,7 +166,7 @@ def _max_terminal_subtree(tree_nodes, tree_edges, terminals, budget: int) -> set
     keep: set[int] = set()
 
     def collect(u: int, k: int) -> None:
-        keep.add(nodes[u])
+        keep.add(tree.ids[u])
         for c, j in f[u][k][1]:
             collect(c, j)
 
@@ -264,17 +256,14 @@ class SceneContext:
 
 
 def prepare_scene(
-    scene: SceneReconstruction, prune_threshold: int, seed: int = 0, resolution=DEFAULT_RESOLUTION
+    scene: SceneReconstruction, config: SamplingConfig, resolution=DEFAULT_RESOLUTION
 ) -> SceneContext:
-    """The pruned graph, its Louvain communities and the view positions: the
-    one prune -> Louvain set-up, so `communities`, `partition` and `sample`
-    see the same labels. A `SamplingConfig` in place of the threshold gives
-    its threshold and seed (the form `bench/scaling.py` calls)."""
-    if isinstance(prune_threshold, SamplingConfig):
-        prune_threshold, seed = prune_threshold.prune_threshold, prune_threshold.seed
-    pruned = prune_edges(build_graph(scene), prune_threshold)
-    communities = louvain(pruned, derive_seed(seed, "louvain"), resolution)
-    return SceneContext(scene.scene_id, pruned, communities, scene.positions())
+    """The graph pruned at the config's threshold, its Louvain communities
+    under the config's seed and the view positions: the one prune -> Louvain
+    set-up, so `communities`, `partition` and `sample` see the same labels."""
+    pruned = prune_edges(build_graph(scene), config.prune_threshold)
+    communities = louvain(pruned, derive_seed(config.seed, "louvain"), resolution)
+    return SceneContext(scene.scene_id, pruned, communities, scene.positions(pruned.ids))
 
 
 def _sample_one(ctx: SceneContext, config: SamplingConfig, batch_seed: int) -> SampledBatch:
@@ -386,6 +375,7 @@ def generate_batches(
     scene: SceneReconstruction, config: SamplingConfig, count: int
 ) -> list[SampledBatch]:
     """Offline batch generation; communities are computed once and reused.
+    A `count` below 1 is InvalidSpec, raised before that set-up.
 
     A batch depends only on the scene context and its own seed, so one loop
     samples every batch in `_sample_shares`: one worker per usable CPU, this
@@ -398,7 +388,9 @@ def generate_batches(
     itself also has numpy's BLAS pool thread, and on Python 3.12 and later
     `os.fork` then warns (`DeprecationWarning`).
     """
-    ctx = prepare_scene(scene, config.prune_threshold, config.seed)
+    if count < 1:
+        raise InvalidSpec(f"count must be >= 1, got {count}")
+    ctx = prepare_scene(scene, config)
     seeds = [derive_seed(config.seed, "batch", i) for i in range(count)]
     workers = 1
     if hasattr(os, "fork") and threading.active_count() == 1:

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from .depth_filter import DepthMap
 from .errors import InvalidSpec
 from .recon_io import (
+    MATCH_COUNT_LIMIT,
     CameraIntrinsics,
     CameraModel,
     PosedView,
@@ -41,8 +42,11 @@ class SynthSpec:
         if self.cluster_count < 1 or self.cluster_size < 1:
             raise InvalidSpec("cluster counts must be >= 1")
         for name in ("intra_weight", "inter_weight"):
-            if getattr(self, name) < 0:
-                raise InvalidSpec(f"{name} must be >= 0, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if value < 0:
+                raise InvalidSpec(f"{name} must be >= 0, got {value}")
+            if value >= MATCH_COUNT_LIMIT:
+                raise InvalidSpec(f"{name} must be below 2**63, got {value}")
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise InvalidSpec(f"radius must be a finite number > 0, got {self.radius}")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):

@@ -96,7 +96,7 @@ def test_depth_sweep_monotonicity():
     means = {"cov": [], "near": [], "gdisp": [], "edisp": []}
     for depth in (2, 6, 12, 24):
         cfg = SamplingConfig(n_views=24, max_components=1, search_depth=depth, seed=0)
-        ctx = prepare_scene(scene, cfg.prune_threshold, cfg.seed)
+        ctx = prepare_scene(scene, cfg)
         nodes = range(ctx.pruned.node_count)
         acc = {"cov": 0.0, "near": 0.0, "gdisp": 0.0, "edisp": 0.0}
         for s in range(32):
@@ -144,7 +144,7 @@ def test_component_bound_thousand_batches():
     total = 0
     for preset in (Preset.DENSE, Preset.SPARSE, Preset.MIXED):
         cfg = SamplingConfig(n_views=24, seed=11, preset=preset)
-        ctx = prepare_scene(scene, cfg.prune_threshold, cfg.seed)
+        ctx = prepare_scene(scene, cfg)
         for i in range(334):
             batch = _sample_one(ctx, cfg, derive_seed(cfg.seed, "batch", i))
             total += 1
@@ -333,7 +333,7 @@ def test_format_round_trips(tmp_path):
         SynthSpec(cluster_count=5, cluster_size=5, seed=1)
     )
     cfg = SamplingConfig(n_views=10, max_components=2, search_depth=6, seed=4)
-    ctx = prepare_scene(scene, cfg.prune_threshold, cfg.seed)
+    ctx = prepare_scene(scene, cfg)
     batches = [_sample_one(ctx, cfg, derive_seed(4, "batch", i)) for i in range(6)]
     b1 = tmp_path / "b1.jsonl"
     b2 = tmp_path / "b2.jsonl"
@@ -434,7 +434,7 @@ def test_presets_sample_the_sparsity_they_name():
     order = (Preset.DENSE, Preset.MIXED, Preset.SPARSE, Preset.RANDOM)
     measures = ("components", "share of degree <= 1", "2-hop coverage", "graph dispersion")
     for seed in (0, 11, 23):
-        ctx = prepare_scene(scene, SamplingConfig().prune_threshold, seed)
+        ctx = prepare_scene(scene, SamplingConfig(seed=seed))
         means = []
         for preset in order:
             cfg = SamplingConfig(n_views=24, seed=seed, preset=preset)

@@ -106,6 +106,8 @@ BAD_FLAGS = [
     ("pose-eval", ["--thresholds", "5,5"], "--thresholds"),
     ("pose-eval", ["--thresholds", "5,,10"], "--thresholds"),
     ("pose-eval", ["--thresholds", "5,"], "--thresholds"),
+    ("pose-eval", ["--thresholds", "181"], "--thresholds"),
+    ("pose-eval", ["--thresholds", "1000000"], "--thresholds"),
     ("communities", ["--resolution", "nan"], "--resolution"),
     ("communities", ["--resolution", "-1"], "--resolution"),
     ("communities", ["--resolution", "inf"], "--resolution"),
@@ -117,6 +119,8 @@ BAD_FLAGS = [
     ("synth", ["--inter", "-5"], "inter_weight"),
     ("synth", ["--intra", "-1"], "intra_weight must be >= 0"),
     ("synth", ["--intra", "10"], "intra_weight must be >= inter_weight"),
+    ("synth", ["--intra", str(2**63)], "intra_weight must be below 2**63"),
+    ("synth", ["--inter", str(2**63)], "inter_weight must be below 2**63"),
     # a flag its kind never reads
     ("synth", ["--kind", "grid", "--cluster-size", "0"], "--cluster-size"),
     ("synth", ["--kind", "grid", "--inter", "7"], "--inter"),
@@ -285,6 +289,20 @@ def test_negative_match_count_exits_1_naming_file_and_line(inputs, tmp_path, cap
     path.write_text(text + "1 2 -5\n")
     assert run(["parse", "--scene", str(scene)]) == 1
     assert f"error: {path}:{line_no}: negative match count" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", ["parse", "stats", "communities", "sample"])
+def test_match_count_of_2_63_or_more_exits_1_naming_file_and_line(inputs, tmp_path, capsys, cmd):
+    scene = tmp_path / "scene"
+    shutil.copytree(inputs["ring"], scene)
+    path = scene / "matches.txt"
+    text = path.read_text()
+    line_no = text.count("\n") + 1
+    path.write_text(text + f"1 2 {10**400}\n")
+    argv = [cmd, "--scene", str(scene), "--out", str(tmp_path / "out"), "--quiet"]
+    assert run(argv) == 1
+    err = capsys.readouterr().err
+    assert f"error: {path}:{line_no}: match count {10**400} is not below 2**63" in err
 
 
 def test_zero_match_pairs_are_no_edges(tmp_path):

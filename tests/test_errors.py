@@ -88,7 +88,7 @@ def test_dfs_subsample_names_the_unknown_view(spread_scene):
 
     scene, _ = spread_scene
     batch = generate_batches(scene, SamplingConfig(n_views=6), 1)[0]
-    graph = prepare_scene(scene, SamplingConfig.prune_threshold).pruned
+    graph = prepare_scene(scene, SamplingConfig()).pruned
     outside = dataclasses.replace(batch, views=[*batch.views[:-1], 4])
     with pytest.raises(errors.UnknownNode, match="unknown node 4$"):
         dfs_subsample(outside, graph, 2, seed=0)
@@ -97,7 +97,7 @@ def test_dfs_subsample_names_the_unknown_view(spread_scene):
 def test_greedy_step_names_the_view_outside_the_part(spread_scene):
     from sparseview.sampler import SamplingConfig, greedy_step, prepare_scene
 
-    ctx = prepare_scene(spread_scene[0], SamplingConfig.prune_threshold)
+    ctx = prepare_scene(spread_scene[0], SamplingConfig())
     part = [v != 5 for v in range(ctx.pruned.node_count)]
     with pytest.raises(errors.UnknownNode, match=f"unknown node {7 * 6 + SPREAD}$"):
         greedy_step(ctx.pruned, 5, [5], ctx.communities, ctx.positions, part)

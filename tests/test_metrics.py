@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import re
 import subprocess
 import sys
 
@@ -20,6 +21,7 @@ from sparseview.errors import (
     EmptySample,
     IdMismatch,
     InvalidK,
+    InvalidSpec,
     LengthMismatch,
     NoCameras,
     NoPoints,
@@ -371,6 +373,16 @@ class TestPosePairErrors:
         assert both_zero.translation_errors == [0.0]
         one_zero = pose_pair_errors([a, b], [a, c], thresholds=(5,))
         assert one_zero.translation_errors == [90.0]
+
+    @pytest.mark.parametrize("thresholds,bad", [
+        ((2.5,), "got 2.5"), ((0,), "got 0"), ((-5,), "got -5"), ((181,), "got 181"),
+        ((10**6,), "got 1000000"), ((5, 5), "distinct, got [5, 5]"),
+    ])
+    def test_thresholds_outside_whole_degrees_1_to_180_raise(self, rng, thresholds, bad):
+        views = [random_pose(rng, i) for i in range(1, 4)]
+        with pytest.raises(InvalidSpec, match=re.escape(bad)):
+            pose_pair_errors(views, views, thresholds=thresholds)
+        assert pose_pair_errors(views, views, thresholds=(1, 180)).auc_at[180] == 1.0
 
     def test_errors(self, rng):
         views = [random_pose(rng, i) for i in range(1, 4)]

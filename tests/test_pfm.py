@@ -37,6 +37,16 @@ def test_invalid_encoded_as_zero(tmp_path):
     assert not back.valid_mask[0, 1]
 
 
+def test_only_non_finite_depths_are_encoded_as_zero(tmp_path):
+    # -1.0 and 0.0 are invalid depths too, but finite: written as they are
+    values = np.array([[-1.0, 0.0], [-0.0, 2.5]], dtype=np.float32)
+    path = tmp_path / "d.pfm"
+    write_pfm(str(path), DepthMap(values))
+    back = read_pfm(str(path)).values
+    assert back.tobytes() == values.tobytes()
+    assert DepthMap(back).valid_mask.tolist() == [[False, False], [False, True]]
+
+
 def test_beyond_float32_range_encoded_as_zero(tmp_path):
     # finite in float64, inf once cast: written as 0 like any invalid depth,
     # with no overflow warning (Tier-1 turns a RuntimeWarning into a failure)

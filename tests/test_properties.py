@@ -490,8 +490,8 @@ def test_an_order_keeping_relabel_changes_nothing(data):
     config = data.draw(sampling_configs(data.draw(st.sampled_from([None, *Preset]))))
     f = data.draw(increasing_maps(scene.views))
     moved = spread_ids(scene, f.__getitem__)
-    a = prepare_scene(scene, config.prune_threshold, config.seed)
-    b = prepare_scene(moved, config.prune_threshold, config.seed)
+    a = prepare_scene(scene, config)
+    b = prepare_scene(moved, config)
     assert [f[v] for v in a.pruned.ids] == list(b.pruned.ids)
     assert (a.pruned.adjacency, a.pruned.weights) == (b.pruned.adjacency, b.pruned.weights)
     assert a.communities == b.communities

@@ -21,6 +21,7 @@ from sparseview.recon_io import (
     write_reconstruction,
 )
 from sparseview.synth import SynthSpec, gen_ring_scene
+from sparseview.view_graph import build_graph, subgraph
 
 
 def write(tmp_path, name, text):
@@ -153,6 +154,23 @@ class TestMatchGraph:
         with pytest.raises(MalformedLine) as exc:
             parse_match_graph(write(tmp_path, "m.txt", "1 2 50\n1 2\n"))
         assert exc.value.line_no == 2
+
+    @pytest.mark.parametrize("count", [2**63, 10**400])
+    def test_count_of_2_63_or_more_names_line(self, tmp_path, count):
+        path = write(tmp_path, "m.txt", f"1 2 {2**63 - 1}\n1 3 {count}\n")
+        with pytest.raises(MalformedLine) as exc:
+            parse_match_graph(path)
+        assert str(exc.value) == f"{path}:2: match count {count} is not below 2**63"
+        assert parse_match_graph(write(tmp_path, "ok.txt", f"1 2 {2**63 - 1}\n")) == {(1, 2): 2**63 - 1}
+
+
+def test_positions_follow_the_ids_of_a_subgraph_copy():
+    scene = gen_ring_scene(SynthSpec(cluster_count=3, cluster_size=4, noise_sigma=0.1, seed=2))
+    graph = build_graph(scene)
+    keep = [1, 4, 5, 10]
+    sub = subgraph(graph, keep)
+    parent = scene.positions(graph.ids)
+    assert scene.positions(sub.ids) == [parent[v] for v in keep]
 
 
 class TestSceneValidation:

@@ -142,7 +142,7 @@ class TestSamplePartition:
         assert len(set(comms.labels)) == 1
         return sample_partition(
             graph, [True] * graph.node_count, quota, depth,
-            comms, scene.positions(), seed,
+            comms, scene.positions(graph.ids), seed,
         )
 
     def test_full_depth_no_fill(self):
@@ -167,14 +167,14 @@ class TestSamplePartition:
         graph = prune_edges(build_graph(scene), 50)
         comms = louvain(graph, seed=1)
         with pytest.raises(EmptyPartition):
-            sample_partition(graph, [False] * graph.node_count, 3, 3, comms, scene.positions(), 0)
+            sample_partition(graph, [False] * graph.node_count, 3, 3, comms, scene.positions(graph.ids), 0)
 
     def test_quota_below_one(self):
         scene = clique_scene(5)
         graph = prune_edges(build_graph(scene), 50)
         comms = louvain(graph, seed=1)
         with pytest.raises(ValueError, match="quota"):
-            sample_partition(graph, [True] * graph.node_count, 0, 3, comms, scene.positions(), 0)
+            sample_partition(graph, [True] * graph.node_count, 0, 3, comms, scene.positions(graph.ids), 0)
 
     def test_search_views_past_the_budget_raise(self, monkeypatch):
         # with the Steiner tree kept whole, its views overrun min(quota, depth)
@@ -184,18 +184,18 @@ class TestSamplePartition:
         graph = prune_edges(build_graph(scene), 50)
         comms = louvain(graph, seed=1)
         args = (graph, [True] * graph.node_count, 40)
-        picked = sample_partition(*args, 40, comms, scene.positions(), 0)
+        picked = sample_partition(*args, 40, comms, scene.positions(graph.ids), 0)
         tree = sum(1 for _, p in picked if p.phase in (Phase.TERMINAL, Phase.STEINER))
         assert 6 <= tree < 40
-        sample_partition(*args, tree, comms, scene.positions(), 0)
+        sample_partition(*args, tree, comms, scene.positions(graph.ids), 0)
         with pytest.raises(InvariantViolation, match=f"{tree} search views, budget min"):
-            sample_partition(*args, tree - 1, comms, scene.positions(), 0)
+            sample_partition(*args, tree - 1, comms, scene.positions(graph.ids), 0)
 
     def test_greedy_count_bounded_by_depth(self, rng):
         scene = ring_scene(6, 8)
         graph = prune_edges(build_graph(scene), 50)
         comms = louvain(graph, seed=1)
-        pos = scene.positions()
+        pos = scene.positions(graph.ids)
         for trial in range(30):
             depth = rng.randint(1, 20)
             quota = rng.randint(1, 20)
@@ -226,11 +226,13 @@ def test_fill_stays_in_the_sampled_component():
 
 
 def test_prepare_scene_reads_a_sampling_config():
-    # the form bench/scaling.py calls: a SamplingConfig for the threshold and seed
+    # the config's threshold prunes and its seed drives Louvain
     scene = ring_scene(6, 6)
-    assert prepare_scene(scene, SamplingConfig(prune_threshold=0, seed=7)) == prepare_scene(
-        scene, 0, 7
-    )
+    ctx = prepare_scene(scene, SamplingConfig(prune_threshold=0, seed=7))
+    pruned = prune_edges(build_graph(scene), 0)
+    assert ctx.pruned == pruned
+    assert ctx.communities == louvain(pruned, derive_seed(7, "louvain"))
+    assert ctx.positions == [scene.views[v].position for v in pruned.ids]
 
 
 class TestSampleBatch:
@@ -247,14 +249,14 @@ class TestSampleBatch:
     def test_dense_regime_single_component(self):
         scene = ring_scene()
         cfg = SamplingConfig(n_views=24, max_components=1, search_depth=5, seed=2)
-        ctx = prepare_scene(scene, cfg.prune_threshold, cfg.seed)
+        ctx = prepare_scene(scene, cfg)
         batch = generate_batches(scene, cfg, 1)[0]
         assert component_count(ctx.pruned, batch.views) == 1
 
     def test_component_bound_over_seeds(self):
         scene = ring_scene(8, 6)
         cfg = SamplingConfig(n_views=16, max_components=3, search_depth=10, seed=0)
-        ctx = prepare_scene(scene, cfg.prune_threshold, cfg.seed)
+        ctx = prepare_scene(scene, cfg)
         batches = generate_batches(scene, cfg, 50)
         for batch in batches:
             assert component_count(ctx.pruned, batch.views) <= 3
@@ -303,7 +305,7 @@ class TestDfsSubsample:
     def make_batch(self, seed=0):
         scene = ring_scene(6, 6)
         cfg = SamplingConfig(n_views=18, max_components=1, search_depth=18, seed=seed)
-        ctx = prepare_scene(scene, cfg.prune_threshold, cfg.seed)
+        ctx = prepare_scene(scene, cfg)
         return generate_batches(scene, cfg, 1)[0], ctx.pruned
 
     def test_full_k_is_permutation(self):
@@ -357,6 +359,16 @@ def test_config_validation():
         SamplingConfig(n_views=4, max_components=5)
     with pytest.raises(InvalidSpec):
         SamplingConfig(search_depth=0)
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_generate_batches_refuses_a_count_below_one_before_the_set_up(monkeypatch, count):
+    def no_set_up(*args):
+        raise AssertionError("prepare_scene ran")
+
+    monkeypatch.setattr(sampler, "prepare_scene", no_set_up)
+    with pytest.raises(InvalidSpec, match=f"count must be >= 1, got {count}$"):
+        generate_batches(ring_scene(), SamplingConfig(), count)
 
 
 def test_config_defaults_apply_only_without_a_preset():

@@ -112,6 +112,9 @@ class TestRingScene:
             SynthSpec(cluster_count=0)
         with pytest.raises(InvalidSpec, match="intra_weight must be >= 0"):
             SynthSpec(intra_weight=-1)
+        with pytest.raises(InvalidSpec, match=r"inter_weight must be below 2\*\*63, got 9223372036854775808"):
+            SynthSpec(inter_weight=2**63)
+        assert SynthSpec(intra_weight=2**63 - 1).intra_weight == 2**63 - 1
         # only the ring reads inter_weight, so only the ring compares the two
         spec = SynthSpec(intra_weight=10, inter_weight=20)
         with pytest.raises(InvalidSpec, match="intra_weight must be >= inter_weight"):
