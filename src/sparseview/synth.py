@@ -28,6 +28,15 @@ from .recon_io import (
 )
 
 
+def _shown(value) -> str:
+    """`value` for a message; an int too long to print in full (str() of an
+    int past the interpreter's digit limit raises ValueError) by its size."""
+    if isinstance(value, int) and value.bit_length() > 64:
+        sign = "a negative" if value < 0 else "an"
+        return f"{sign} integer of {value.bit_length()} bits"
+    return str(value)
+
+
 @dataclass(frozen=True)
 class SynthSpec:
     cluster_count: int = 6
@@ -44,9 +53,9 @@ class SynthSpec:
         for name in ("intra_weight", "inter_weight"):
             value = getattr(self, name)
             if value < 0:
-                raise InvalidSpec(f"{name} must be >= 0, got {value}")
+                raise InvalidSpec(f"{name} must be >= 0, got {_shown(value)}")
             if value >= MATCH_COUNT_LIMIT:
-                raise InvalidSpec(f"{name} must be below 2**63, got {value}")
+                raise InvalidSpec(f"{name} must be below 2**63, got {_shown(value)}")
         if not (math.isfinite(self.radius) and self.radius > 0):
             raise InvalidSpec(f"radius must be a finite number > 0, got {self.radius}")
         if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):

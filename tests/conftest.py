@@ -1,5 +1,6 @@
 import os
 import random
+import tracemalloc
 
 import pytest
 
@@ -28,6 +29,16 @@ else:
     # fail the next time; no example database is written
     settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
     settings.load_profile("deterministic")
+
+
+def traced_peak(call):
+    """(what `call()` returns, the peak bytes tracemalloc traced while it ran,
+    which counts numpy's array data and the result itself)."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def graph_of(edges, nodes=None):

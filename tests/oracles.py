@@ -447,3 +447,33 @@ def filter_depth_reference(geom, mono, tau_depth, tau_grad):
         "kept": int(valid_geom.sum()) - total,
     }
     return np.where(removed, 0.0, geom), report
+
+
+def read_pfm_reference(path):
+    """A single-channel PFM read whole, as native float32 rows top-to-bottom:
+    the file's bytes in one buffer, then one flipped copy. Takes a header of
+    `Pf`, `<width> <height>` and a scale, each on its own line; a negative
+    scale means little-endian."""
+    import numpy as np
+
+    with open(path, "rb") as f:
+        magic, size, scale, raster = f.read().split(b"\n", 3)
+    assert magic == b"Pf"
+    width, height = (int(token) for token in size.split())
+    grid = np.frombuffer(raster, dtype="<f4" if float(scale) < 0 else ">f4")
+    return np.flipud(grid.reshape(height, width)).astype(np.float32, order="C")
+
+
+def write_pfm_reference(path, values):
+    """The canonical PFM of `values` written whole: header `Pf`, scale -1.0,
+    one flipped little-endian float32 copy whose non-finite pixels (those
+    beyond float32's range included, as the cast makes them inf) are 0."""
+    import numpy as np
+
+    height, width = values.shape
+    with np.errstate(over="ignore"):
+        grid = np.array(np.flipud(values), dtype="<f4", order="C")
+    grid[~np.isfinite(grid)] = 0.0
+    with open(path, "wb") as f:
+        f.write(f"Pf\n{width} {height}\n-1.0\n".encode())
+        f.write(grid.tobytes())

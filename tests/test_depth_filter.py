@@ -8,7 +8,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from conftest import CHILD_ENV, ONE_CPU
+from conftest import CHILD_ENV, ONE_CPU, traced_peak
 from oracles import filter_depth_reference
 from sparseview import depth_filter, synth
 from sparseview.cli import run
@@ -521,3 +521,37 @@ def test_one_cpu_gives_the_same_bytes(tmp_path):
         assert proc.returncode == 0, proc.stderr.decode()
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def _hd_pair():
+    """A 1080x1920 float32 pair as read from PFMs: a ramp prior, and a
+    geometric map at 0.7 times it with 1% outliers that is valid on a
+    16-column strip only, as a sparse MVS map may be. The median's masked
+    copies are then small, and the output and the bands' scratch set the
+    peak."""
+    ys, xs = np.mgrid[0:1080, 0:1920]
+    mono = (4.0 + xs / 960.0 + ys / 540.0).astype(np.float32)
+    geom = mono * np.float32(0.7)
+    geom[np.random.default_rng(1080).random(geom.shape) < 0.01] *= np.float32(1.5)
+    geom[:, 16:] = 0.0
+    return DepthMap(geom), DepthMap(mono)
+
+
+# Scratch of one worker's band, in float64 arrays of its rows and halo: the
+# widened prior, the scaled map and three gradient arrays at once, plus its
+# masks. Measured at 5.4-5.6 with BAND_ROWS 32, 64 and 128.
+BAND_ARRAYS = 6
+
+
+def test_filter_depth_holds_its_output_the_median_copies_and_one_band_per_worker(monkeypatch):
+    geom, mono = _hd_pair()
+    workers = 2
+    monkeypatch.setattr(depth_filter, "_usable_cpus", lambda: workers)
+    (out, report), peak = traced_peak(lambda: filter_depth(geom, mono))
+    joint = int(np.count_nonzero(geom.valid_mask & mono.valid_mask))
+    band = (depth_filter.BAND_ROWS + 2) * geom.width * 8
+    bound = out.values.nbytes + 2 * joint * 4 + workers * BAND_ARRAYS * band
+    # bound 7.91 + 0.13 + 11.60 MiB, traced 18.33 MiB; one whole-map mask
+    # held across the bands adds 1.98 MiB and breaks it
+    assert peak <= bound, f"filter_depth peaked at {peak} bytes, bound {bound}"
+    assert report.removed_total > 0

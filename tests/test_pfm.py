@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import traced_peak
+from sparseview import pfm
 from sparseview.depth_filter import DepthMap
 from sparseview.errors import MalformedLine
 from sparseview.pfm import read_pfm, write_pfm
@@ -157,6 +159,52 @@ def test_malformed_header_names_file(tmp_path, content, reason):
     with pytest.raises(MalformedLine, match=reason) as exc:
         read_pfm(str(path))
     assert exc.value.path == str(path)
+
+
+def test_a_huge_header_token_is_refused_at_once(tmp_path):
+    # a 1 MB width is refused once it passes 64 bytes, not read to its end
+    path = tmp_path / "d.pfm"
+    path.write_bytes(b"Pf\n" + b"9" * 1_000_000 + b" 1\n-1.0\n")
+    with pytest.raises(MalformedLine, match=":2: header token longer than 64 bytes"):
+        read_pfm(str(path))
+
+
+def _hd_map():
+    """A 1080x1920 float32 map with NaN and inf pixels: 7.9 MiB of raster."""
+    values = np.random.default_rng(1080).uniform(0.5, 80.0, size=(1080, 1920)).astype(np.float32)
+    values[::7, ::5] = np.nan
+    values[3::11, ::13] = np.inf
+    return values
+
+
+def _band_bytes(width):
+    """The bytes of the one band of float32 rows the reader and writer use."""
+    return pfm._band_rows(width) * width * 4
+
+
+# What a call holds beside its arrays: the file object, header tokens, the
+# DepthMap. Measured at under 6 KiB over the arrays on 1080p maps.
+IO_SLACK = 64 << 10
+
+
+def test_read_pfm_holds_its_raster_plus_one_band(tmp_path):
+    # bound 7.91 + 0.25 + 0.06 MiB, traced 8.16 MiB; a second copy of the
+    # raster breaks it
+    path = tmp_path / "hd.pfm"
+    write_pfm(str(path), DepthMap(_hd_map()))
+    depth, peak = traced_peak(lambda: read_pfm(str(path)))
+    bound = depth.values.nbytes + _band_bytes(depth.width) + IO_SLACK
+    assert peak <= bound, f"read_pfm peaked at {peak} bytes, bound {bound}"
+
+
+def test_write_pfm_holds_one_band_and_its_mask(tmp_path):
+    # bound 0.25 + 0.06 + 0.06 MiB, traced 0.32 MiB; a whole-map copy or
+    # mask breaks it
+    depth = DepthMap(_hd_map())
+    _, peak = traced_peak(lambda: write_pfm(str(tmp_path / "hd.pfm"), depth))
+    band = _band_bytes(depth.width)
+    bound = band + band // 4 + IO_SLACK
+    assert peak <= bound, f"write_pfm peaked at {peak} bytes, bound {bound}"
 
 
 # sha256 over the files write_pfm makes of the _pfm_golden_maps

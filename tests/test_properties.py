@@ -3,7 +3,8 @@ raise only SparseViewError (a MalformedLine always naming its file), and
 `coverage` exits 0 or 1, never 2; of the depth filter's invariants on any
 pair of small maps, of its bytes against the whole-map reference, of
 float32 maps filtering as their float64 cast does, and of its gradient
-stencil distributing over AND; of the sampler's batch invariants on small
+stencil distributing over AND; of the banded PFM reader and writer against
+the whole-map ones at any band height; of the sampler's batch invariants on small
 scenes; of Louvain against its reference copy that evaluates every node; of
 a part given as membership against its induced copy; and of the unit-hop
 BFS against the heap search on unit weights."""
@@ -11,6 +12,7 @@ BFS against the heap search on unit weights."""
 import json
 import random
 from dataclasses import asdict
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -25,15 +27,17 @@ from oracles import (
     filter_depth_reference,
     louvain_reference,
     parse_match_graph_reference,
+    read_pfm_reference,
     union_find_components,
+    write_pfm_reference,
 )
-from sparseview import depth_filter, steiner
+from sparseview import depth_filter, pfm, steiner
 from sparseview.batches import Phase, read_batches, write_batches
 from sparseview.cli import run
 from sparseview.community import CommunityAssignment, louvain
 from sparseview.depth_filter import DepthMap, FilterConfig, filter_depth
 from sparseview.errors import DisconnectedTerminals, MalformedLine, SparseViewError, UnknownNode
-from sparseview.pfm import read_pfm
+from sparseview.pfm import read_pfm, write_pfm
 from sparseview.partition import partition_round_robin
 from sparseview.recon_io import parse_cameras, parse_images, parse_match_graph, parse_points
 from sparseview.sampler import Preset, SamplingConfig, derive_seed, generate_batches, greedy_step
@@ -382,6 +386,65 @@ def test_float32_maps_filter_as_their_float64_cast(pair, tau_depth, tau_grad, ba
     finally:
         depth_filter.BAND_ROWS = rows
     assert results[0] == results[1]
+
+
+# any depth a caller may write: NaN, +-inf, float32's extremes, values past
+# them (3.4028235677973366e38 is the first that casts to inf), subnormals
+pfm_depths = {
+    np.float64: st.one_of(st.floats(), st.sampled_from(
+        [float("nan"), float("inf"), -float("inf"), 1e39, -1e39, FLOAT32_MAX,
+         3.4028235677973366e38, 1e-45, 5e-324, -0.0])),
+    np.float32: float32_depths,
+}
+
+
+pfm_shapes = st.sampled_from([(1, 1), (1, None), (None, 1), (None, None)]).flatmap(
+    lambda dims: st.tuples(*(st.integers(2, 9) if d is None else st.just(d) for d in dims)))
+
+
+@st.composite
+def pfm_maps(draw):
+    """A map as DepthMap holds one, float32 or float64: 1x1, one row, one
+    column, or up to 9x9."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return draw(arrays(dtype, pfm_shapes, elements=pfm_depths[dtype]))
+
+
+# the band buffer in bytes: one float per band up to whole 1x1..9x9 maps, so
+# rows wider than the buffer and heights that are no multiple of the band
+band_bytes = st.sampled_from([4, 8, 12, 20, 1 << 18])
+
+
+@settings(max_examples=300)
+@given(values=pfm_maps(), band_bytes=band_bytes)
+def test_banded_write_pfm_gives_the_whole_map_bytes(workdir, values, band_bytes):
+    """At any band height, the bytes the whole-map writer gives."""
+    ours, reference = workdir / "ours.pfm", workdir / "reference.pfm"
+    with mock.patch.object(pfm, "_BAND_BYTES", band_bytes):
+        write_pfm(str(ours), DepthMap(values))
+    write_pfm_reference(str(reference), values)
+    assert ours.read_bytes() == reference.read_bytes()
+
+
+@settings(max_examples=300)
+@given(
+    bits=arrays(np.uint32, pfm_shapes, elements=st.one_of(
+        st.integers(0, 2**32 - 1),
+        float32_depths.map(lambda x: int(np.array(x, dtype=np.float32).view(np.uint32))))),
+    band_bytes=band_bytes,
+    order=st.sampled_from([("<", "-1.0"), (">", "1.0")]),
+)
+def test_banded_read_pfm_gives_the_whole_map_values(workdir, bits, band_bytes, order):
+    """Any float32 raster, NaN payloads included, in either byte order."""
+    endian, scale = order
+    path = workdir / "raster.pfm"
+    height, width = bits.shape
+    raster = np.flipud(bits.view(np.float32)).astype(endian + "f4").tobytes()
+    path.write_bytes(f"Pf\n{width} {height}\n{scale}\n".encode() + raster)
+    with mock.patch.object(pfm, "_BAND_BYTES", band_bytes):
+        ours = read_pfm(str(path)).values
+    assert ours.dtype == np.float32 and ours.dtype.isnative and ours.flags.c_contiguous
+    assert ours.tobytes() == read_pfm_reference(str(path)).tobytes()
 
 
 @st.composite

@@ -121,6 +121,16 @@ class TestRingScene:
             gen_ring_scene(spec)
         assert set(gen_grid_scene(spec).edges.values()) == {10}
 
+    @pytest.mark.parametrize("name", ["intra_weight", "inter_weight"])
+    def test_huge_weight_is_refused_with_invalid_spec(self, name):
+        # past the interpreter's 4 300-digit limit for int -> str, so the
+        # message must not print the value in full
+        huge = 10**5000
+        with pytest.raises(InvalidSpec, match=rf"{name} must be below 2\*\*63, got an integer of 16610 bits"):
+            SynthSpec(**{name: huge})
+        with pytest.raises(InvalidSpec, match=rf"{name} must be >= 0, got a negative integer of 16610 bits"):
+            SynthSpec(**{name: -huge})
+
 
 class TestGridScene:
     def test_counts_and_degrees(self):
