@@ -45,14 +45,6 @@ def _log(args, message: str) -> None:
         print(message, file=sys.stderr)
 
 
-def _write_out(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w") as f:
-            f.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def _at_least(low: int):
     """argparse type: an integer no smaller than `low`."""
 
@@ -90,11 +82,17 @@ def _thresholds(text: str) -> list[int]:
     return values
 
 
-def _add_common(parser: argparse.ArgumentParser, seed: bool = False) -> None:
+def _add_common(parser: argparse.ArgumentParser, seed: bool = False, writes: str = "") -> None:
+    """--seed if the subcommand takes one, --quiet, and --out: where `run`
+    writes the report, or, for a subcommand that `writes` files, their
+    required path."""
     if seed:
         parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     parser.add_argument("--quiet", action="store_true", help="suppress log output")
-    parser.add_argument("--out", help="output path (default stdout)")
+    if writes:
+        parser.add_argument("--out", required=True, help=writes)
+    else:
+        parser.add_argument("--out", help="output path (default stdout)")
 
 
 def _add_scene_flags(parser: argparse.ArgumentParser, prune: bool = True) -> None:
@@ -115,24 +113,22 @@ def _load_graph(args):
     return scene, prune_edges(build_graph(scene), args.prune_threshold)
 
 
-def cmd_parse(args) -> int:
+def cmd_parse(args) -> list[str]:
     scene = _load_scene(args)
-    lines = [
+    return [
         f"scene {scene.scene_id}",
         f"cameras {len(scene.intrinsics)}",
         f"views {len(scene.views)}",
         f"edges {len(scene.edges)}",
         f"points {len(scene.points)}",
     ]
-    _write_out(args, "".join(line + "\n" for line in lines))
-    return 0
 
 
 def _fmt(x: float | None) -> str:
     return "absent" if x is None else repr(x)
 
 
-def cmd_stats(args) -> int:
+def cmd_stats(args) -> list[str]:
     scene, graph = _load_graph(args)
     stats = compute_stats(graph)
     lines = [
@@ -155,33 +151,24 @@ def cmd_stats(args) -> int:
         lines.append("[azimuth_coverage]")
         lines.append(f"positional_pct {_fmt(az.positional_pct)}")
         lines.append(f"rotational_pct {_fmt(az.rotational_pct)}")
-    _write_out(args, "".join(line + "\n" for line in lines))
-    return 0
+    return lines
 
 
-def cmd_communities(args) -> int:
+def cmd_communities(args) -> list[str]:
     config = SamplingConfig(prune_threshold=args.prune_threshold, seed=args.seed)
     ctx = prepare_scene(_load_scene(args), config, args.resolution)
-    _log(args, f"seed {args.seed}")
     _log(args, f"modularity {ctx.communities.modularity!r} levels {ctx.communities.level_count}")
-    lines = [f"{v} {c}" for v, c in zip(ctx.pruned.ids, ctx.communities.labels)]
-    _write_out(args, "".join(line + "\n" for line in lines))
-    return 0
+    return [f"{v} {c}" for v, c in zip(ctx.pruned.ids, ctx.communities.labels)]
 
 
-def cmd_partition(args) -> int:
+def cmd_partition(args) -> list[str]:
     config = SamplingConfig(prune_threshold=args.prune_threshold, seed=args.seed)
     ctx = prepare_scene(_load_scene(args), config)
-    _log(args, f"seed {args.seed}")
     assignment = partition_round_robin(ctx.pruned, args.ncc, args.seed, ctx.communities)
-    lines = [f"{v} {i}" for v, i in zip(ctx.pruned.ids, assignment) if i >= 0]
-    _write_out(args, "".join(line + "\n" for line in lines))
-    return 0
+    return [f"{v} {i}" for v, i in zip(ctx.pruned.ids, assignment) if i >= 0]
 
 
-def cmd_sample(args) -> int:
-    if not args.out:
-        raise _UsageError("--out is required for sample")
+def cmd_sample(args) -> None:
     if args.weight_mode is not None and args.preset == Preset.RANDOM.value:
         raise _UsageError("sample --preset random does not read --weight-mode")
     config = SamplingConfig(
@@ -194,17 +181,15 @@ def cmd_sample(args) -> int:
         preset=Preset(args.preset) if args.preset else None,
     )
     scene = _load_scene(args)
-    _log(args, f"seed {args.seed}")
     result = generate_batches(scene, config, args.batches)
     truncated = sum(1 for b in result if b.truncated)
     if truncated:
         _log(args, f"warning: {truncated} of {len(result)} batches truncated")
     batches_io.write_batches(result, args.out)
     _log(args, f"wrote {len(result)} batches to {args.out}")
-    return 0
 
 
-def cmd_coverage(args) -> int:
+def cmd_coverage(args) -> list[str]:
     scene, graph = _load_graph(args)
     positions = scene.positions(graph.ids)
     nodes = range(graph.node_count)
@@ -241,11 +226,10 @@ def cmd_coverage(args) -> int:
         f"graph_disp {_fmt(sums['gdisp'] / gdisp_count if gdisp_count else None)} "
         f"euclid_disp {_fmt(sums['edisp'] / n)}"
     )
-    _write_out(args, "".join(line + "\n" for line in lines))
-    return 0
+    return lines
 
 
-def cmd_filter_depth(args) -> int:
+def cmd_filter_depth(args) -> None:
     geom = read_pfm(args.geom)
     mono = read_pfm(args.mono)
     config = FilterConfig(tau_depth=args.tau_depth, tau_grad=args.tau_grad)
@@ -253,19 +237,15 @@ def cmd_filter_depth(args) -> int:
         filtered, report = filter_depth(geom, mono, config)
     except SparseViewError as exc:  # a fault of the pair, so name both files
         raise SparseViewError(f"{args.geom}, {args.mono}: {exc}") from exc
-    write_pfm(args.out_pfm, filtered)
+    write_pfm(args.out, filtered)
     if args.report:
         with open(args.report, "w") as f:
             f.write(json.dumps(asdict(report), sort_keys=True, separators=(",", ":")))
             f.write("\n")
-    _log(
-        args,
-        f"scale {report.scale_s!r} removed {report.removed_total} kept {report.kept}",
-    )
-    return 0
+    _log(args, f"scale {report.scale_s!r} removed {report.removed_total} kept {report.kept}")
 
 
-def cmd_pose_eval(args) -> int:
+def cmd_pose_eval(args) -> list[str]:
     pred = parse_images(args.pred)
     gt = parse_images(args.gt)
     ids = sorted(gt)
@@ -280,8 +260,7 @@ def cmd_pose_eval(args) -> int:
         lines += [f"{name}@{t} {_fmt(at[t])}" for t in args.thresholds]
     lines.append(f"mre {_fmt(errors.mre)}")
     lines.append(f"mte {_fmt(errors.mte)}")
-    _write_out(args, "".join(line + "\n" for line in lines))
-    return 0
+    return lines
 
 
 # synth flag -> (the SynthSpec field it sets, the kinds that read it); an unset
@@ -296,10 +275,7 @@ _SYNTH_FLAGS = {
 }
 
 
-def cmd_synth(args) -> int:
-    _log(args, f"seed {args.seed}")
-    if not args.out:
-        raise _UsageError("--out directory is required for synth")
+def cmd_synth(args) -> None:
     given = {f: name for f, (name, _) in _SYNTH_FLAGS.items() if getattr(args, name) is not None}
     unread = [flag for flag in given if args.kind not in _SYNTH_FLAGS[flag][1]]
     if unread:
@@ -314,14 +290,13 @@ def cmd_synth(args) -> int:
             f.write(json.dumps(sorted(blob), sort_keys=True, separators=(",", ":")))
             f.write("\n")
         _log(args, f"wrote depth fixture to {args.out}")
-        return 0
+        return
     if args.kind == "ring":
         scene = synth_mod.gen_ring_scene(spec)
     else:
         scene = synth_mod.gen_grid_scene(spec)
     write_reconstruction(scene, args.out)
     _log(args, f"wrote scene {scene.scene_id} to {args.out}")
-    return 0
 
 
 def build_parser() -> _Parser:
@@ -364,7 +339,7 @@ def build_parser() -> _Parser:
         choices=[m.value for m in WeightMode],
         help=f"Steiner edge weights (default {SamplingConfig.weight_mode.value}; not with random)",
     )
-    _add_common(p, seed=True)
+    _add_common(p, seed=True, writes="batches file to write (jsonl)")
     p.set_defaults(func=cmd_sample)
 
     p = sub.add_parser("coverage", help="coverage/sparsity report for batches")
@@ -379,9 +354,8 @@ def build_parser() -> _Parser:
     p.add_argument("--mono", required=True, help="monocular prior depth (pfm)")
     p.add_argument("--tau-depth", type=_positive_float, default=FilterConfig.tau_depth)
     p.add_argument("--tau-grad", type=_positive_float, default=FilterConfig.tau_grad)
-    p.add_argument("--out", dest="out_pfm", required=True, help="filtered depth (pfm)")
     p.add_argument("--report", help="write a json report here")
-    p.add_argument("--quiet", action="store_true")
+    _add_common(p, writes="filtered depth map to write (pfm)")
     p.set_defaults(func=cmd_filter_depth)
 
     p = sub.add_parser("pose-eval", help="pairwise pose errors pred vs gt")
@@ -399,16 +373,28 @@ def build_parser() -> _Parser:
         default = getattr(synth_mod.SynthSpec, name)
         text = f"read by {'/'.join(kinds)} (default {default})"
         p.add_argument(flag, dest=name, type=type(default), help=text)
-    _add_common(p, seed=True)
+    _add_common(p, seed=True, writes="directory to write the scene or depth fixture into")
     p.set_defaults(func=cmd_synth)
 
     return parser
 
 
 def run(argv: list[str]) -> int:
+    """Parse `argv`, echo the seed, run the subcommand and write the report
+    it returns to --out or stdout; the exit code."""
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        if "seed" in args:
+            _log(args, f"seed {args.seed}")
+        lines = args.func(args)
+        if lines is not None:
+            text = "".join(line + "\n" for line in lines)
+            if args.out:
+                with open(args.out, "w") as f:
+                    f.write(text)
+            else:
+                sys.stdout.write(text)
+        return 0
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except _UsageError as exc:

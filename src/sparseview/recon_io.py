@@ -100,7 +100,10 @@ class PosedView:
     position: tuple[float, float, float] = field(init=False, compare=False)
 
     def __post_init__(self):
-        norm = math.sqrt(sum(c * c for c in self.rotation))
+        squares = 0.0
+        for c in self.rotation:  # left to right, as in centroid()
+            squares += c * c
+        norm = math.sqrt(squares)
         if not abs(norm - 1.0) <= 1e-6:  # a nan norm fails this too
             raise ValueError(f"view {self.view_id}: quaternion norm {norm} not unit")
         object.__setattr__(
@@ -136,10 +139,15 @@ class SceneReconstruction:
     def centroid(self) -> tuple[float, float, float]:
         if not self.points:
             raise ValueError("scene has no points; centroid undefined")
+        # left to right: Python 3.12's sum() of floats is compensated, so
+        # its bits would follow the interpreter's version
+        sx = sy = sz = 0.0
+        for p in self.points:
+            x, y, z = p.xyz
+            sx += x
+            sy += y
+            sz += z
         n = len(self.points)
-        sx = sum(p.xyz[0] for p in self.points)
-        sy = sum(p.xyz[1] for p in self.points)
-        sz = sum(p.xyz[2] for p in self.points)
         return (sx / n, sy / n, sz / n)
 
 

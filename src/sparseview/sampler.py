@@ -163,14 +163,13 @@ def _max_terminal_subtree(tree_nodes, tree_edges, terminals, budget: int) -> set
     for u, dp in enumerate(f):
         if budget in dp and dp[budget][0] > best_t:
             best_u, best_t = u, dp[budget][0]
+    # walk the kept splits with a stack: the kept subtree can be `budget` deep
     keep: set[int] = set()
-
-    def collect(u: int, k: int) -> None:
+    stack = [(best_u, budget)]
+    while stack:
+        u, k = stack.pop()
         keep.add(tree.ids[u])
-        for c, j in f[u][k][1]:
-            collect(c, j)
-
-    collect(best_u, budget)
+        stack.extend(f[u][k][1])
     return keep
 
 

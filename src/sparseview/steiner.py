@@ -203,5 +203,8 @@ def approximate_steiner_tree(
                 node = pred[node]
 
     tree_nodes = frozenset(n for e in expanded for n in e)
-    total = sum(expanded[e] for e in sorted(expanded))
+    # left to right: Python 3.12's sum() of floats is compensated
+    total = 0.0
+    for e in sorted(expanded):
+        total += expanded[e]
     return SteinerResult(frozenset(terminals), tree_nodes, frozenset(expanded), total)

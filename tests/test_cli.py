@@ -57,7 +57,7 @@ class TestExitCodes:
 
     def test_synth_without_out_names_it(self, capsys):
         assert run(["synth", "--kind", "grid"]) == 1
-        assert "--out directory is required for synth" in capsys.readouterr().err
+        assert "the following arguments are required: --out" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -210,7 +210,7 @@ def test_sample_without_out_fails_before_sampling(inputs, monkeypatch, capsys):
 
     monkeypatch.setattr(cli, "generate_batches", no_sampling)
     assert run(["sample", "--scene", inputs["ring"], "--n", "6", "--quiet"]) == 1
-    assert "--out is required for sample" in capsys.readouterr().err
+    assert "the following arguments are required: --out" in capsys.readouterr().err
 
 
 def test_sample_checks_its_config_before_loading_the_scene(tmp_path, capsys):

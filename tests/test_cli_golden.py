@@ -34,11 +34,11 @@ HELP_DIGESTS = {
     "stats": "b39b90fd2be4158b9e7b5b01b98a5025cbb8bd8da7acc3890c6a03c50c62d27b",
     "communities": "1213ca988a5b1e18cdee071711fe005d1014d73b4f358dc9dbce2e0fa19d7c6f",
     "partition": "da47dfa7273487d8472b5fe84c30292c7b75fe93687e93b73c7f151d9227c441",
-    "sample": "1f815ffdf5b039d6067e57ce284a1b922c098b52006bd96c05e32f72434fbbce",
+    "sample": "be63147db2d122ca24ff1c77b71b3130d7c7e044d3f8e3b29fbee57f9d2fc9fb",
     "coverage": "c8eeb3a307112bd7c91ac52679b577cd52d0826e5796c87a3bf52f0401d51dac",
-    "filter-depth": "d35614696c1388578f0c39fb761cad177339af47e54e28750450c39c570e8c5f",
+    "filter-depth": "c717ae6b93d848a878d967939aa857d287d98825b682b5dcb0e6b703d56f929e",
     "pose-eval": "3ef083eddb13c33be840680ff78938e71ea1c661f7cddf80bdf8df6406fe5b9d",
-    "synth": "d527a9da1d24fbe2886a68a8c87971b421af1268f3bbc678316c55a6e572bfe4",
+    "synth": "7ca34a626f11771b55d7c14d99fdce56dc2ac94ec87e18c45c9bfbe6db70885d",
 }
 
 

@@ -12,6 +12,8 @@ from sparseview.recon_io import (
     CameraIntrinsics,
     CameraModel,
     PosedView,
+    SceneReconstruction,
+    ScenePoint,
     camera_center,
     load_scene_dir,
     parse_cameras,
@@ -172,6 +174,15 @@ def test_positions_follow_the_ids_of_a_subgraph_copy():
     parent = scene.positions(graph.ids)
     assert scene.positions(sub.ids) == [parent[v] for v in keep]
 
+
+
+def test_centroid_sums_left_to_right():
+    """1e16 + 1 rounds back to 1e16, so a left-to-right sum gives x = 0.0;
+    Python 3.12's compensated sum() would give 1/3, and the stats azimuth
+    bins would follow the interpreter's version."""
+    xs = (1e16, 1.0, -1e16)
+    points = [ScenePoint(i, (x, 2.0, 3.0), ()) for i, x in enumerate(xs, 1)]
+    assert SceneReconstruction("s", {}, {}, {}, points).centroid() == (0.0, 2.0, 3.0)
 
 class TestSceneValidation:
     def test_dangling_edge_endpoint(self, tmp_path):

@@ -134,6 +134,15 @@ def test_max_terminal_subtree_matches_brute_force():
             assert len(keep & terminals) == want, (ids, edges, terminals, budget)
 
 
+def test_max_terminal_subtree_keeps_a_subtree_deeper_than_the_recursion_limit():
+    """A 1 100-node path kept 1 050 nodes deep: any 1 050 consecutive nodes
+    hold two of the terminals 0, 500 and 1 099, and no set holds all three."""
+    edges = [(v, v + 1) for v in range(1099)]
+    keep = sampler._max_terminal_subtree(set(range(1100)), edges, {0, 500, 1099}, 1050)
+    assert len(keep) == 1050 and max(keep) - min(keep) == 1049
+    assert len(keep & {0, 500, 1099}) == 2
+
+
 class TestSamplePartition:
     def run_clique(self, quota, depth, seed=0):
         scene = clique_scene()
