@@ -89,10 +89,8 @@ def _add_common(parser: argparse.ArgumentParser, seed: bool = False, writes: str
     if seed:
         parser.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
     parser.add_argument("--quiet", action="store_true", help="suppress log output")
-    if writes:
-        parser.add_argument("--out", required=True, help=writes)
-    else:
-        parser.add_argument("--out", help="output path (default stdout)")
+    text = writes or "output path (default stdout)"
+    parser.add_argument("--out", required=bool(writes), help=text)
 
 
 def _add_scene_flags(parser: argparse.ArgumentParser, prune: bool = True) -> None:
