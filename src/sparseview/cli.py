@@ -9,26 +9,56 @@ inputs and, where a subcommand takes it, --seed.
 from __future__ import annotations
 
 import argparse
+import importlib
 import json
 import math
 import os
 import sys
 from dataclasses import asdict
 
-from . import batches as batches_io
-from . import community as community_mod
-from . import metrics as metrics_mod
-from . import synth as synth_mod
 from .depth_filter import FilterConfig, filter_depth
 from .errors import EmptySample, InvalidSpec, InvariantViolation, SparseViewError
-from .metrics import DEFAULT_THRESHOLDS
-from .partition import partition_round_robin
 from .pfm import read_pfm, write_pfm
-from .recon_io import load_scene_dir, parse_images, write_reconstruction
-from .sampler import DEFAULT_MAX_COMPONENTS, DEFAULT_SEARCH_DEPTH, Preset, SamplingConfig
-from .sampler import generate_batches, prepare_scene
-from .steiner import WeightMode
-from .view_graph import build_graph, compute_stats, prune_edges
+
+# name -> the module that owns it. Only what filter-depth runs is imported
+# above; `__getattr__` imports an owner below the first time a subcommand
+# reads one of its names. Code here reads these names through `_cli`, never
+# a local import, so a wrapper set on this module is what runs. A name equal
+# to its owner is that module itself.
+_LAZY = {
+    "batches": "batches",
+    "metrics": "metrics",
+    "synth": "synth",
+    "DEFAULT_RESOLUTION": "community",
+    "DEFAULT_THRESHOLDS": "metrics",
+    "partition_round_robin": "partition",
+    "load_scene_dir": "recon_io",
+    "parse_images": "recon_io",
+    "write_reconstruction": "recon_io",
+    "DEFAULT_MAX_COMPONENTS": "sampler",
+    "DEFAULT_SEARCH_DEPTH": "sampler",
+    "Preset": "sampler",
+    "SamplingConfig": "sampler",
+    "generate_batches": "sampler",
+    "prepare_scene": "sampler",
+    "WeightMode": "steiner",
+    "build_graph": "view_graph",
+    "compute_stats": "view_graph",
+    "prune_edges": "view_graph",
+}
+
+
+def __getattr__(name):
+    owner = _LAZY.get(name)
+    if owner is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    module = importlib.import_module(f"{__package__}.{owner}")
+    value = module if name == owner else getattr(module, name)
+    globals()[name] = value
+    return value
+
+
+_cli = sys.modules[__name__]
 
 
 class _UsageError(Exception):
@@ -76,7 +106,7 @@ def _thresholds(text: str) -> list[int]:
         raise argparse.ArgumentTypeError(f"has an empty entry, got {text!r}")
     values = [int(t) for t in entries]
     try:
-        metrics_mod.check_thresholds(values)
+        _cli.metrics.check_thresholds(values)
     except InvalidSpec as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
     return values
@@ -97,18 +127,18 @@ def _add_scene_flags(parser: argparse.ArgumentParser, prune: bool = True) -> Non
     parser.add_argument("--scene", required=True, help="scene directory with cameras.txt/images.txt")
     parser.add_argument("--matches", help="match edge list (default <scene>/matches.txt)")
     if prune:
-        threshold = SamplingConfig.prune_threshold
+        threshold = _cli.SamplingConfig.prune_threshold
         parser.add_argument("--prune-threshold", type=_at_least(0), default=threshold)
 
 
 def _load_scene(args):
-    return load_scene_dir(args.scene, matches_path=args.matches)
+    return _cli.load_scene_dir(args.scene, matches_path=args.matches)
 
 
 def _load_graph(args):
     """The scene and its view graph pruned at --prune-threshold."""
     scene = _load_scene(args)
-    return scene, prune_edges(build_graph(scene), args.prune_threshold)
+    return scene, _cli.prune_edges(_cli.build_graph(scene), args.prune_threshold)
 
 
 def cmd_parse(args) -> list[str]:
@@ -128,7 +158,7 @@ def _fmt(x: float | None) -> str:
 
 def cmd_stats(args) -> list[str]:
     scene, graph = _load_graph(args)
-    stats = compute_stats(graph)
+    stats = _cli.compute_stats(graph)
     lines = [
         f"scene {scene.scene_id}",
         f"prune_threshold {args.prune_threshold}",
@@ -145,7 +175,7 @@ def cmd_stats(args) -> list[str]:
     for size in stats.connected_component_sizes:
         lines.append(str(size))
     if scene.points:
-        az = metrics_mod.azimuth_coverage(scene, gravity_axis=args.gravity)
+        az = _cli.metrics.azimuth_coverage(scene, gravity_axis=args.gravity)
         lines.append("[azimuth_coverage]")
         lines.append(f"positional_pct {_fmt(az.positional_pct)}")
         lines.append(f"rotational_pct {_fmt(az.rotational_pct)}")
@@ -153,37 +183,37 @@ def cmd_stats(args) -> list[str]:
 
 
 def cmd_communities(args) -> list[str]:
-    config = SamplingConfig(prune_threshold=args.prune_threshold, seed=args.seed)
-    ctx = prepare_scene(_load_scene(args), config, args.resolution)
+    config = _cli.SamplingConfig(prune_threshold=args.prune_threshold, seed=args.seed)
+    ctx = _cli.prepare_scene(_load_scene(args), config, args.resolution)
     _log(args, f"modularity {ctx.communities.modularity!r} levels {ctx.communities.level_count}")
     return [f"{v} {c}" for v, c in zip(ctx.pruned.ids, ctx.communities.labels)]
 
 
 def cmd_partition(args) -> list[str]:
-    config = SamplingConfig(prune_threshold=args.prune_threshold, seed=args.seed)
-    ctx = prepare_scene(_load_scene(args), config)
-    assignment = partition_round_robin(ctx.pruned, args.ncc, args.seed, ctx.communities)
+    config = _cli.SamplingConfig(prune_threshold=args.prune_threshold, seed=args.seed)
+    ctx = _cli.prepare_scene(_load_scene(args), config)
+    assignment = _cli.partition_round_robin(ctx.pruned, args.ncc, args.seed, ctx.communities)
     return [f"{v} {i}" for v, i in zip(ctx.pruned.ids, assignment) if i >= 0]
 
 
 def cmd_sample(args) -> None:
-    if args.weight_mode is not None and args.preset == Preset.RANDOM.value:
+    if args.weight_mode is not None and args.preset == _cli.Preset.RANDOM.value:
         raise _UsageError("sample --preset random does not read --weight-mode")
-    config = SamplingConfig(
+    config = _cli.SamplingConfig(
         n_views=args.n,
         max_components=args.ncc,
         search_depth=args.depth,
         prune_threshold=args.prune_threshold,
-        weight_mode=WeightMode(args.weight_mode or SamplingConfig.weight_mode.value),
+        weight_mode=_cli.WeightMode(args.weight_mode or _cli.SamplingConfig.weight_mode.value),
         seed=args.seed,
-        preset=Preset(args.preset) if args.preset else None,
+        preset=_cli.Preset(args.preset) if args.preset else None,
     )
     scene = _load_scene(args)
-    result = generate_batches(scene, config, args.batches)
+    result = _cli.generate_batches(scene, config, args.batches)
     truncated = sum(1 for b in result if b.truncated)
     if truncated:
         _log(args, f"warning: {truncated} of {len(result)} batches truncated")
-    batches_io.write_batches(result, args.out)
+    _cli.batches.write_batches(result, args.out)
     _log(args, f"wrote {len(result)} batches to {args.out}")
 
 
@@ -191,7 +221,7 @@ def cmd_coverage(args) -> list[str]:
     scene, graph = _load_graph(args)
     positions = scene.positions(graph.ids)
     nodes = range(graph.node_count)
-    loaded = batches_io.read_batches(args.batches)
+    loaded = _cli.batches.read_batches(args.batches)
     if not loaded:
         raise EmptySample(f"{args.batches}: holds no batch")
     lines = []
@@ -200,9 +230,9 @@ def cmd_coverage(args) -> list[str]:
     for idx, batch in enumerate(loaded):
         try:
             views = [graph.node(v) for v in batch.views]
-            cov = metrics_mod.k_hop_coverage(graph, views, args.k)
-            near = metrics_mod.avg_nearest_sample_dist(positions, nodes, views)
-            disp = metrics_mod.dispersion(graph, positions, views)
+            cov = _cli.metrics.k_hop_coverage(graph, views, args.k)
+            near = _cli.metrics.avg_nearest_sample_dist(positions, nodes, views)
+            disp = _cli.metrics.dispersion(graph, positions, views)
         except SparseViewError as exc:  # a fault of one batch, so name the file and the batch
             raise SparseViewError(f"{args.batches}: batch {idx}: {exc}") from exc
         sums["cov"] += cov
@@ -244,15 +274,15 @@ def cmd_filter_depth(args) -> None:
 
 
 def cmd_pose_eval(args) -> list[str]:
-    pred = parse_images(args.pred)
-    gt = parse_images(args.gt)
+    pred = _cli.parse_images(args.pred)
+    gt = _cli.parse_images(args.gt)
     ids = sorted(gt)
     try:
         pred_list = [pred[i] for i in ids]
     except KeyError as exc:
         raise SparseViewError(f"{args.pred}: prediction missing view {exc}") from exc
     gt_list = [gt[i] for i in ids]
-    errors = metrics_mod.pose_pair_errors(pred_list, gt_list, args.thresholds)
+    errors = _cli.metrics.pose_pair_errors(pred_list, gt_list, args.thresholds)
     lines = [f"pairs {len(errors.rotation_errors)}"]
     for name, at in (("rra", errors.rra_at), ("rta", errors.rta_at), ("auc", errors.auc_at)):
         lines += [f"{name}@{t} {_fmt(at[t])}" for t in args.thresholds]
@@ -278,10 +308,10 @@ def cmd_synth(args) -> None:
     unread = [flag for flag in given if args.kind not in _SYNTH_FLAGS[flag][1]]
     if unread:
         raise _UsageError(f"synth --kind {args.kind} does not read {', '.join(unread)}")
-    spec = synth_mod.SynthSpec(seed=args.seed, **{f: getattr(args, f) for f in given.values()})
+    spec = _cli.synth.SynthSpec(seed=args.seed, **{f: getattr(args, f) for f in given.values()})
     if args.kind == "depth":
         os.makedirs(args.out, exist_ok=True)
-        geom, mono, blob = synth_mod.gen_depth_fixture(spec)
+        geom, mono, blob = _cli.synth.gen_depth_fixture(spec)
         write_pfm(os.path.join(args.out, "geom.pfm"), geom)
         write_pfm(os.path.join(args.out, "mono.pfm"), mono)
         with open(os.path.join(args.out, "blob.json"), "w") as f:
@@ -290,90 +320,116 @@ def cmd_synth(args) -> None:
         _log(args, f"wrote depth fixture to {args.out}")
         return
     if args.kind == "ring":
-        scene = synth_mod.gen_ring_scene(spec)
+        scene = _cli.synth.gen_ring_scene(spec)
     else:
-        scene = synth_mod.gen_grid_scene(spec)
-    write_reconstruction(scene, args.out)
+        scene = _cli.synth.gen_grid_scene(spec)
+    _cli.write_reconstruction(scene, args.out)
     _log(args, f"wrote scene {scene.scene_id} to {args.out}")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="sparseview", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("parse", help="parse a scene and print a summary")
+def _parse_flags(p) -> None:
     _add_scene_flags(p, prune=False)
     _add_common(p)
-    p.set_defaults(func=cmd_parse)
 
-    p = sub.add_parser("stats", help="view-graph statistics report")
+
+def _stats_flags(p) -> None:
     _add_scene_flags(p)
     p.add_argument("--gravity", choices=("y", "z"), default="y")
     _add_common(p)
-    p.set_defaults(func=cmd_stats)
 
-    p = sub.add_parser("communities", help="Louvain community labels")
+
+def _communities_flags(p) -> None:
     _add_scene_flags(p)
-    p.add_argument("--resolution", type=_positive_float, default=community_mod.DEFAULT_RESOLUTION)
+    p.add_argument("--resolution", type=_positive_float, default=_cli.DEFAULT_RESOLUTION)
     _add_common(p, seed=True)
-    p.set_defaults(func=cmd_communities)
 
-    p = sub.add_parser("partition", help="round-robin BFS partition labels")
+
+def _partition_flags(p) -> None:
     _add_scene_flags(p)
     p.add_argument("--ncc", type=int, required=True, help="number of partitions")
     _add_common(p, seed=True)
-    p.set_defaults(func=cmd_partition)
 
-    p = sub.add_parser("sample", help="generate sampled batches (jsonl)")
+
+def _sample_flags(p) -> None:
+    config = _cli.SamplingConfig
     _add_scene_flags(p)
-    p.add_argument("--n", type=int, default=SamplingConfig.n_views, help="views per batch")
-    for flag, what, default in (("--ncc", "max connected components", DEFAULT_MAX_COMPONENTS),
-                                ("--depth", "greedy search depth", DEFAULT_SEARCH_DEPTH)):
+    p.add_argument("--n", type=int, default=config.n_views, help="views per batch")
+    for flag, what, default in (("--ncc", "max connected components", _cli.DEFAULT_MAX_COMPONENTS),
+                                ("--depth", "greedy search depth", _cli.DEFAULT_SEARCH_DEPTH)):
         p.add_argument(flag, type=int, help=f"{what} (default {default}; not with --preset)")
-    p.add_argument("--preset", choices=[m.value for m in Preset])
+    p.add_argument("--preset", choices=[m.value for m in _cli.Preset])
     p.add_argument("--batches", type=_at_least(1), default=1, help="number of batches")
     p.add_argument(
         "--weight-mode",
-        choices=[m.value for m in WeightMode],
-        help=f"Steiner edge weights (default {SamplingConfig.weight_mode.value}; not with random)",
+        choices=[m.value for m in _cli.WeightMode],
+        help=f"Steiner edge weights (default {config.weight_mode.value}; not with random)",
     )
     _add_common(p, seed=True, writes="batches file to write (jsonl)")
-    p.set_defaults(func=cmd_sample)
 
-    p = sub.add_parser("coverage", help="coverage/sparsity report for batches")
+
+def _coverage_flags(p) -> None:
     _add_scene_flags(p)
     p.add_argument("--batches", required=True, help="batches.jsonl path")
     p.add_argument("--k", type=_at_least(0), default=2, help="hop radius for coverage")
     _add_common(p)
-    p.set_defaults(func=cmd_coverage)
 
-    p = sub.add_parser("filter-depth", help="monocular-guided depth filtering")
+
+def _filter_depth_flags(p) -> None:
     p.add_argument("--geom", required=True, help="geometric depth (pfm)")
     p.add_argument("--mono", required=True, help="monocular prior depth (pfm)")
     p.add_argument("--tau-depth", type=_positive_float, default=FilterConfig.tau_depth)
     p.add_argument("--tau-grad", type=_positive_float, default=FilterConfig.tau_grad)
     p.add_argument("--report", help="write a json report here")
     _add_common(p, writes="filtered depth map to write (pfm)")
-    p.set_defaults(func=cmd_filter_depth)
 
-    p = sub.add_parser("pose-eval", help="pairwise pose errors pred vs gt")
+
+def _pose_eval_flags(p) -> None:
     p.add_argument("--pred", required=True, help="predicted poses (images.txt format)")
     p.add_argument("--gt", required=True, help="ground-truth poses (images.txt format)")
     p.add_argument(
-        "--thresholds", type=_thresholds, default=DEFAULT_THRESHOLDS, help="comma-separated degrees"
+        "--thresholds",
+        type=_thresholds,
+        default=_cli.DEFAULT_THRESHOLDS,
+        help="comma-separated degrees",
     )
     _add_common(p)
-    p.set_defaults(func=cmd_pose_eval)
 
-    p = sub.add_parser("synth", help="generate synthetic scenes / depth fixtures")
+
+def _synth_flags(p) -> None:
     p.add_argument("--kind", choices=("ring", "grid", "depth"), default="ring")
     for flag, (name, kinds) in _SYNTH_FLAGS.items():
-        default = getattr(synth_mod.SynthSpec, name)
+        default = getattr(_cli.synth.SynthSpec, name)
         text = f"read by {'/'.join(kinds)} (default {default})"
         p.add_argument(flag, dest=name, type=type(default), help=text)
     _add_common(p, seed=True, writes="directory to write the scene or depth fixture into")
-    p.set_defaults(func=cmd_synth)
 
+
+# subcommand -> (its --help line, what adds its flags, its handler), in --help order
+_SUBCOMMANDS = {
+    "parse": ("parse a scene and print a summary", _parse_flags, cmd_parse),
+    "stats": ("view-graph statistics report", _stats_flags, cmd_stats),
+    "communities": ("Louvain community labels", _communities_flags, cmd_communities),
+    "partition": ("round-robin BFS partition labels", _partition_flags, cmd_partition),
+    "sample": ("generate sampled batches (jsonl)", _sample_flags, cmd_sample),
+    "coverage": ("coverage/sparsity report for batches", _coverage_flags, cmd_coverage),
+    "filter-depth": ("monocular-guided depth filtering", _filter_depth_flags, cmd_filter_depth),
+    "pose-eval": ("pairwise pose errors pred vs gt", _pose_eval_flags, cmd_pose_eval),
+    "synth": ("generate synthetic scenes / depth fixtures", _synth_flags, cmd_synth),
+}
+
+
+def build_parser(argv: list[str]) -> _Parser:
+    """The parser for `argv`. Only the subcommands named in `argv` get their
+    flags: argparse parses with the chosen one alone, and the flags read
+    their defaults from the modules that own them, so building the parser
+    imports only the chosen subcommand's modules."""
+    parser = _Parser(prog="sparseview", description=__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (text, add_flags, func) in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=text)
+        if name in argv:
+            add_flags(p)
+        p.set_defaults(func=func)
     return parser
 
 
@@ -381,7 +437,7 @@ def run(argv: list[str]) -> int:
     """Parse `argv`, echo the seed, run the subcommand and write the report
     it returns to --out or stdout; the exit code."""
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv).parse_args(argv)
         if "seed" in args:
             _log(args, f"seed {args.seed}")
         lines = args.func(args)

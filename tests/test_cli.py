@@ -16,6 +16,7 @@ from sparseview.depth_filter import DepthMap
 from sparseview.pfm import write_pfm
 from sparseview.recon_io import load_scene_dir
 from sparseview.view_graph import build_graph, prune_edges
+from test_bench_spans import SPANS
 from test_sampler import keep_whole_tree
 
 
@@ -673,6 +674,43 @@ def test_numpy_subcommand_cold_start_writes_the_in_process_bytes(inputs, tmp_pat
             assert proc.returncode == 0, proc.stderr.decode()
         outputs[where] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
     assert outputs["cold"] and outputs["cold"] == outputs["in-process"]
+
+
+def test_every_cli_name_the_bench_wraps_is_what_run_calls(inputs, tmp_path):
+    """`bench/tracing.py` replaces `sparseview.cli.<attr>` with a wrapper
+    before the first `cli.run`; each wrapper must then be what runs, or its
+    layer would read as free. A fresh interpreter sets a counting wrapper on
+    every `cli` name of the bench's table and makes the bench's calls."""
+    attrs = sorted({attr for module, attr, *_ in SPANS if module == "cli"})
+    calls = [
+        ["sample", "--scene", "{ring}", "--preset", "sparse", "--n", "6", "--batches", "2",
+         "--seed", "1", "--out", "{batches}"],
+        ["coverage", "--scene", "{ring}", "--batches", "{batches}", "--k", "2", "--out", "{out}/c.txt"],
+        NUMPY_ARGV["pose-eval"],
+        NUMPY_ARGV["filter-depth"],
+    ]
+    paths = {**inputs, "out": tmp_path, "batches": tmp_path / "b.jsonl"}
+    argvs = [[a.format(**paths) for a in argv] + ["--quiet"] for argv in calls]
+    script = (
+        "import json, sys\n"
+        "from sparseview import cli\n"
+        "attrs, argvs = json.loads(sys.argv[1]), json.loads(sys.argv[2])\n"
+        "calls = dict.fromkeys(attrs, 0)\n"
+        "def counting(attr, fn):\n"
+        "    def wrapper(*args, **kwargs):\n"
+        "        calls[attr] += 1\n"
+        "        return fn(*args, **kwargs)\n"
+        "    return wrapper\n"
+        "for attr in attrs:\n"
+        "    setattr(cli, attr, counting(attr, getattr(cli, attr)))\n"
+        "print(json.dumps([[cli.run(argv) for argv in argvs], calls]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, json.dumps(attrs), json.dumps(argvs)],
+                          capture_output=True, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr.decode()
+    codes, counts = json.loads(proc.stdout)
+    assert codes == [0] * len(calls)
+    assert [attr for attr in attrs if counts[attr] == 0] == []
 
 
 def test_console_entry_point(tmp_path):

@@ -1,0 +1,175 @@
+"""What importing the package and running each subcommand loads.
+
+`import sparseview` loads no submodule: each public name imports its owner
+on first use (PEP 562). `sparseview.cli` imports only what `filter-depth`
+runs, and each subcommand loads its own modules when it runs. Every check
+runs in a fresh interpreter, whose `sys.modules` this process cannot touch.
+Only the subcommands that compute with numpy need it.
+"""
+
+import importlib
+import subprocess
+import sys
+
+import pytest
+
+import sparseview
+from conftest import CHILD_ENV
+from sparseview.cli import run
+
+# every public name of the package -> the submodule that owns it
+PUBLIC = {
+    "BatchConfig": "batches",
+    "Phase": "batches",
+    "SampledBatch": "batches",
+    "ViewProvenance": "batches",
+    "read_batches": "batches",
+    "write_batches": "batches",
+    "CommunityAssignment": "community",
+    "louvain": "community",
+    "modularity": "community",
+    "DepthMap": "depth_filter",
+    "FilterConfig": "depth_filter",
+    "FilterReport": "depth_filter",
+    "filter_depth": "depth_filter",
+    "AzimuthCoverage": "metrics",
+    "DispersionResult": "metrics",
+    "PosePairErrors": "metrics",
+    "avg_nearest_sample_dist": "metrics",
+    "azimuth_coverage": "metrics",
+    "dispersion": "metrics",
+    "k_hop_coverage": "metrics",
+    "pose_pair_errors": "metrics",
+    "partition_round_robin": "partition",
+    "read_pfm": "pfm",
+    "write_pfm": "pfm",
+    "CameraIntrinsics": "recon_io",
+    "CameraModel": "recon_io",
+    "PosedView": "recon_io",
+    "SceneReconstruction": "recon_io",
+    "ScenePoint": "recon_io",
+    "load_scene_dir": "recon_io",
+    "parse_match_graph": "recon_io",
+    "write_reconstruction": "recon_io",
+    "Preset": "sampler",
+    "SamplingConfig": "sampler",
+    "dfs_subsample": "sampler",
+    "generate_batches": "sampler",
+    "greedy_step": "sampler",
+    "sample_partition": "sampler",
+    "SteinerResult": "steiner",
+    "WeightMode": "steiner",
+    "approximate_steiner_tree": "steiner",
+    "select_terminals": "steiner",
+    "SynthSpec": "synth",
+    "gen_depth_fixture": "synth",
+    "gen_grid_scene": "synth",
+    "gen_ring_scene": "synth",
+    "GraphStatsReport": "view_graph",
+    "ViewGraph": "view_graph",
+    "build_graph": "view_graph",
+    "compute_stats": "view_graph",
+    "connected_components": "view_graph",
+    "prune_edges": "view_graph",
+    "subgraph": "view_graph",
+}
+
+
+def _child(script: str, *argv: str) -> list[str]:
+    """The stdout lines of `script` run in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, env=CHILD_ENV)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return proc.stdout.decode().splitlines()
+
+
+LOADED = "print(' '.join(sorted(m for m in sys.modules if m.startswith('sparseview'))))\n"
+
+
+def test_public_names_are_the_owners_objects():
+    assert sorted(sparseview.__all__) == sorted(PUBLIC)
+    assert len(set(sparseview.__all__)) == len(sparseview.__all__)
+    for name, owner in PUBLIC.items():
+        assert getattr(sparseview, name) is getattr(importlib.import_module(f"sparseview.{owner}"), name)
+    assert not hasattr(sparseview, "no_such_name")
+
+
+def test_star_import_binds_every_public_name():
+    script = "from sparseview import *\nprint(' '.join(sorted(k for k in dir() if not k.startswith('_'))))\n"
+    assert _child(script) == [" ".join(sorted(PUBLIC))]
+
+
+def test_dir_lists_every_public_name_before_any_is_used():
+    script = "import sparseview\nprint(' '.join(sorted(dir(sparseview))))\n"
+    assert set(PUBLIC) <= set(_child(script)[0].split())
+
+
+def test_a_submodule_is_still_imported_from_the_package():
+    script = "from sparseview import community\nprint(type(community).__name__, community.__name__)\n"
+    assert _child(script) == ["module sparseview.community"]
+
+
+def test_import_sparseview_loads_no_submodule():
+    assert _child("import sys, sparseview\n" + LOADED) == ["sparseview"]
+
+
+def test_import_cli_loads_only_what_filter_depth_runs():
+    assert _child("import sys, sparseview.cli\n" + LOADED) == [
+        "sparseview sparseview.cli sparseview.depth_filter sparseview.errors sparseview.pfm"
+    ]
+
+
+def test_cli_has_no_unknown_attribute():
+    from sparseview import cli
+
+    assert not hasattr(cli, "no_such_name")
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    """A ring scene with points and a batches file over it, both written
+    without numpy."""
+    root = tmp_path_factory.mktemp("inputs")
+    ring, batches = root / "ring", root / "batches.jsonl"
+    assert run(["synth", "--kind", "ring", "--noise", "0.05", "--seed", "3",
+                "--out", str(ring), "--quiet"]) == 0
+    assert run(["sample", "--scene", str(ring), "--n", "6", "--out", str(batches), "--quiet"]) == 0
+    return {"ring": str(ring), "batches": str(batches)}
+
+
+BASE = {"cli", "depth_filter", "errors", "pfm"}
+# what `sampler` imports, which every subcommand whose flags default to
+# `SamplingConfig` loads
+SAMPLER = BASE | {"batches", "community", "partition", "recon_io", "sampler", "steiner", "view_graph"}
+
+# subcommand case -> (argv, the sparseview modules loaded once it has run).
+# filter-depth loads none of the graph code, and sample neither metrics nor synth.
+SUBCOMMANDS = {
+    "parse": (["parse", "--scene", "{ring}", "--out", "{tmp}/o.txt"], BASE | {"recon_io"}),
+    "stats": (["stats", "--scene", "{ring}", "--out", "{tmp}/o.txt"], SAMPLER | {"metrics"}),
+    "communities": (["communities", "--scene", "{ring}", "--out", "{tmp}/o.txt"], SAMPLER),
+    "partition": (["partition", "--scene", "{ring}", "--ncc", "2", "--out", "{tmp}/o.txt"], SAMPLER),
+    "sample": (["sample", "--scene", "{ring}", "--n", "6", "--batches", "2", "--out", "{tmp}/b.jsonl"],
+               SAMPLER),
+    "coverage": (["coverage", "--scene", "{ring}", "--batches", "{batches}", "--out", "{tmp}/o.txt"],
+                 SAMPLER | {"metrics"}),
+    "filter-depth": (["filter-depth", "--geom", "{fix}/geom.pfm", "--mono", "{fix}/mono.pfm",
+                      "--out", "{tmp}/f.pfm", "--report", "{tmp}/r.json"], BASE),
+    "pose-eval": (["pose-eval", "--pred", "{ring}/images.txt", "--gt", "{ring}/images.txt",
+                   "--out", "{tmp}/o.txt"], BASE | {"metrics", "recon_io", "view_graph"}),
+    "synth-ring": (["synth", "--kind", "ring", "--out", "{tmp}/synth"], BASE | {"recon_io", "synth"}),
+}
+NEEDS_NUMPY = {"coverage", "filter-depth", "pose-eval"}
+
+
+@pytest.mark.parametrize("case", sorted(SUBCOMMANDS))
+def test_a_subcommand_loads_only_its_own_modules(inputs, tmp_path, case):
+    if case in NEEDS_NUMPY:
+        pytest.importorskip("numpy")
+    paths = {**inputs, "tmp": str(tmp_path)}
+    if case == "filter-depth":
+        paths["fix"] = str(tmp_path / "fix")
+        assert run(["synth", "--kind", "depth", "--seed", "5", "--out", paths["fix"], "--quiet"]) == 0
+    argv, loaded = SUBCOMMANDS[case]
+    script = "import sys, sparseview.cli\nprint(sparseview.cli.run(sys.argv[1:]))\n" + LOADED
+    lines = _child(script, *[a.format(**paths) for a in argv], "--quiet")
+    assert lines == ["0", " ".join(sorted({"sparseview"} | {f"sparseview.{m}" for m in loaded}))]
