@@ -24,19 +24,25 @@ or gated depths against tau, are so small that underflow could matter.
 
 A map is held in the dtype it arrives in: float32 as a PFM stores it,
 float64 from anything else. The validity masks and the medians work on the
-stored values, which float64 holds exactly, and each band widens its own
-rows to float64 before it scales them, so every comparison is made in
-float64: a float32 map gives the bytes and report the same map cast to
-float64 gives, and the output keeps the input's dtype.
+stored values, which float64 holds exactly, and every band step that
+computes takes a float64 loop over them (the scaling, the differences and
+the divisions), so every comparison is made in float64 and no float64 copy
+of a map is made: a float32 map gives the bytes and report the same map
+cast to float64 gives, and the output keeps the input's dtype.
 
-`filter_depth` holds whole-map masks only until the median scale is known;
-each band then works out the masks of its own rows. The depth kernel
-computes on every pixel, and only pixels with a usable comparison count.
-The map is filtered in bands of `BAND_ROWS` rows on a thread pool
-with one worker per CPU this process may run on (numpy releases the GIL in
-these kernels). Each band also reads one halo row above and below, so the
-gradients and their stencils see the same neighbours as on the whole map:
-the output bytes do not depend on the band height or the worker count.
+`filter_depth` holds whole-map masks only until the median scale is known,
+and takes the two medians one after the other, so one masked copy is live
+at a time. The map is then filtered in bands of `BAND_ROWS` rows on a
+thread pool with one worker per CPU this process may run on (numpy
+releases the GIL in these kernels). Each worker draws band starts from one
+shared iterator and computes every band-sized step into a scratch set the
+calling thread allocated for it once per call, so no band allocates an
+array of its own size. Each band works out the masks of its own rows; the
+depth kernel computes on every pixel, and only pixels with a usable
+comparison count. Each band also reads one halo row above and below, so
+the gradients and their stencils see the same neighbours as on the whole
+map: the output bytes do not depend on the band height or the worker
+count.
 
 numpy (and its BLAS thread pool) is imported inside the functions that
 compute with it, so importing this module, or the CLI, loads neither.
@@ -56,11 +62,14 @@ if TYPE_CHECKING:
     import numpy as np
 
 
-def _valid(values: np.ndarray) -> np.ndarray:
+def _valid(values: np.ndarray, out: np.ndarray | None = None,
+           tmp: np.ndarray | None = None) -> np.ndarray:
+    """isfinite(values) & (values > 0), into `out` with `tmp` as scratch
+    (new arrays where None)."""
     import numpy as np
 
-    valid = np.isfinite(values)
-    valid &= values > 0
+    valid = np.isfinite(values, out=out)
+    valid &= np.greater(values, 0, out=tmp)
     return valid
 
 
@@ -126,86 +135,95 @@ def _masked_median(values: np.ndarray, mask: np.ndarray) -> np.float64:
 
     picked = values[mask]  # this call's own copy, so the partition may reorder it
     half = picked.size // 2
-    middle = [half] if picked.size % 2 else [half - 1, half]
-    picked.partition(middle)
-    return np.mean(picked[middle].astype(np.float64))
+    picked.partition(half)
+    middle = [picked[half]]
+    if picked.size % 2 == 0:
+        # the lower middle value is the largest of the partition's lower half,
+        # found without a second selection pass
+        middle.insert(0, picked[:half].max())
+    return np.mean(np.array(middle, dtype=np.float64))
 
 
 def median_scale(geom: np.ndarray, mono: np.ndarray, joint: np.ndarray) -> float:
     """Scale aligning geometric depth to the monocular prior,
     med(mono)/med(geom) over the pixels `joint` selects (all valid in both).
-    The two medians run concurrently. A ratio that overflows or underflows
+    The medians are taken one after the other on the calling thread, so one
+    masked copy is live at a time. A ratio that overflows or underflows
     float64 raises NoValidOverlap."""
-    from concurrent.futures import ThreadPoolExecutor
-
     import numpy as np
 
-    with ThreadPoolExecutor(1) as pool:
-        med_geom = pool.submit(_masked_median, geom, joint)
-        med_mono = _masked_median(mono, joint)
-        with np.errstate(over="ignore", under="ignore"):
-            s = float(med_mono / med_geom.result())
+    med_geom = _masked_median(geom, joint)
+    med_mono = _masked_median(mono, joint)
+    with np.errstate(over="ignore", under="ignore"):
+        s = float(med_mono / med_geom)
     if not (math.isfinite(s) and s > 0):
         raise NoValidOverlap(f"scale med(mono)/med(geom) = {s!r} is not a positive finite number")
     return s
 
 
-def depth_discrepancy(geom: np.ndarray, mono: np.ndarray) -> np.ndarray:
-    """Normalized |geom - mono| / geom at every pixel; meaningful only where
-    both maps are valid. A ratio beyond float64 is inf."""
+def depth_discrepancy(
+    geom: np.ndarray, mono: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Normalized |geom - mono| / geom at every pixel, taken in float64 into
+    `out` (a new array where None); meaningful only where both maps are
+    valid. A ratio beyond float64 is inf."""
     import numpy as np
 
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        return np.abs(geom - mono) / geom
+        delta = np.subtract(geom, mono, out=out, dtype=np.float64)
+        np.abs(delta, out=delta)
+        return np.divide(delta, geom, out=delta)
 
 
-def _stencil_valid(valid: np.ndarray) -> np.ndarray:
+def _stencil_valid(valid: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Pixels whose central/one-sided difference stencil touches only valid
-    pixels, along both axes."""
+    pixels, along both axes, into `out` (a new array where None)."""
     import numpy as np
 
-    ok = np.ones_like(valid)
+    ok = np.empty_like(valid) if out is None else out
+    ok.fill(True)
     for axis in (0, 1):
         v, o = np.moveaxis(valid, axis, 0), np.moveaxis(ok, axis, 0)  # o is a view of ok
-        o[1:-1] &= v[2:] & v[:-2]
-        o[0] &= v[0] & v[1]
-        o[-1] &= v[-1] & v[-2]
+        # each neighbour in turn, so no step makes a temporary
+        o[1:-1] &= v[2:]
+        o[1:-1] &= v[:-2]
+        for edge, inner in ((0, 1), (-1, -2)):
+            o[edge] &= v[edge]
+            o[edge] &= v[inner]
     return ok
 
 
-def _axis_gradient(values: np.ndarray, axis: int) -> np.ndarray:
-    """np.gradient's unit-spacing difference of `values` along `axis`, in one
-    new array: (f[i+1] - f[i-1]) / 2.0 inside, f[1] - f[0] and f[-1] - f[-2]
-    at the edges (np.gradient divides those by 1.0)."""
+def _axis_gradient(values: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
+    """np.gradient's unit-spacing difference of `values` along `axis`, taken
+    in float64 into the C-ordered float64 `out` (so g below is a view):
+    (f[i+1] - f[i-1]) / 2.0 inside, f[1] - f[0] and f[-1] - f[-2] at the
+    edges (np.gradient divides those by 1.0)."""
     import numpy as np
 
-    out = np.empty(values.shape, dtype=values.dtype)  # C order, so g below is a view
     # inside: one pass over the flat arrays, neighbours `step` elements apart;
     # along rows it also writes across row ends, which the edges overwrite
     step = values.shape[1] if axis == 0 else 1
     f, g = values.ravel(), out.ravel()
-    np.subtract(f[2 * step :], f[: -2 * step], out=g[step:-step])
+    np.subtract(f[2 * step :], f[: -2 * step], out=g[step:-step], dtype=np.float64)
     g[step:-step] *= 0.5  # the same bits as / 2.0
     f, g = np.moveaxis(values, axis, 0), np.moveaxis(out, axis, 0)
-    np.subtract(f[1], f[0], out=g[0])
-    np.subtract(f[-1], f[-2], out=g[-1])
+    np.subtract(f[1], f[0], out=g[0], dtype=np.float64)
+    np.subtract(f[-1], f[-2], out=g[-1], dtype=np.float64)
     return out
 
 
-def _gradient_norm(values: np.ndarray) -> np.ndarray:
-    """sqrt(gx*gx + gy*gy) / values at every pixel; each difference is freed
-    once squared."""
+def _gradient_norm(values: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
+    """sqrt(gx*gx + gy*gy) / values at every pixel, in float64, into `out`;
+    gy is taken in `tmp`."""
     import numpy as np
 
-    norm = _axis_gradient(values, 1)
+    norm = _axis_gradient(values, 1, out)
     norm *= norm
-    gy = _axis_gradient(values, 0)
+    gy = _axis_gradient(values, 0, tmp)
     gy *= gy
     norm += gy
-    del gy
     np.sqrt(norm, out=norm)
-    norm /= values
-    return norm
+    return np.divide(norm, values, out=norm)
 
 
 def _exact_norm_at(values: np.ndarray, pixels: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -218,7 +236,8 @@ def _exact_norm_at(values: np.ndarray, pixels: tuple[np.ndarray, np.ndarray]) ->
         ahead, behind = list(pixels), list(pixels)
         ahead[axis], behind[axis] = np.minimum(i + 1, n - 1), np.maximum(i - 1, 0)
         # a step of 2 inside, 1 at an edge
-        return (values[tuple(ahead)] - values[tuple(behind)]) / (ahead[axis] - behind[axis])
+        delta = np.subtract(values[tuple(ahead)], values[tuple(behind)], dtype=np.float64)
+        return delta / (ahead[axis] - behind[axis])
 
     return np.hypot(difference(1), difference(0)) / values[pixels]
 
@@ -247,36 +266,46 @@ _MIN_TAU_DEPTH = 2.0**-480
 
 
 def gradient_discrepancy(
-    geom: np.ndarray, mono: np.ndarray, tau: float, where: np.ndarray
+    geom: np.ndarray,
+    mono: np.ndarray,
+    tau: float,
+    where: np.ndarray,
+    scratch: tuple[np.ndarray, ...] | None = None,
 ) -> np.ndarray:
     """True where `where` holds and the normalized gradient discrepancy
     |hypot(grad mono)/mono - hypot(grad geom)/geom| exceeds `tau` (finite,
     >= 0), decided bit for bit as that float64 formula decides it, gradients
     as np.gradient takes them. np.hypot runs only on pixels whose fast
-    answer is within the margin above. Both dimensions must be at least 2."""
+    answer is within the margin above. Both dimensions must be at least 2.
+    `scratch` is three C-ordered float64 arrays and two bool arrays of
+    `where`'s shape that the call works in (new arrays where None); the
+    answer is the first bool array."""
     import numpy as np
 
+    if scratch is None:
+        scratch = (*(np.empty(where.shape) for _ in range(3)),
+                   *(np.empty(where.shape, dtype=bool) for _ in range(2)))
+    nm, ng, tmp, over, near = scratch
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         vmin = np.minimum(np.min(geom, where=where, initial=np.inf),
                           np.min(mono, where=where, initial=np.inf))
         # False on a NaN or nonpositive depth too
         if tau >= _MIN_TAU and tau * vmin >= _MIN_TAU_DEPTH:
-            nm = _gradient_norm(mono)
-            ng = _gradient_norm(geom)
-            margin = nm + ng
+            _gradient_norm(mono, nm, tmp)
+            _gradient_norm(geom, ng, tmp)
+            margin = np.add(nm, ng, out=tmp)
             margin *= _MARGIN
-            nm -= ng
-            del ng
-            d = np.abs(nm, out=nm)
-            over = d > tau
+            d = np.subtract(nm, ng, out=nm)
+            np.abs(d, out=d)
+            np.greater(d, tau, out=over)
             d -= tau
             np.abs(d, out=d)
-            near = d > margin
-            del d, margin
+            np.greater(d, margin, out=near)
             np.greater(where, near, out=near)  # where & ~(|d - tau| > margin)
             over &= where
         else:
-            over, near = np.zeros_like(where), where
+            over.fill(False)
+            near = where
         if near.any():
             pixels = np.nonzero(near)
             exact = np.abs(_exact_norm_at(mono, pixels) - _exact_norm_at(geom, pixels))
@@ -284,11 +313,21 @@ def gradient_discrepancy(
     return over
 
 
-# Each worker holds about five float64 arrays of its band's rows. Measured on
-# the bench's 1080p pairs (2 vCPUs, two workers), peak RSS of a two-call
-# filter-depth round and two filter_depth calls' median time, 32 / 64 / 128
-# rows: 72.6-73.3 / 75.9-76.8 / 85.6-85.7 MiB and 115 / 107 / 109 ms
-BAND_ROWS = 64
+# A worker's scratch is four float64 and four bool arrays of its band's rows
+# and halo, allocated once per call. Measured on the bench's 1080p pairs
+# (2 vCPUs, two workers, 4 runs), peak RSS of a two-call filter-depth round
+# and two filter_depth calls' median time, 16 / 32 / 64 rows: 56.5-56.9 /
+# 58.7-59.0 / 62.9-63.1 MiB and 90-99 / 72-84 / 75-86 ms
+BAND_ROWS = 32
+
+
+def _band_scratch(rows: int, width: int) -> tuple[np.ndarray, ...]:
+    """One worker's scratch for bands of up to `rows` rows, halo included:
+    four float64 arrays, then four bool arrays, each C-ordered."""
+    import numpy as np
+
+    return (*(np.empty((rows, width)) for _ in range(4)),
+            *(np.empty((rows, width), dtype=bool) for _ in range(4)))
 
 
 def _usable_cpus() -> int:
@@ -302,32 +341,40 @@ def _filter_band(
     s: float,
     config: FilterConfig,
     out: np.ndarray,
+    scratch: tuple[np.ndarray, ...],
     r0: int,
 ) -> tuple[int, int, int]:
-    """Filter rows [r0, r0 + BAND_ROWS) of `geom` into the same rows of `out`;
-    returns the band's (removed_by_depth, removed_by_grad, removed_total)."""
+    """Filter rows [r0, r0 + BAND_ROWS) of `geom` into the same rows of `out`,
+    computing in `scratch` (`_band_scratch`, for at least the band and its
+    halo); returns the band's (removed_by_depth, removed_by_grad,
+    removed_total)."""
     import numpy as np
 
     height = geom.shape[0]
     r1 = min(r0 + BAND_ROWS, height)
     lo, hi = max(r0 - 1, 0), min(r1 + 1, height)
     rows = slice(r0 - lo, r1 - lo)  # the band's own rows inside its halo
-    # the band is widened to float64 here and nowhere else (a float32 * s
-    # would stay float32)
-    mono = mono[lo:hi].astype(np.float64, copy=False)
+    scaled, nm, ng, tmp, joint, gated, by_depth, near = (a[: hi - lo] for a in scratch)
+    mono = mono[lo:hi]
     # numpy's error state is per thread; scaling can overflow or underflow a
-    # pixel out of the valid set
+    # pixel out of the valid set (a float32 * s would stay float32)
     with np.errstate(over="ignore", under="ignore"):
-        scaled = np.multiply(geom[lo:hi], s, dtype=np.float64)
-    joint = _valid(scaled)
-    joint &= _valid(mono)  # the widened rows hold the stored values exactly
-    by_depth = joint[rows] & (depth_discrepancy(scaled[rows], mono[rows]) > config.tau_depth)
-    gated = joint & _stencil_valid(joint)  # the stencil of an AND is the AND of stencils
+        np.multiply(geom[lo:hi], s, out=scaled, dtype=np.float64)
+    _valid(scaled, joint, gated)
+    joint &= _valid(mono, gated, near)
+    by_depth = np.greater(depth_discrepancy(scaled[rows], mono[rows], nm[rows]),
+                          config.tau_depth, out=by_depth[rows])
+    by_depth &= joint[rows]
+    gated = _stencil_valid(joint, gated)
+    gated &= joint  # the stencil of an AND is the AND of stencils
     gated[: rows.start] = False  # the halo rows are the neighbouring bands'
     gated[rows.stop :] = False
-    by_grad = gradient_discrepancy(scaled, mono, config.tau_grad, gated)[rows]
-    removed = by_depth | by_grad
-    out[r0:r1] = np.where(removed, 0.0, geom[r0:r1])
+    # joint is spent, so its array takes the gradient test's answer
+    by_grad = gradient_discrepancy(scaled, mono, config.tau_grad, gated,
+                                   (nm, ng, tmp, joint, near))[rows]
+    removed = np.logical_or(by_depth, by_grad, out=near[rows])
+    np.copyto(out[r0:r1], geom[r0:r1])
+    np.copyto(out[r0:r1], 0.0, where=removed)
     return tuple(int(np.count_nonzero(m)) for m in (by_depth, by_grad, removed))
 
 
@@ -361,10 +408,20 @@ def filter_depth(
     s = median_scale(geom, mono, joint)
     del joint
     out = np.empty_like(geom)
-    starts = range(0, geom.shape[0], BAND_ROWS)
+    height, width = geom.shape
+    starts = range(0, height, BAND_ROWS)
+    # every worker's scratch comes from this thread, once per call
+    scratches = [_band_scratch(min(BAND_ROWS + 2, height), width)
+                 for _ in range(min(_usable_cpus(), len(starts)))]
     band = partial(_filter_band, geom, mono, s, config, out)
-    with ThreadPoolExecutor(min(_usable_cpus(), len(starts))) as pool:
-        by_depth, by_grad, removed_total = map(sum, zip(*pool.map(band, starts)))
+    shared = iter(starts)  # each start goes to the first worker that asks
+
+    def work(scratch):
+        return [band(scratch, r0) for r0 in shared]
+
+    with ThreadPoolExecutor(len(scratches)) as pool:
+        counts = [c for done in pool.map(work, scratches) for c in done]
+    by_depth, by_grad, removed_total = map(sum, zip(*counts))
 
     report = FilterReport(
         scale_s=s,

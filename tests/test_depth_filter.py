@@ -416,7 +416,8 @@ def _hand_built_pair():
 
 def _tall_pair():
     """A seeded 300x9 pair of float32-representable values, so the PFM round
-    trip keeps them, tall enough to cross the filter's 128-row band edges.
+    trip keeps them, tall enough to cross the filter's band edges: rows 128
+    and 256 start a band at 32, 64 or 128 rows a band.
     Each of rows 126-129 and 254-257, around those edges, holds one NaN, 0,
     +-inf or negative pixel in either map; depth and gradient outliers are
     strewn over the whole pair."""
@@ -537,10 +538,13 @@ def _hd_pair():
     return DepthMap(geom), DepthMap(mono)
 
 
-# Scratch of one worker's band, in float64 arrays of its rows and halo: the
-# widened prior, the scaled map and three gradient arrays at once, plus its
-# masks. Measured at 5.4-5.6 with BAND_ROWS 32, 64 and 128.
-BAND_ARRAYS = 6
+# One worker's band scratch, in bytes per pixel of its band and two halo
+# rows: four float64 arrays and four bool arrays.
+SCRATCH_BYTES_PER_PIXEL = 4 * 8 + 4
+# what a worker allocates besides its scratch: numpy's iterator buffers of a
+# float32 operand taken in float64 (two of 8192 values, 128 KiB), and the few
+# pixels of the exact gradient path
+WORKER_SLACK = 256 * 1024
 
 
 def test_filter_depth_holds_its_output_the_median_copies_and_one_band_per_worker(monkeypatch):
@@ -549,9 +553,94 @@ def test_filter_depth_holds_its_output_the_median_copies_and_one_band_per_worker
     monkeypatch.setattr(depth_filter, "_usable_cpus", lambda: workers)
     (out, report), peak = traced_peak(lambda: filter_depth(geom, mono))
     joint = int(np.count_nonzero(geom.valid_mask & mono.valid_mask))
-    band = (depth_filter.BAND_ROWS + 2) * geom.width * 8
-    bound = out.values.nbytes + 2 * joint * 4 + workers * BAND_ARRAYS * band
-    # bound 7.91 + 0.13 + 11.60 MiB, traced 18.33 MiB; one whole-map mask
-    # held across the bands adds 1.98 MiB and breaks it
+    scratch = (depth_filter.BAND_ROWS + 2) * geom.width * SCRATCH_BYTES_PER_PIXEL
+    bound = out.values.nbytes + joint * 4 + workers * (scratch + WORKER_SLACK)
+    # bound 7.91 + 0.07 + 2 * (2.24 + 0.25) MiB, traced 12.64 MiB; one
+    # whole-map mask held across the bands adds 1.98 MiB and breaks it
     assert peak <= bound, f"filter_depth peaked at {peak} bytes, bound {bound}"
     assert report.removed_total > 0
+
+
+def _dense_hd_pair():
+    """`_hd_pair` valid everywhere but a 200x300 hole, so each median copies
+    nearly the whole map."""
+    ys, xs = np.mgrid[0:1080, 0:1920]
+    mono = (4.0 + xs / 960.0 + ys / 540.0).astype(np.float32)
+    geom = mono * np.float32(0.7)
+    geom[np.random.default_rng(1080).random(geom.shape) < 0.01] *= np.float32(1.5)
+    geom[400:600, 800:1100] = 0.0
+    return geom, mono
+
+
+def test_median_scale_holds_one_masked_copy_at_a_time():
+    geom, mono = _dense_hd_pair()
+    joint = np.isfinite(geom) & (geom > 0)
+    s, peak = traced_peak(lambda: median_scale(geom, mono, joint))
+    copy = int(np.count_nonzero(joint)) * 4
+    # traced 3 KiB over one copy; the two medians taken at once hold two
+    # copies, 7.7 MiB each
+    assert peak <= copy + 64 * 1024, f"median_scale peaked at {peak} bytes, one copy is {copy}"
+    assert s == float(np.median(mono[joint].astype(np.float64))
+                      / np.median(geom[joint].astype(np.float64)))
+
+
+def test_a_band_computes_in_its_scratch_alone(monkeypatch):
+    # bands taller than the default, so numpy's iterator buffers stay under
+    # the smallest array of a band's size
+    rows = 128
+    monkeypatch.setattr(depth_filter, "BAND_ROWS", rows)
+    geom, mono = _dense_hd_pair()
+    joint = np.isfinite(geom) & (geom > 0)
+    s = median_scale(geom, mono, joint)
+    width = geom.shape[1]
+    scratch = depth_filter._band_scratch(rows + 2, width)
+    assert sum(a.nbytes for a in scratch) == (rows + 2) * width * SCRATCH_BYTES_PER_PIXEL
+    out = np.zeros_like(geom)
+    # rows 384-511 cross the hole, with a halo row on either side
+    counts, peak = traced_peak(
+        lambda: depth_filter._filter_band(geom, mono, s, FilterConfig(), out, scratch, 384))
+    assert 0 < counts[2] < rows * width
+    # the smallest array of the band's size: one bool per pixel of its rows
+    assert peak < rows * width, f"a band allocated {peak} bytes besides its scratch"
+
+
+def _has_vmhwm() -> bool:
+    try:
+        with open("/proc/self/status") as f:
+            return any(line.startswith("VmHWM:") for line in f)
+    except OSError:
+        return False
+
+
+# four filter-depth calls in one process; prints VmHWM in KiB after each
+REPEATED_CALLS = """
+import sys
+from sparseview.cli import run
+
+geom, mono, out = sys.argv[1:]
+for _ in range(4):
+    assert run(["filter-depth", "--geom", geom, "--mono", mono, "--out", out, "--quiet"]) == 0
+    with open("/proc/self/status") as f:
+        print(next(line.split()[1] for line in f if line.startswith("VmHWM:")))
+"""
+
+
+@pytest.mark.skipif(not _has_vmhwm(), reason="needs VmHWM in /proc/self/status")
+def test_repeated_calls_peak_where_the_first_did(tmp_path):
+    """A call's memory is its own: the fourth filter-depth call in a process
+    peaks within 2 MiB of the first, where glibc's per-thread arenas used to
+    keep band-sized temporaries from earlier calls."""
+    from sparseview.pfm import write_pfm
+
+    geom, mono = _dense_hd_pair()
+    write_pfm(str(tmp_path / "geom.pfm"), DepthMap(geom))
+    write_pfm(str(tmp_path / "mono.pfm"), DepthMap(mono))
+    proc = subprocess.run(
+        [sys.executable, "-c", REPEATED_CALLS, str(tmp_path / "geom.pfm"),
+         str(tmp_path / "mono.pfm"), str(tmp_path / "out.pfm")],
+        capture_output=True, text=True, env=CHILD_ENV,
+    )
+    assert proc.returncode == 0, proc.stderr
+    peaks = [int(kib) / 1024 for kib in proc.stdout.split()]
+    assert len(peaks) == 4
+    assert peaks[3] - peaks[0] <= 2.0, f"VmHWM after each call, MiB: {peaks}"

@@ -2,8 +2,8 @@
 raise only SparseViewError (a MalformedLine always naming its file), and
 `coverage` exits 0 or 1, never 2; of the depth filter's invariants on any
 pair of small maps, of its bytes against the whole-map reference, of
-float32 maps filtering as their float64 cast does, and of its gradient
-stencil distributing over AND; of the banded PFM reader and writer against
+float32 maps filtering as their float64 cast does, of its gradient
+stencil distributing over AND and of its masked median against np.median; of the banded PFM reader and writer against
 the whole-map ones at any band height; of the sampler's batch invariants on small
 scenes; of Louvain against its reference copy that evaluates every node; of
 a part given as membership against its induced copy; and of the unit-hop
@@ -250,6 +250,27 @@ def test_the_stencil_of_an_and_is_the_and_of_the_stencils(masks):
     a, b = masks
     both = depth_filter._stencil_valid(a) & depth_filter._stencil_valid(b)
     assert np.array_equal(depth_filter._stencil_valid(a & b), both)
+
+
+@settings(max_examples=300)
+@given(dtype=st.sampled_from([np.float32, np.float64]), size=st.integers(1, 3000),
+       distinct=st.sampled_from([1, 2, 3, 40, None]), keep=st.sampled_from([0.05, 0.5, 1.0]),
+       seed=st.integers(0, 2**32 - 1))
+def test_masked_median_is_np_median_of_a_float64_copy(dtype, size, distinct, keep, seed):
+    """`median_scale`'s one selection pass (the lower middle value as the
+    largest below it) gives np.median's bits, on odd and even counts, with
+    ties (`distinct` values only) and without, on arrays long enough for
+    numpy's introselect to pivot."""
+    rng = np.random.default_rng(seed)
+    values = rng.lognormal(0.0, 3.0, size)
+    if distinct:
+        values = rng.choice(values[:distinct], size)
+    values = values.astype(dtype)
+    mask = rng.random(size) < keep
+    mask[rng.integers(size)] = True
+    expected = np.median(values[mask].astype(np.float64))
+    got = depth_filter._masked_median(values, mask)
+    assert got.dtype == np.float64 and got.tobytes() == expected.tobytes()
 
 
 @given(pair=depth_pairs(), taus=st.sampled_from([(0.25, 0.10), (0.05, 0.02), (2.0, 1.0)]))
