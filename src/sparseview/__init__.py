@@ -6,6 +6,7 @@ imports its owner on first use (PEP 562), so a caller pays only for the
 half of the toolkit it runs."""
 
 import importlib
+import os
 
 __version__ = "0.1.0"
 
@@ -82,3 +83,10 @@ def __getattr__(name):
 
 def __dir__():
     return sorted({*globals(), *__all__})
+
+
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: the worker count of the sampler's
+    batch loop and of the depth filter's band pool."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else os.cpu_count() or 1

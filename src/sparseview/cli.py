@@ -42,6 +42,7 @@ _LAZY = {
     "generate_batches": "sampler",
     "prepare_scene": "sampler",
     "WeightMode": "steiner",
+    "DEFAULT_PRUNE_THRESHOLD": "view_graph",
     "build_graph": "view_graph",
     "compute_stats": "view_graph",
     "prune_edges": "view_graph",
@@ -101,12 +102,11 @@ _positive_float.__name__ = "float"  # argparse reports a non-number as "invalid 
 
 def _thresholds(text: str) -> list[int]:
     """argparse type: comma-separated degrees under `metrics.check_thresholds`."""
-    entries = text.split(",")
-    if not all(t.strip() for t in entries):
-        raise argparse.ArgumentTypeError(f"has an empty entry, got {text!r}")
-    values = [int(t) for t in entries]
     try:
+        values = [int(t) for t in text.split(",")]
         _cli.metrics.check_thresholds(values)
+    except ValueError:  # an empty or non-integer entry; argparse would name this function
+        raise argparse.ArgumentTypeError(f"must be whole degrees, got {text!r}") from None
     except InvalidSpec as exc:
         raise argparse.ArgumentTypeError(str(exc)) from exc
     return values
@@ -127,8 +127,7 @@ def _add_scene_flags(parser: argparse.ArgumentParser, prune: bool = True) -> Non
     parser.add_argument("--scene", required=True, help="scene directory with cameras.txt/images.txt")
     parser.add_argument("--matches", help="match edge list (default <scene>/matches.txt)")
     if prune:
-        threshold = _cli.SamplingConfig.prune_threshold
-        parser.add_argument("--prune-threshold", type=_at_least(0), default=threshold)
+        parser.add_argument("--prune-threshold", type=_at_least(0), default=_cli.DEFAULT_PRUNE_THRESHOLD)
 
 
 def _load_scene(args):

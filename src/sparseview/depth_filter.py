@@ -51,11 +51,11 @@ compute with it, so importing this module, or the CLI, loads neither.
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from functools import partial
 from typing import TYPE_CHECKING
 
+from . import _usable_cpus
 from .errors import DimensionMismatch, InvalidSpec, NoValidOverlap, TooSmall
 
 if TYPE_CHECKING:
@@ -313,11 +313,13 @@ def gradient_discrepancy(
     return over
 
 
-# A worker's scratch is four float64 and four bool arrays of its band's rows
-# and halo, allocated once per call. Measured on the bench's 1080p pairs
-# (2 vCPUs, two workers, 4 runs), peak RSS of a two-call filter-depth round
-# and two filter_depth calls' median time, 16 / 32 / 64 rows: 56.5-56.9 /
-# 58.7-59.0 / 62.9-63.1 MiB and 90-99 / 72-84 / 75-86 ms
+# The one band height of the depth pipeline: `pfm` reads and writes maps in
+# bands of these rows too. A worker's scratch is four float64 and four bool
+# arrays of its band's rows and halo, allocated once per call. Measured on
+# the bench's 1080p pairs (2 vCPUs, two workers, 4 runs), peak RSS of a
+# two-call filter-depth round and two filter_depth calls' median time,
+# 16 / 32 / 64 rows: 56.5-56.9 / 58.7-59.0 / 62.9-63.1 MiB and
+# 90-99 / 72-84 / 75-86 ms
 BAND_ROWS = 32
 
 
@@ -328,11 +330,6 @@ def _band_scratch(rows: int, width: int) -> tuple[np.ndarray, ...]:
 
     return (*(np.empty((rows, width)) for _ in range(4)),
             *(np.empty((rows, width), dtype=bool) for _ in range(4)))
-
-
-def _usable_cpus() -> int:
-    affinity = getattr(os, "sched_getaffinity", None)
-    return len(affinity(0)) if affinity else os.cpu_count() or 1
 
 
 def _filter_band(

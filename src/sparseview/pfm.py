@@ -7,9 +7,9 @@ value is written as it is, so an invalid depth of -1.0 reads back as -1.0.
 A map is read as the native-endian float32 the file stores, with no
 widening. numpy is imported by the reader and the writer, not by this module.
 
-Both directions stream the raster through one band of rows: a reader holds
-the map it returns plus one band, a writer one band plus its mask. A band is
-`_BAND_BYTES` of file data, or one row where a row is wider than that.
+Both directions stream the raster through one band of `BAND_ROWS` rows, the
+depth filter's band height: a reader holds the map it returns plus one band,
+a writer one band plus its mask.
 """
 
 from __future__ import annotations
@@ -17,10 +17,9 @@ from __future__ import annotations
 import math
 import os
 
-from .depth_filter import DepthMap
+from . import depth_filter
 from .errors import MalformedLine
 
-_BAND_BYTES = 1 << 18  # 34 rows of a 1920-wide map
 # longer than any header token a valid file has: `Pf`, a width or height that
 # fits in memory, a float scale
 _MAX_TOKEN = 64
@@ -41,11 +40,7 @@ def _read_header_token(f, path: str, line_no: int) -> bytes:
         tok += c
 
 
-def _band_rows(width: int) -> int:
-    return max(1, _BAND_BYTES // (4 * width))
-
-
-def read_pfm(path: str) -> DepthMap:
+def read_pfm(path: str) -> depth_filter.DepthMap:
     import numpy as np
 
     with open(path, "rb") as f:
@@ -70,7 +65,7 @@ def read_pfm(path: str) -> DepthMap:
         if extra > 0:
             raise MalformedLine(3, f"{extra} bytes after the {width}x{height} pixel data", path)
         values = np.empty((height, width), dtype=np.float32)
-        rows = _band_rows(width)
+        rows = depth_filter.BAND_ROWS
         band = np.empty((min(rows, height), width), dtype="<f4" if scale < 0 else ">f4")
         # file rows run bottom-to-top: each band fills the rows above the last
         for stop in range(height, 0, -rows):
@@ -80,14 +75,14 @@ def read_pfm(path: str) -> DepthMap:
                 raise MalformedLine(3, "truncated pixel data", path)
             # rows flipped into place; a big-endian band is byteswapped by the copy
             np.copyto(values[stop - n : stop], chunk[::-1])
-    return DepthMap(values)
+    return depth_filter.DepthMap(values)
 
 
-def write_pfm(path: str, depth: DepthMap) -> None:
+def write_pfm(path: str, depth: depth_filter.DepthMap) -> None:
     import numpy as np
 
     values = depth.values
-    rows = _band_rows(depth.width)
+    rows = depth_filter.BAND_ROWS
     band = np.empty((min(rows, depth.height), depth.width), dtype="<f4")
     mask = np.empty(band.shape, dtype=bool)
     with open(path, "wb") as f:

@@ -26,15 +26,15 @@ import threading
 from dataclasses import dataclass, replace
 from enum import Enum
 
+from . import _usable_cpus
 from .batches import BatchConfig, Phase, SampledBatch, ViewProvenance
 from .community import DEFAULT_RESOLUTION, CommunityAssignment, louvain
-from .depth_filter import _usable_cpus
 from .errors import EmptyPartition, InvalidK, InvalidSpec, InvariantViolation, UnknownNode
 from .partition import partition_round_robin
 from .recon_io import SceneReconstruction
 from .steiner import WeightMode, approximate_steiner_tree, select_terminals
-from .view_graph import ViewGraph, build_graph, connected_components, from_edge_weights
-from .view_graph import prune_edges, subgraph
+from .view_graph import DEFAULT_PRUNE_THRESHOLD, ViewGraph, build_graph, connected_components
+from .view_graph import from_edge_weights, prune_edges, subgraph
 
 
 class Preset(Enum):
@@ -54,7 +54,7 @@ class SamplingConfig:
     n_views: int = 24
     max_components: int | None = None
     search_depth: int | None = None
-    prune_threshold: int = 50
+    prune_threshold: int = DEFAULT_PRUNE_THRESHOLD
     weight_mode: WeightMode = WeightMode.UNIT_HOP
     seed: int = 0
     preset: Preset | None = None

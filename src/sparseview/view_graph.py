@@ -7,8 +7,11 @@ from collections import Counter
 from dataclasses import dataclass, field
 from operator import not_
 
-from .errors import UnknownNode
+from .errors import InvalidSpec, UnknownNode
 from .recon_io import SceneReconstruction
+
+# the match count below which `prune_edges` drops an edge, unless told otherwise
+DEFAULT_PRUNE_THRESHOLD = 50
 
 
 @dataclass(frozen=True)
@@ -63,9 +66,10 @@ def build_graph(scene: SceneReconstruction) -> ViewGraph:
 
 
 def prune_edges(graph: ViewGraph, threshold: int) -> ViewGraph:
-    """Keep only edges with weight >= threshold; the node set is unchanged."""
+    """Keep only edges with weight >= threshold; the node set is unchanged.
+    A negative threshold is InvalidSpec."""
     if threshold < 0:
-        raise ValueError("threshold must be >= 0")
+        raise InvalidSpec(f"threshold must be >= 0, got {threshold}")
     keep = [[i for i, w in enumerate(wts) if w >= threshold] for wts in graph.weights]
     adjacency = [tuple([nbrs[i] for i in k]) for nbrs, k in zip(graph.adjacency, keep)]
     weights = [tuple([wts[i] for i in k]) for wts, k in zip(graph.weights, keep)]

@@ -5,6 +5,7 @@ import tracemalloc
 import pytest
 
 import sparseview
+from sparseview.batches import Phase, ViewProvenance
 from sparseview.community import CommunityAssignment
 from sparseview.partition import _pick_seeds
 from sparseview.view_graph import ViewGraph, from_edge_weights
@@ -114,6 +115,15 @@ def part_views(graph: ViewGraph, assignment) -> list[set[int]]:
 def seeds_of(graph: ViewGraph, n_cc: int, seed: int, communities) -> list[int]:
     """The seed views partition_round_robin(graph, n_cc, seed, communities) grows from."""
     return [graph.ids[s] for s in _pick_seeds(graph, n_cc, random.Random(seed), communities)]
+
+
+def disconnected_pair(graph, part, quota, depth, communities, positions, seed, **_):
+    """Stand-in for sample_partition that breaks the component bound: two
+    nodes of the part with no edge between them."""
+    inside = [v for v, p in enumerate(part) if p]
+    first = inside[0]
+    second = next(v for v in inside if v != first and v not in graph.adjacency[first])
+    return [(v, ViewProvenance(0, communities.labels[v], Phase.FILL)) for v in (first, second)]
 
 
 def random_positions(rng: random.Random, nodes, scale: float = 10.0):

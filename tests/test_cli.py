@@ -7,9 +7,9 @@ import sys
 import numpy as np
 import pytest
 
-from conftest import CHILD_ENV
+from conftest import CHILD_ENV, disconnected_pair
 from sparseview import cli, sampler
-from sparseview.batches import Phase, ViewProvenance, read_batches
+from sparseview.batches import read_batches
 from sparseview.cli import run
 from sparseview.community import louvain
 from sparseview.depth_filter import DepthMap
@@ -101,6 +101,8 @@ BAD_FLAGS = [
     ("filter-depth", ["--tau-depth", "inf"], "--tau-depth"),
     ("filter-depth", ["--tau-grad", "inf"], "--tau-grad"),
     ("pose-eval", ["--thresholds", "5,x"], "--thresholds"),
+    ("pose-eval", ["--thresholds", "5.0"], "must be whole degrees, got '5.0'"),
+    ("pose-eval", ["--thresholds", "5,a"], "must be whole degrees, got '5,a'"),
     ("pose-eval", ["--thresholds", "0"], "--thresholds"),
     ("pose-eval", ["--thresholds", ""], "--thresholds"),
     ("pose-eval", ["--thresholds", ","], "--thresholds"),
@@ -148,6 +150,7 @@ def test_bad_flag_exits_1_and_names_it(inputs, tmp_path, capsys, cmd, bad, names
     assert run(argv + bad) == 1
     err = capsys.readouterr().err
     assert names in err
+    assert "invalid _" not in err  # argparse names a type function that raised ValueError
     assert "internal" not in err
 
 
@@ -407,24 +410,15 @@ def test_filter_depth_pair_error_names_both_files(tmp_path, capsys, geom, mono, 
     assert f"error: {g}, {m}: {reason}" in capsys.readouterr().err
 
 
-def disconnected_pair(graph, part, quota, depth, communities, positions, seed, **_):
-    """Stand-in for sample_partition that breaks the component bound: two
-    nodes of the part with no edge between them."""
-    inside = [v for v, p in enumerate(part) if p]
-    first = inside[0]
-    second = next(v for v in inside if v != first and v not in graph.adjacency[first])
-    return [(v, ViewProvenance(0, communities.labels[v], Phase.FILL)) for v in (first, second)]
-
-
 def test_component_bound_violation_exits_2_even_under_O(inputs, tmp_path, monkeypatch):
     argv = ["sample", "--scene", inputs["ring"], "--n", "2", "--ncc", "1",
             "--out", str(tmp_path / "b.jsonl"), "--quiet"]
     monkeypatch.setattr(sampler, "sample_partition", disconnected_pair)
     assert run(argv) == 2
     script = (
-        "import sys; from sparseview import cli, sampler; import test_cli\n"
+        "import sys; from sparseview import cli, sampler; import conftest\n"
         "if not sys.flags.optimize: sys.exit('not optimized')\n"
-        "sampler.sample_partition = test_cli.disconnected_pair; sys.exit(cli.run(sys.argv[1:]))"
+        "sampler.sample_partition = conftest.disconnected_pair; sys.exit(cli.run(sys.argv[1:]))"
     )
     proc = subprocess.run(
         [sys.executable, "-O", "-c", script, *argv], capture_output=True, env=CHILD_ENV

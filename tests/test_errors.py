@@ -117,7 +117,7 @@ def test_disconnected_terminals_name_views(spread_scene):
 def test_component_bound_names_views(spread_scene, tmp_path, monkeypatch, capsys):
     from sparseview import sampler
     from sparseview.cli import run
-    from test_cli import disconnected_pair
+    from conftest import disconnected_pair
 
     monkeypatch.setattr(sampler, "sample_partition", disconnected_pair)
     argv = ["sample", "--scene", str(spread_scene[1]), "--n", "2", "--ncc", "1",

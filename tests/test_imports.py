@@ -4,10 +4,13 @@
 on first use (PEP 562). `sparseview.cli` imports only what `filter-depth`
 runs, and each subcommand loads its own modules when it runs. Every check
 runs in a fresh interpreter, whose `sys.modules` this process cannot touch.
-Only the subcommands that compute with numpy need it.
+Only the subcommands that compute with numpy need it. No import crosses
+between the graph half of the toolkit and its depth half.
 """
 
+import ast
 import importlib
+import os
 import subprocess
 import sys
 
@@ -137,21 +140,23 @@ def inputs(tmp_path_factory):
 
 
 BASE = {"cli", "depth_filter", "errors", "pfm"}
-# what `sampler` imports, which every subcommand whose flags default to
-# `SamplingConfig` loads
+# what `sampler` imports, which every subcommand that samples or runs Louvain loads
 SAMPLER = BASE | {"batches", "community", "partition", "recon_io", "sampler", "steiner", "view_graph"}
+# what a subcommand that prunes and measures the graph, but samples nothing, loads
+GRAPH = BASE | {"recon_io", "view_graph", "metrics"}
 
 # subcommand case -> (argv, the sparseview modules loaded once it has run).
-# filter-depth loads none of the graph code, and sample neither metrics nor synth.
+# filter-depth loads none of the graph code, sample neither metrics nor synth,
+# and stats and coverage none of the sampler.
 SUBCOMMANDS = {
     "parse": (["parse", "--scene", "{ring}", "--out", "{tmp}/o.txt"], BASE | {"recon_io"}),
-    "stats": (["stats", "--scene", "{ring}", "--out", "{tmp}/o.txt"], SAMPLER | {"metrics"}),
+    "stats": (["stats", "--scene", "{ring}", "--out", "{tmp}/o.txt"], GRAPH),
     "communities": (["communities", "--scene", "{ring}", "--out", "{tmp}/o.txt"], SAMPLER),
     "partition": (["partition", "--scene", "{ring}", "--ncc", "2", "--out", "{tmp}/o.txt"], SAMPLER),
     "sample": (["sample", "--scene", "{ring}", "--n", "6", "--batches", "2", "--out", "{tmp}/b.jsonl"],
                SAMPLER),
     "coverage": (["coverage", "--scene", "{ring}", "--batches", "{batches}", "--out", "{tmp}/o.txt"],
-                 SAMPLER | {"metrics"}),
+                 GRAPH | {"batches"}),
     "filter-depth": (["filter-depth", "--geom", "{fix}/geom.pfm", "--mono", "{fix}/mono.pfm",
                       "--out", "{tmp}/f.pfm", "--report", "{tmp}/r.json"], BASE),
     "pose-eval": (["pose-eval", "--pred", "{ring}/images.txt", "--gt", "{ring}/images.txt",
@@ -173,3 +178,52 @@ def test_a_subcommand_loads_only_its_own_modules(inputs, tmp_path, case):
     script = "import sys, sparseview.cli\nprint(sparseview.cli.run(sys.argv[1:]))\n" + LOADED
     lines = _child(script, *[a.format(**paths) for a in argv], "--quiet")
     assert lines == ["0", " ".join(sorted({"sparseview"} | {f"sparseview.{m}" for m in loaded}))]
+
+
+def test_import_sampler_loads_no_depth_module():
+    loaded = (SAMPLER - BASE) | {"errors"}
+    assert _child("import sys, sparseview.sampler\n" + LOADED) == [
+        " ".join(sorted({"sparseview"} | {f"sparseview.{m}" for m in loaded}))
+    ]
+
+
+# the modules that sample views from a scene's view graph, and those that
+# clean depth maps; cli runs both, and synth writes inputs for both
+GRAPH_HALF = {"batches", "community", "metrics", "partition", "recon_io", "sampler", "steiner",
+              "view_graph"}
+DEPTH_HALF = {"depth_filter", "pfm"}
+SHARED = {"__init__", "cli", "errors", "synth"}
+PACKAGE_DIR = os.path.dirname(sparseview.__file__)
+
+
+def _package_imports(source: str) -> set[str]:
+    """What `source`, a module of the package, imports from the package
+    anywhere in it: the submodules, and the names the package itself defines."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            # `from .x import y` imports x; `from . import y` imports y
+            base = f"sparseview.{node.module or ''}".rstrip(".") if node.level else node.module
+            names = [f"{base}.{a.name}" for a in node.names] if base == "sparseview" else [base]
+        else:
+            continue
+        found |= {n.split(".")[1] for n in names if n.startswith("sparseview.")}
+    return found
+
+
+def test_the_import_walk_finds_every_form():
+    source = ("import os\nfrom . import a, b\nfrom .c import x\nimport sparseview.d\n"
+              "from sparseview.e import x\ndef f():\n    from sparseview import g\n")
+    assert _package_imports(source) == {"a", "b", "c", "d", "e", "g"}
+
+
+def test_no_import_crosses_between_the_graph_and_depth_halves():
+    files = {name.removesuffix(".py") for name in os.listdir(PACKAGE_DIR) if name.endswith(".py")}
+    assert GRAPH_HALF | DEPTH_HALF | SHARED == files
+    for half, other in ((GRAPH_HALF, DEPTH_HALF), (DEPTH_HALF, GRAPH_HALF)):
+        for module in sorted(half):
+            with open(os.path.join(PACKAGE_DIR, f"{module}.py")) as f:
+                crossing = _package_imports(f.read()) & other
+            assert not crossing, f"{module} imports {sorted(crossing)}"

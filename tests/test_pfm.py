@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from conftest import traced_peak
-from sparseview import pfm
+from sparseview import depth_filter
 from sparseview.depth_filter import DepthMap
 from sparseview.errors import MalformedLine
 from sparseview.pfm import read_pfm, write_pfm
@@ -178,8 +178,9 @@ def _hd_map():
 
 
 def _band_bytes(width):
-    """The bytes of the one band of float32 rows the reader and writer use."""
-    return pfm._band_rows(width) * width * 4
+    """The bytes of the one band of float32 rows the reader and writer use:
+    `BAND_ROWS` rows, the depth filter's band height."""
+    return depth_filter.BAND_ROWS * width * 4
 
 
 # What a call holds beside its arrays: the file object, header tokens, the
@@ -188,8 +189,9 @@ IO_SLACK = 64 << 10
 
 
 def test_read_pfm_holds_its_raster_plus_one_band(tmp_path):
-    # bound 7.91 + 0.25 + 0.06 MiB, traced 8.16 MiB; a second copy of the
-    # raster breaks it
+    # bound: the 1080-row raster (7.91 MiB), one band of BAND_ROWS = 32 rows
+    # (0.23 MiB) and the slack (0.06 MiB); traced 8.15 MiB. A second copy of
+    # the raster breaks it
     path = tmp_path / "hd.pfm"
     write_pfm(str(path), DepthMap(_hd_map()))
     depth, peak = traced_peak(lambda: read_pfm(str(path)))
@@ -198,8 +200,9 @@ def test_read_pfm_holds_its_raster_plus_one_band(tmp_path):
 
 
 def test_write_pfm_holds_one_band_and_its_mask(tmp_path):
-    # bound 0.25 + 0.06 + 0.06 MiB, traced 0.32 MiB; a whole-map copy or
-    # mask breaks it
+    # bound: one band of BAND_ROWS = 32 rows (0.23 MiB), its mask of the same
+    # rows (0.06 MiB) and the slack (0.06 MiB); traced 0.30 MiB. A whole-map
+    # copy or mask breaks it
     depth = DepthMap(_hd_map())
     _, peak = traced_peak(lambda: write_pfm(str(tmp_path / "hd.pfm"), depth))
     band = _band_bytes(depth.width)

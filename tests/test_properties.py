@@ -31,7 +31,7 @@ from oracles import (
     union_find_components,
     write_pfm_reference,
 )
-from sparseview import depth_filter, pfm, steiner
+from sparseview import depth_filter, steiner
 from sparseview.batches import Phase, read_batches, write_batches
 from sparseview.cli import run
 from sparseview.community import CommunityAssignment, louvain
@@ -431,17 +431,17 @@ def pfm_maps(draw):
     return draw(arrays(dtype, pfm_shapes, elements=pfm_depths[dtype]))
 
 
-# the band buffer in bytes: one float per band up to whole 1x1..9x9 maps, so
-# rows wider than the buffer and heights that are no multiple of the band
-band_bytes = st.sampled_from([4, 8, 12, 20, 1 << 18])
+# the band height in rows, from one row up to the default, which holds any of
+# these maps whole, so heights that are no multiple of the band
+pfm_band_rows = st.sampled_from([1, 2, 3, 5, depth_filter.BAND_ROWS])
 
 
 @settings(max_examples=300)
-@given(values=pfm_maps(), band_bytes=band_bytes)
-def test_banded_write_pfm_gives_the_whole_map_bytes(workdir, values, band_bytes):
+@given(values=pfm_maps(), band_rows=pfm_band_rows)
+def test_banded_write_pfm_gives_the_whole_map_bytes(workdir, values, band_rows):
     """At any band height, the bytes the whole-map writer gives."""
     ours, reference = workdir / "ours.pfm", workdir / "reference.pfm"
-    with mock.patch.object(pfm, "_BAND_BYTES", band_bytes):
+    with mock.patch.object(depth_filter, "BAND_ROWS", band_rows):
         write_pfm(str(ours), DepthMap(values))
     write_pfm_reference(str(reference), values)
     assert ours.read_bytes() == reference.read_bytes()
@@ -452,17 +452,17 @@ def test_banded_write_pfm_gives_the_whole_map_bytes(workdir, values, band_bytes)
     bits=arrays(np.uint32, pfm_shapes, elements=st.one_of(
         st.integers(0, 2**32 - 1),
         float32_depths.map(lambda x: int(np.array(x, dtype=np.float32).view(np.uint32))))),
-    band_bytes=band_bytes,
+    band_rows=pfm_band_rows,
     order=st.sampled_from([("<", "-1.0"), (">", "1.0")]),
 )
-def test_banded_read_pfm_gives_the_whole_map_values(workdir, bits, band_bytes, order):
+def test_banded_read_pfm_gives_the_whole_map_values(workdir, bits, band_rows, order):
     """Any float32 raster, NaN payloads included, in either byte order."""
     endian, scale = order
     path = workdir / "raster.pfm"
     height, width = bits.shape
     raster = np.flipud(bits.view(np.float32)).astype(endian + "f4").tobytes()
     path.write_bytes(f"Pf\n{width} {height}\n{scale}\n".encode() + raster)
-    with mock.patch.object(pfm, "_BAND_BYTES", band_bytes):
+    with mock.patch.object(depth_filter, "BAND_ROWS", band_rows):
         ours = read_pfm(str(path)).values
     assert ours.dtype == np.float32 and ours.dtype.isnative and ours.flags.c_contiguous
     assert ours.tobytes() == read_pfm_reference(str(path)).tobytes()

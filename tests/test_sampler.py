@@ -380,6 +380,11 @@ def test_generate_batches_refuses_a_count_below_one_before_the_set_up(monkeypatc
         generate_batches(ring_scene(), SamplingConfig(), count)
 
 
+def test_generate_batches_refuses_a_negative_prune_threshold():
+    with pytest.raises(InvalidSpec, match="threshold must be >= 0, got -1$"):
+        generate_batches(ring_scene(), SamplingConfig(prune_threshold=-1), 1)
+
+
 def test_config_defaults_apply_only_without_a_preset():
     cfg = SamplingConfig()
     assert (cfg.max_components, cfg.search_depth) == (1, 24)

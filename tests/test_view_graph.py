@@ -4,7 +4,7 @@ import pytest
 
 from conftest import edges_of, graph_of, random_graph
 from oracles import bfs_all, union_find_components
-from sparseview.errors import UnknownNode
+from sparseview.errors import InvalidSpec, UnknownNode
 from sparseview.recon_io import SceneReconstruction
 from sparseview.view_graph import (
     bfs_distances,
@@ -77,7 +77,7 @@ class TestPrune:
         assert prune_edges(g, 0).adjacency == g.adjacency
 
     def test_negative_threshold(self):
-        with pytest.raises(ValueError, match="threshold must be >= 0"):
+        with pytest.raises(InvalidSpec, match="threshold must be >= 0, got -1$"):
             prune_edges(graph_of([(1, 2, 60)]), -1)
 
     def test_over_max_gives_edgeless(self):
