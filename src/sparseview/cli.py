@@ -16,22 +16,24 @@ import os
 import sys
 from dataclasses import asdict
 
-from .depth_filter import FilterConfig, filter_depth
 from .errors import EmptySample, InvalidSpec, InvariantViolation, SparseViewError
-from .pfm import read_pfm, write_pfm
 
-# name -> the module that owns it. Only what filter-depth runs is imported
-# above; `__getattr__` imports an owner below the first time a subcommand
-# reads one of its names. Code here reads these names through `_cli`, never
-# a local import, so a wrapper set on this module is what runs. A name equal
-# to its owner is that module itself.
+# name -> the module that owns it. Only `errors` is imported above;
+# `__getattr__` imports an owner below the first time a subcommand reads one
+# of its names. Code here reads these names through `_cli`, never a local
+# import, so a wrapper set on this module is what runs. A name equal to its
+# owner is that module itself.
 _LAZY = {
     "batches": "batches",
     "metrics": "metrics",
     "synth": "synth",
     "DEFAULT_RESOLUTION": "community",
+    "FilterConfig": "depth_filter",
+    "filter_depth": "depth_filter",
     "DEFAULT_THRESHOLDS": "metrics",
     "partition_round_robin": "partition",
+    "read_pfm": "pfm",
+    "write_pfm": "pfm",
     "load_scene_dir": "recon_io",
     "parse_images": "recon_io",
     "write_reconstruction": "recon_io",
@@ -257,14 +259,14 @@ def cmd_coverage(args) -> list[str]:
 
 
 def cmd_filter_depth(args) -> None:
-    geom = read_pfm(args.geom)
-    mono = read_pfm(args.mono)
-    config = FilterConfig(tau_depth=args.tau_depth, tau_grad=args.tau_grad)
+    geom = _cli.read_pfm(args.geom)
+    mono = _cli.read_pfm(args.mono)
+    config = _cli.FilterConfig(tau_depth=args.tau_depth, tau_grad=args.tau_grad)
     try:
-        filtered, report = filter_depth(geom, mono, config)
+        filtered, report = _cli.filter_depth(geom, mono, config)
     except SparseViewError as exc:  # a fault of the pair, so name both files
         raise SparseViewError(f"{args.geom}, {args.mono}: {exc}") from exc
-    write_pfm(args.out, filtered)
+    _cli.write_pfm(args.out, filtered)
     if args.report:
         with open(args.report, "w") as f:
             f.write(json.dumps(asdict(report), sort_keys=True, separators=(",", ":")))
@@ -311,8 +313,8 @@ def cmd_synth(args) -> None:
     if args.kind == "depth":
         os.makedirs(args.out, exist_ok=True)
         geom, mono, blob = _cli.synth.gen_depth_fixture(spec)
-        write_pfm(os.path.join(args.out, "geom.pfm"), geom)
-        write_pfm(os.path.join(args.out, "mono.pfm"), mono)
+        _cli.write_pfm(os.path.join(args.out, "geom.pfm"), geom)
+        _cli.write_pfm(os.path.join(args.out, "mono.pfm"), mono)
         with open(os.path.join(args.out, "blob.json"), "w") as f:
             f.write(json.dumps(sorted(blob), sort_keys=True, separators=(",", ":")))
             f.write("\n")
@@ -376,8 +378,8 @@ def _coverage_flags(p) -> None:
 def _filter_depth_flags(p) -> None:
     p.add_argument("--geom", required=True, help="geometric depth (pfm)")
     p.add_argument("--mono", required=True, help="monocular prior depth (pfm)")
-    p.add_argument("--tau-depth", type=_positive_float, default=FilterConfig.tau_depth)
-    p.add_argument("--tau-grad", type=_positive_float, default=FilterConfig.tau_grad)
+    p.add_argument("--tau-depth", type=_positive_float, default=_cli.FilterConfig.tau_depth)
+    p.add_argument("--tau-grad", type=_positive_float, default=_cli.FilterConfig.tau_grad)
     p.add_argument("--report", help="write a json report here")
     _add_common(p, writes="filtered depth map to write (pfm)")
 

@@ -43,31 +43,25 @@ comparison count. Each band also reads one halo row above and below, so
 the gradients and their stencils see the same neighbours as on the whole
 map: the output bytes do not depend on the band height or the worker
 count.
-
-numpy (and its BLAS thread pool) is imported inside the functions that
-compute with it, so importing this module, or the CLI, loads neither.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from typing import TYPE_CHECKING
+
+import numpy as np
 
 from . import _usable_cpus
 from .errors import DimensionMismatch, InvalidSpec, NoValidOverlap, TooSmall
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def _valid(values: np.ndarray, out: np.ndarray | None = None,
            tmp: np.ndarray | None = None) -> np.ndarray:
     """isfinite(values) & (values > 0), into `out` with `tmp` as scratch
     (new arrays where None)."""
-    import numpy as np
-
     valid = np.isfinite(values, out=out)
     valid &= np.greater(values, 0, out=tmp)
     return valid
@@ -82,8 +76,6 @@ class DepthMap:
     values: np.ndarray
 
     def __post_init__(self):
-        import numpy as np
-
         values = np.asarray(self.values)
         if values.dtype != np.float32:
             values = values.astype(np.float64, copy=False)
@@ -131,8 +123,6 @@ def _masked_median(values: np.ndarray, mask: np.ndarray) -> np.float64:
     stored dtype is partitioned, and the middle one or two values are
     averaged by np.mean in float64, as np.median averages a float64 array.
     `mask` selects at least one value and no NaN."""
-    import numpy as np
-
     picked = values[mask]  # this call's own copy, so the partition may reorder it
     half = picked.size // 2
     picked.partition(half)
@@ -150,8 +140,6 @@ def median_scale(geom: np.ndarray, mono: np.ndarray, joint: np.ndarray) -> float
     The medians are taken one after the other on the calling thread, so one
     masked copy is live at a time. A ratio that overflows or underflows
     float64 raises NoValidOverlap."""
-    import numpy as np
-
     med_geom = _masked_median(geom, joint)
     med_mono = _masked_median(mono, joint)
     with np.errstate(over="ignore", under="ignore"):
@@ -167,30 +155,25 @@ def depth_discrepancy(
     """Normalized |geom - mono| / geom at every pixel, taken in float64 into
     `out` (a new array where None); meaningful only where both maps are
     valid. A ratio beyond float64 is inf."""
-    import numpy as np
-
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         delta = np.subtract(geom, mono, out=out, dtype=np.float64)
         np.abs(delta, out=delta)
         return np.divide(delta, geom, out=delta)
 
 
-def _stencil_valid(valid: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _stencil_valid(valid: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Pixels whose central/one-sided difference stencil touches only valid
-    pixels, along both axes, into `out` (a new array where None)."""
-    import numpy as np
-
-    ok = np.empty_like(valid) if out is None else out
-    ok.fill(True)
+    pixels, along both axes, into the bool array `out`."""
+    out.fill(True)
     for axis in (0, 1):
-        v, o = np.moveaxis(valid, axis, 0), np.moveaxis(ok, axis, 0)  # o is a view of ok
+        v, o = np.moveaxis(valid, axis, 0), np.moveaxis(out, axis, 0)  # o is a view of out
         # each neighbour in turn, so no step makes a temporary
         o[1:-1] &= v[2:]
         o[1:-1] &= v[:-2]
         for edge, inner in ((0, 1), (-1, -2)):
             o[edge] &= v[edge]
             o[edge] &= v[inner]
-    return ok
+    return out
 
 
 def _axis_gradient(values: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray:
@@ -198,8 +181,6 @@ def _axis_gradient(values: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray
     in float64 into the C-ordered float64 `out` (so g below is a view):
     (f[i+1] - f[i-1]) / 2.0 inside, f[1] - f[0] and f[-1] - f[-2] at the
     edges (np.gradient divides those by 1.0)."""
-    import numpy as np
-
     # inside: one pass over the flat arrays, neighbours `step` elements apart;
     # along rows it also writes across row ends, which the edges overwrite
     step = values.shape[1] if axis == 0 else 1
@@ -215,8 +196,6 @@ def _axis_gradient(values: np.ndarray, axis: int, out: np.ndarray) -> np.ndarray
 def _gradient_norm(values: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.ndarray:
     """sqrt(gx*gx + gy*gy) / values at every pixel, in float64, into `out`;
     gy is taken in `tmp`."""
-    import numpy as np
-
     norm = _axis_gradient(values, 1, out)
     norm *= norm
     gy = _axis_gradient(values, 0, tmp)
@@ -229,8 +208,6 @@ def _gradient_norm(values: np.ndarray, out: np.ndarray, tmp: np.ndarray) -> np.n
 def _exact_norm_at(values: np.ndarray, pixels: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     """np.hypot(gx, gy) / values at the given (row, column) pixels, each
     difference taken as `_axis_gradient` takes it on the whole array."""
-    import numpy as np
-
     def difference(axis):
         i, n = pixels[axis], values.shape[axis]
         ahead, behind = list(pixels), list(pixels)
@@ -270,7 +247,7 @@ def gradient_discrepancy(
     mono: np.ndarray,
     tau: float,
     where: np.ndarray,
-    scratch: tuple[np.ndarray, ...] | None = None,
+    scratch: tuple[np.ndarray, ...],
 ) -> np.ndarray:
     """True where `where` holds and the normalized gradient discrepancy
     |hypot(grad mono)/mono - hypot(grad geom)/geom| exceeds `tau` (finite,
@@ -278,13 +255,8 @@ def gradient_discrepancy(
     as np.gradient takes them. np.hypot runs only on pixels whose fast
     answer is within the margin above. Both dimensions must be at least 2.
     `scratch` is three C-ordered float64 arrays and two bool arrays of
-    `where`'s shape that the call works in (new arrays where None); the
-    answer is the first bool array."""
-    import numpy as np
-
-    if scratch is None:
-        scratch = (*(np.empty(where.shape) for _ in range(3)),
-                   *(np.empty(where.shape, dtype=bool) for _ in range(2)))
+    `where`'s shape that the call works in; the answer is the first bool
+    array."""
     nm, ng, tmp, over, near = scratch
     with np.errstate(divide="ignore", invalid="ignore", over="ignore", under="ignore"):
         vmin = np.minimum(np.min(geom, where=where, initial=np.inf),
@@ -326,8 +298,6 @@ BAND_ROWS = 32
 def _band_scratch(rows: int, width: int) -> tuple[np.ndarray, ...]:
     """One worker's scratch for bands of up to `rows` rows, halo included:
     four float64 arrays, then four bool arrays, each C-ordered."""
-    import numpy as np
-
     return (*(np.empty((rows, width)) for _ in range(4)),
             *(np.empty((rows, width), dtype=bool) for _ in range(4)))
 
@@ -345,8 +315,6 @@ def _filter_band(
     computing in `scratch` (`_band_scratch`, for at least the band and its
     halo); returns the band's (removed_by_depth, removed_by_grad,
     removed_total)."""
-    import numpy as np
-
     height = geom.shape[0]
     r1 = min(r0 + BAND_ROWS, height)
     lo, hi = max(r0 - 1, 0), min(r1 + 1, height)
@@ -384,10 +352,6 @@ def filter_depth(
     A pixel with no usable comparison (prior invalid there, or gradient
     stencil contaminated) is kept. The filtered map has `d_geom`'s dtype.
     """
-    from concurrent.futures import ThreadPoolExecutor
-
-    import numpy as np
-
     geom, mono = d_geom.values, d_mono.values
     if geom.shape != mono.shape:
         raise DimensionMismatch(

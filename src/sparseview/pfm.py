@@ -5,7 +5,7 @@ Canonical form written here: header `Pf`, `<width> <height>`, scale `-1.0`
 and finite depths beyond the float32 range, are encoded as 0.0; any other
 value is written as it is, so an invalid depth of -1.0 reads back as -1.0.
 A map is read as the native-endian float32 the file stores, with no
-widening. numpy is imported by the reader and the writer, not by this module.
+widening.
 
 Both directions stream the raster through one band of `BAND_ROWS` rows, the
 depth filter's band height: a reader holds the map it returns plus one band,
@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import math
 import os
+
+import numpy as np
 
 from . import depth_filter
 from .errors import MalformedLine
@@ -41,8 +43,6 @@ def _read_header_token(f, path: str, line_no: int) -> bytes:
 
 
 def read_pfm(path: str) -> depth_filter.DepthMap:
-    import numpy as np
-
     with open(path, "rb") as f:
         magic = _read_header_token(f, path, 1)
         if magic != b"Pf":
@@ -79,8 +79,6 @@ def read_pfm(path: str) -> depth_filter.DepthMap:
 
 
 def write_pfm(path: str, depth: depth_filter.DepthMap) -> None:
-    import numpy as np
-
     values = depth.values
     rows = depth_filter.BAND_ROWS
     band = np.empty((min(rows, depth.height), depth.width), dtype="<f4")

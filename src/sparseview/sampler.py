@@ -237,8 +237,6 @@ def sample_partition(
 
 def _random_composition(n: int, parts: int, rng: random.Random) -> list[int]:
     """Uniform composition of n into `parts` positive integers."""
-    if parts == 1:
-        return [n]
     cuts = sorted(rng.sample(range(1, n), parts - 1))
     bounds = [0, *cuts, n]
     return [bounds[i + 1] - bounds[i] for i in range(parts)]
@@ -330,12 +328,18 @@ def _sample_shares(ctx: SceneContext, config: SamplingConfig, seeds, workers: in
     then exits 0; this process samples share 0 and reads every pipe to EOF,
     so one worker forks nothing. A child shares the context copy-on-write
     and never returns into the caller. The failure with the smallest batch
-    index is raised, whichever share it came from."""
+    index is raised, whichever share it came from. A fork that fails closes
+    its pipe, and the children forked before it are still reaped."""
     children = []  # (pid, read end) of shares 1, 2, ...
     try:
         for k in range(1, workers):
             r, w = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(r)
+                os.close(w)
+                raise
             if pid == 0:
                 code = 1
                 try:

@@ -2,11 +2,11 @@
 
 The ring scene places camera clusters on a circle in the horizontal (XZ)
 plane, fully connected inside each cluster and bridged to the next cluster by
-one weaker edge, with every camera looking at the ring center. Ground truth
-(cluster membership, blob masks) is returned alongside the data so property
-tests have oracles for free. Poses are computed in Python floats; only the
-depth fixture imports numpy, itself, so importing this module does not load
-it.
+one weaker edge, with every camera looking at the ring center. The depth
+fixture returns its blob mask alongside the maps, so property tests have an
+oracle for free. Poses are computed in Python floats; only the depth fixture
+imports numpy and the depth map type, itself, so importing this module, or
+writing a ring or grid scene, loads neither.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import math
 import random
 from dataclasses import dataclass
 
-from .depth_filter import DepthMap
 from .errors import InvalidSpec
 from .recon_io import (
     MATCH_COUNT_LIMIT,
@@ -173,15 +172,6 @@ def gen_ring_scene(spec: SynthSpec) -> SceneReconstruction:
     )
 
 
-def ring_ground_truth(spec: SynthSpec) -> dict[int, int]:
-    """view_id -> cluster index for a ring scene with this spec."""
-    return {
-        c * spec.cluster_size + i + 1: c
-        for c in range(spec.cluster_count)
-        for i in range(spec.cluster_size)
-    }
-
-
 def gen_grid_scene(spec: SynthSpec) -> SceneReconstruction:
     """cluster_count x cluster_count camera grid with 4-neighbor edges."""
     g = spec.cluster_count
@@ -230,6 +220,8 @@ def gen_depth_fixture(spec: SynthSpec) -> tuple[DepthMap, DepthMap, set[tuple[in
     Returns (geom, mono, blob pixel set) with blob pixels as (row, col).
     """
     import numpy as np
+
+    from .depth_filter import DepthMap
 
     rng = random.Random(spec.seed)
     height, width = FIXTURE_HEIGHT, FIXTURE_WIDTH

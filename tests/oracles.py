@@ -179,6 +179,16 @@ def louvain_reference(adjacency, seed, resolution=1.0):
     return {v: dense[labels[v]] for v in nodes}, level_mods[-1], len(level_mods), tuple(level_mods)
 
 
+def ring_ground_truth(spec):
+    """view_id -> cluster index for a `synth` ring scene with this spec: the
+    ring numbers cluster c's views c * cluster_size + 1 onwards."""
+    return {
+        c * spec.cluster_size + i + 1: c
+        for c in range(spec.cluster_count)
+        for i in range(spec.cluster_size)
+    }
+
+
 def parse_match_graph_reference(path, view_ids=None):
     """parse_match_graph's contract in its plainest loop: strip, skip blank
     and comment lines, split, and check each endpoint on its own. Returns

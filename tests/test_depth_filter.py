@@ -106,13 +106,19 @@ def everywhere(shape):
     return np.ones(shape, dtype=bool)
 
 
+def scratch(shape):
+    """What `gradient_discrepancy` works in: three float64 arrays and two
+    bool arrays of `shape`."""
+    return (*(np.empty(shape) for _ in range(3)), *(np.empty(shape, dtype=bool) for _ in range(2)))
+
+
 class TestGradientDiscrepancy:
     def test_constant_maps_zero(self):
         a = np.full((4, 4), 3.0)
         b = np.full((4, 4), 9.0)
         # tau 0 takes the exact path and finds every discrepancy exactly 0
         for tau in (0.0, 1e-9):
-            assert not gradient_discrepancy(a, b, tau, everywhere(a.shape)).any()
+            assert not gradient_discrepancy(a, b, tau, everywhere(a.shape), scratch(a.shape)).any()
 
     def test_scaled_map_zero(self):
         rng = np.random.default_rng(0)
@@ -120,7 +126,8 @@ class TestGradientDiscrepancy:
         for _ in range(10):
             base = smooth_map(rng)
             c = rng.uniform(0.2, 5.0)
-            assert not gradient_discrepancy(base, c * base, below, everywhere(base.shape)).any()
+            assert not gradient_discrepancy(base, c * base, below, everywhere(base.shape),
+                                            scratch(base.shape)).any()
 
     def test_any_memory_layout(self):
         rng = np.random.default_rng(3)
@@ -133,7 +140,8 @@ class TestGradientDiscrepancy:
             g, m = layout(geom), layout(mono)
             tau = float(np.median(formula(g, m)))
             expected = formula(g, m) > tau
-            assert np.array_equal(gradient_discrepancy(g, m, tau, everywhere(g.shape)), expected)
+            over = gradient_discrepancy(g, m, tau, everywhere(g.shape), scratch(g.shape))
+            assert np.array_equal(over, expected)
 
     def test_too_small(self):
         with pytest.raises(TooSmall):
@@ -151,12 +159,13 @@ class TestGradientDiscrepancy:
         geom = np.full((4, 4), 5.0)
         geom[1, 1] = 0.0  # invalid
         mono = np.full((4, 4), 5.0)
-        over = gradient_discrepancy(geom, mono, FilterConfig().tau_grad, everywhere((4, 4)))
+        over = gradient_discrepancy(geom, mono, FilterConfig().tau_grad, everywhere((4, 4)),
+                                    scratch((4, 4)))
         # the hole's stencil neighbours see a large gradient, yet have no
         # usable comparison, so they are kept
         for r, c in ((0, 1), (2, 1), (1, 0), (1, 2)):
             assert over[r, c]
-        assert not gradient_discrepancy(geom, mono, 0.0, everywhere((4, 4)))[3, 3]
+        assert not gradient_discrepancy(geom, mono, 0.0, everywhere((4, 4)), scratch((4, 4)))[3, 3]
         filtered, report = filter_depth(DepthMap(geom), DepthMap(mono))
         assert np.array_equal(filtered.values, geom)
         assert report.removed_total == 0 and report.kept == 15
@@ -271,10 +280,10 @@ def test_overflow_leaks_no_warning():
         # the kernels called on their own overflow quietly too
         assert depth_discrepancy(geom, mono)[0, 0] == np.inf
         gradient_discrepancy(np.array([[1e308, -1e308], [1.0, 1.0]]), np.ones((2, 2)), 0.1,
-                             everywhere((2, 2)))
+                             everywhere((2, 2)), scratch((2, 2)))
         # squares that overflow on the fast path are decided on the exact one
         over = gradient_discrepancy(np.array([[1e308, 1.0], [1.0, 1.0]]), np.ones((2, 2)), 0.1,
-                                    everywhere((2, 2)))
+                                    everywhere((2, 2)), scratch((2, 2)))
         assert over.tolist() == [[True, True], [True, False]]
 
 

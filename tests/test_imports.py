@@ -1,11 +1,11 @@
 """What importing the package and running each subcommand loads.
 
 `import sparseview` loads no submodule: each public name imports its owner
-on first use (PEP 562). `sparseview.cli` imports only what `filter-depth`
-runs, and each subcommand loads its own modules when it runs. Every check
-runs in a fresh interpreter, whose `sys.modules` this process cannot touch.
-Only the subcommands that compute with numpy need it. No import crosses
-between the graph half of the toolkit and its depth half.
+on first use (PEP 562). `sparseview.cli` imports only `errors`, and each
+subcommand loads its own modules when it runs. Every check runs in a fresh
+interpreter, whose `sys.modules` this process cannot touch. Only the
+subcommands that compute with numpy, and the depth half's modules, need it.
+No import crosses between the graph half of the toolkit and its depth half.
 """
 
 import ast
@@ -91,12 +91,16 @@ LOADED = "print(' '.join(sorted(m for m in sys.modules if m.startswith('sparsevi
 def test_public_names_are_the_owners_objects():
     assert sorted(sparseview.__all__) == sorted(PUBLIC)
     assert len(set(sparseview.__all__)) == len(sparseview.__all__)
-    for name, owner in PUBLIC.items():
-        assert getattr(sparseview, name) is getattr(importlib.import_module(f"sparseview.{owner}"), name)
     assert not hasattr(sparseview, "no_such_name")
+    # the depth half's names last, as they need numpy
+    for name, owner in sorted(PUBLIC.items(), key=lambda item: item[1] in DEPTH_HALF):
+        if owner in DEPTH_HALF:
+            pytest.importorskip("numpy")
+        assert getattr(sparseview, name) is getattr(importlib.import_module(f"sparseview.{owner}"), name)
 
 
 def test_star_import_binds_every_public_name():
+    pytest.importorskip("numpy")  # the star import loads the depth half too
     script = "from sparseview import *\nprint(' '.join(sorted(k for k in dir() if not k.startswith('_'))))\n"
     assert _child(script) == [" ".join(sorted(PUBLIC))]
 
@@ -115,9 +119,9 @@ def test_import_sparseview_loads_no_submodule():
     assert _child("import sys, sparseview\n" + LOADED) == ["sparseview"]
 
 
-def test_import_cli_loads_only_what_filter_depth_runs():
+def test_import_cli_loads_only_errors():
     assert _child("import sys, sparseview.cli\n" + LOADED) == [
-        "sparseview sparseview.cli sparseview.depth_filter sparseview.errors sparseview.pfm"
+        "sparseview sparseview.cli sparseview.errors"
     ]
 
 
@@ -139,15 +143,16 @@ def inputs(tmp_path_factory):
     return {"ring": str(ring), "batches": str(batches)}
 
 
-BASE = {"cli", "depth_filter", "errors", "pfm"}
+BASE = {"cli", "errors"}
 # what `sampler` imports, which every subcommand that samples or runs Louvain loads
 SAMPLER = BASE | {"batches", "community", "partition", "recon_io", "sampler", "steiner", "view_graph"}
 # what a subcommand that prunes and measures the graph, but samples nothing, loads
 GRAPH = BASE | {"recon_io", "view_graph", "metrics"}
 
 # subcommand case -> (argv, the sparseview modules loaded once it has run).
-# filter-depth loads none of the graph code, sample neither metrics nor synth,
-# and stats and coverage none of the sampler.
+# filter-depth loads none of the graph code, the graph subcommands and
+# synth ring none of the depth code, sample neither metrics nor synth, and
+# stats and coverage none of the sampler.
 SUBCOMMANDS = {
     "parse": (["parse", "--scene", "{ring}", "--out", "{tmp}/o.txt"], BASE | {"recon_io"}),
     "stats": (["stats", "--scene", "{ring}", "--out", "{tmp}/o.txt"], GRAPH),
@@ -158,12 +163,15 @@ SUBCOMMANDS = {
     "coverage": (["coverage", "--scene", "{ring}", "--batches", "{batches}", "--out", "{tmp}/o.txt"],
                  GRAPH | {"batches"}),
     "filter-depth": (["filter-depth", "--geom", "{fix}/geom.pfm", "--mono", "{fix}/mono.pfm",
-                      "--out", "{tmp}/f.pfm", "--report", "{tmp}/r.json"], BASE),
+                      "--out", "{tmp}/f.pfm", "--report", "{tmp}/r.json"],
+                     BASE | {"depth_filter", "pfm"}),
     "pose-eval": (["pose-eval", "--pred", "{ring}/images.txt", "--gt", "{ring}/images.txt",
                    "--out", "{tmp}/o.txt"], BASE | {"metrics", "recon_io", "view_graph"}),
     "synth-ring": (["synth", "--kind", "ring", "--out", "{tmp}/synth"], BASE | {"recon_io", "synth"}),
+    "synth-depth": (["synth", "--kind", "depth", "--out", "{tmp}/synth"],
+                    BASE | {"depth_filter", "pfm", "recon_io", "synth"}),
 }
-NEEDS_NUMPY = {"coverage", "filter-depth", "pose-eval"}
+NEEDS_NUMPY = {"coverage", "filter-depth", "pose-eval", "synth-depth"}
 
 
 @pytest.mark.parametrize("case", sorted(SUBCOMMANDS))
@@ -181,7 +189,7 @@ def test_a_subcommand_loads_only_its_own_modules(inputs, tmp_path, case):
 
 
 def test_import_sampler_loads_no_depth_module():
-    loaded = (SAMPLER - BASE) | {"errors"}
+    loaded = SAMPLER - {"cli"}
     assert _child("import sys, sparseview.sampler\n" + LOADED) == [
         " ".join(sorted({"sparseview"} | {f"sparseview.{m}" for m in loaded}))
     ]

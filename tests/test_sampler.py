@@ -513,6 +513,31 @@ def test_a_killed_worker_raises_and_is_reaped(monkeypatch, forks):
         os.waitpid(forks[0], os.WNOHANG)
 
 
+@needs_fork
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+@pytest.mark.parametrize("workers", [2, 3])
+def test_a_failed_fork_closes_its_pipe_and_reaps_the_workers_before_it(monkeypatch, forks, workers):
+    """The last worker's fork fails: the error is raised, both ends of that
+    worker's pipe are closed, and a worker forked before it is reaped."""
+    counting_fork = os.fork
+
+    def failing_fork():
+        if len(forks) == workers - 2:
+            raise BlockingIOError(11, "fork: Resource temporarily unavailable")
+        return counting_fork()
+
+    monkeypatch.setattr(os, "fork", failing_fork)
+    monkeypatch.setattr(sampler, "_usable_cpus", lambda: workers)
+    open_fds = len(os.listdir("/proc/self/fd"))
+    with pytest.raises(BlockingIOError):
+        generate_batches(ring_scene(6, 6), SamplingConfig(n_views=12, seed=2), 4)
+    assert len(os.listdir("/proc/self/fd")) == open_fds
+    assert len(forks) == workers - 2
+    for pid in forks:
+        with pytest.raises(ChildProcessError):  # already reaped: no zombie left
+            os.waitpid(pid, os.WNOHANG)
+
+
 @pytest.mark.skipif(
     not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
     reason="needs sched_setaffinity and two usable CPUs",

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import ring_ground_truth
 from sparseview.community import louvain
 from sparseview.depth_filter import filter_depth
 from sparseview.errors import InvalidSpec
@@ -14,7 +15,6 @@ from sparseview.synth import (
     gen_depth_fixture,
     gen_grid_scene,
     gen_ring_scene,
-    ring_ground_truth,
 )
 from sparseview.view_graph import build_graph, prune_edges
 
