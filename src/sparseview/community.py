@@ -86,6 +86,21 @@ def _aggregate(adj, wts, degree: list[int], community: list[int], k: int):
     return rows, [[row[c] for c in cs] for row, cs in zip(boundary, rows)], summed
 
 
+def _shuffled_range(n: int, rng: random.Random) -> list[int]:
+    """`rng.shuffle(list(range(n)))`, written out: the Fisher-Yates loop and
+    rejection draw of `Random.shuffle` and `Random._randbelow` on Python
+    3.10-3.13, so it consumes the same bits, without a method call per draw."""
+    getrandbits = rng.getrandbits
+    order = list(range(n))
+    for i in range(n - 1, 0, -1):
+        k = (i + 1).bit_length()
+        j = getrandbits(k)
+        while j > i:
+            j = getrandbits(k)
+        order[i], order[j] = order[j], order[i]
+    return order
+
+
 def _one_level(adj, wts, degree: list[int], two_m: int, rng: random.Random, resolution: float):
     """Local-move phase; returns node -> community after convergence.
 
@@ -103,15 +118,15 @@ def _one_level(adj, wts, degree: list[int], two_m: int, rng: random.Random, reso
     k_tot = list(degree)  # community -> summed degree
     tick = 0  # moves so far
     changed_at = [0] * n  # community -> tick its k_tot last changed
-    evaluated: list = [None] * n  # node -> (tick, candidates) at its last evaluation
+    evaluated = [-1] * n  # node -> tick at its last evaluation (-1: none yet)
+    # node -> its candidates at that evaluation; before the first, (0,), whose
+    # tick is never <= -1, so no node is skipped before it is evaluated
+    cands: list[tuple[int, ...]] = [(0,)] * n
     moved = True
     while moved:
         moved = False
-        order = list(range(n))
-        rng.shuffle(order)
-        for u in order:
-            last = evaluated[u]
-            if last is not None and all(changed_at[c] <= last[0] for c in last[1]):
+        for u in _shuffled_range(n, rng):
+            if max(map(changed_at.__getitem__, cands[u])) <= evaluated[u]:
                 continue
             cu = community[u]
             ku = degree[u]
@@ -131,7 +146,8 @@ def _one_level(adj, wts, degree: list[int], two_m: int, rng: random.Random, reso
                 if gain > best_gain + 1e-12:
                     best_c, best_gain = c, gain
             k_tot[best_c] += ku
-            evaluated[u] = (tick, tuple(links))
+            evaluated[u] = tick
+            cands[u] = tuple(links)
             if best_c != cu:
                 tick += 1
                 changed_at[cu] = changed_at[best_c] = tick

@@ -41,22 +41,35 @@ class ViewGraph:
 
 def from_edge_weights(nodes, edge_weights: dict[tuple[int, int], int]) -> ViewGraph:
     """Build a ViewGraph from view ids and a {(view, view): weight} map, isolated
-    views kept; the sorted ids become nodes 0..n-1. A weight-0 pair is no edge."""
+    views kept; the sorted ids become nodes 0..n-1. A weight-0 pair is no edge.
+
+    The pairs are walked in sorted order, so where every key is (smaller,
+    larger), as `SceneReconstruction.edges` keeps them, each node meets its
+    neighbours in ascending order; a row a (larger, smaller) key touches is
+    sorted afterwards. No per-edge tuple is made.
+    """
     ids = tuple(sorted(set(nodes)))
     index = {v: i for i, v in enumerate(ids)}
-    rows: list[list[tuple[int, int]]] = [[] for _ in ids]
-    for (u, v), w in edge_weights.items():
+    adjacency: list = [[] for _ in ids]
+    weights: list = [[] for _ in ids]
+    unsorted = set()  # nodes a reversed key touched
+    for key in sorted(edge_weights):
+        w = edge_weights[key]
         if w == 0:
             continue
-        u, v = index[u], index[v]
-        rows[u].append((v, w))
-        rows[v].append((u, w))
-    adjacency, weights = [], []
-    for row in rows:
-        row.sort()
-        nbrs, wts = zip(*row) if row else ((), ())
-        adjacency.append(nbrs)
-        weights.append(wts)
+        u, v = index[key[0]], index[key[1]]
+        if u > v:
+            unsorted.update((u, v))
+        adjacency[u].append(v)
+        weights[u].append(w)
+        adjacency[v].append(u)
+        weights[v].append(w)
+    for u in unsorted:
+        adjacency[u], weights[u] = zip(*sorted(zip(adjacency[u], weights[u])))
+    # tuples in place, so only one row is held twice at a time
+    for u in range(len(ids)):
+        adjacency[u] = tuple(adjacency[u])
+        weights[u] = tuple(weights[u])
     return ViewGraph(ids, adjacency, weights)
 
 

@@ -20,6 +20,7 @@ from sparseview.errors import (
     TooSmall,
 )
 from sparseview.recon_io import text_lines
+from sparseview.view_graph import ViewGraph
 
 
 def union_find_components(nodes, edges):
@@ -223,6 +224,27 @@ def parse_match_graph_reference(path, view_ids=None):
         key = (min(a, b), max(a, b))
         merged[key] = max(merged.get(key, 0), count)
     return merged
+
+
+def from_edge_weights_reference(nodes, edge_weights):
+    """from_edge_weights with one (neighbour, weight) tuple per edge end: each
+    node's row is sorted, then split into its neighbours and weights."""
+    ids = tuple(sorted(set(nodes)))
+    index = {v: i for i, v in enumerate(ids)}
+    rows = [[] for _ in ids]
+    for (u, v), w in edge_weights.items():
+        if w == 0:
+            continue
+        u, v = index[u], index[v]
+        rows[u].append((v, w))
+        rows[v].append((u, w))
+    adjacency, weights = [], []
+    for row in rows:
+        row.sort()
+        nbrs, wts = zip(*row) if row else ((), ())
+        adjacency.append(nbrs)
+        weights.append(wts)
+    return ViewGraph(ids, adjacency, weights)
 
 
 def max_terminal_subtree_reference(nodes, edges, terminals, budget):

@@ -25,6 +25,7 @@ from hypothesis.extra.numpy import array_shapes, arrays
 from conftest import edges_of
 from oracles import (
     filter_depth_reference,
+    from_edge_weights_reference,
     louvain_reference,
     parse_match_graph_reference,
     read_pfm_reference,
@@ -590,6 +591,35 @@ def test_an_order_keeping_relabel_changes_nothing(data):
     for x, y in batches:
         assert [f[v] for v in x.views] == y.views
         assert (x.config, x.provenance, x.truncated) == (y.config, y.provenance, y.truncated)
+
+
+@st.composite
+def edge_weight_maps(draw):
+    """Up to 40 views in any order and a {(view, view): weight} map over them:
+    each key in either orientation, one weight in five 0, views in no pair at
+    low densities, and in half the maps one pair keyed both ways."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    views = rng.sample(range(-1000, 1000), draw(st.integers(1, 40)))
+    density = draw(st.sampled_from([0.05, 0.2, 0.6]))
+    weights = {}
+    for i, a in enumerate(views):
+        for b in views[i + 1:]:
+            if rng.random() < density:
+                key = (a, b) if rng.random() < 0.5 else (b, a)
+                weights[key] = rng.choice([0, 1, 2, 7, 1000])
+    if weights and draw(st.booleans()):
+        a, b = rng.choice(sorted(weights))
+        weights[(b, a)] = rng.randint(0, 1000)
+    return views, weights
+
+
+@settings(max_examples=300)
+@given(case=edge_weight_maps())
+def test_from_edge_weights_matches_the_tuple_row_reference(case):
+    views, weights = case
+    got = from_edge_weights(views, weights)
+    want = from_edge_weights_reference(views, weights)
+    assert (got.ids, got.adjacency, got.weights) == (want.ids, want.adjacency, want.weights)
 
 
 @st.composite

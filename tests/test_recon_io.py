@@ -165,6 +165,15 @@ class TestMatchGraph:
         assert str(exc.value) == f"{path}:2: match count {count} is not below 2**63"
         assert parse_match_graph(write(tmp_path, "ok.txt", f"1 2 {2**63 - 1}\n")) == {(1, 2): 2**63 - 1}
 
+    def test_keys_hold_the_view_ids_own_ints(self, tmp_path):
+        # ids above 256 made at run time, so no int object is shared by chance
+        views = {int(t): None for t in ("1000", "2000", "3000", "4000")}
+        own = {v: v for v in views}
+        path = write(tmp_path, "m.txt", "2000 1000 60\n1000 3000 70\n4000 3000 80\n1000 2000 90\n")
+        edges = parse_match_graph(path, views)
+        assert edges == {(1000, 2000): 90, (1000, 3000): 70, (3000, 4000): 80}
+        assert all(a is own[a] and b is own[b] for a, b in edges)
+
 
 def test_positions_follow_the_ids_of_a_subgraph_copy():
     scene = gen_ring_scene(SynthSpec(cluster_count=3, cluster_size=4, noise_sigma=0.1, seed=2))

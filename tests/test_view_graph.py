@@ -1,9 +1,10 @@
 import random
+import sys
 
 import pytest
 
-from conftest import edges_of, graph_of, random_graph
-from oracles import bfs_all, union_find_components
+from conftest import edges_of, graph_of, random_graph, traced_peak
+from oracles import bfs_all, from_edge_weights_reference, union_find_components
 from sparseview.errors import InvalidSpec, UnknownNode
 from sparseview.recon_io import SceneReconstruction
 from sparseview.view_graph import (
@@ -63,6 +64,42 @@ class TestBuild:
         for missing in (0, 6, 41, 10**9 + 8):
             with pytest.raises(UnknownNode, match=f"unknown node {missing}$"):
                 g.node(missing)
+
+    def test_reversed_keys_give_the_reference_rows(self):
+        # (9, 2) and (7, 4) arrive after rows 2 and 4 have larger neighbours;
+        # 3 and 4 are keyed both ways; 5 is isolated and (2, 6) weighs 0
+        weights = {(2, 4): 5, (2, 7): 1, (3, 4): 8, (4, 3): 2, (2, 6): 0, (7, 4): 6, (9, 2): 3}
+        g = from_edge_weights([2, 3, 4, 5, 6, 7, 9], weights)
+        want = from_edge_weights_reference([2, 3, 4, 5, 6, 7, 9], weights)
+        assert (g.ids, g.adjacency, g.weights) == (want.ids, want.adjacency, want.weights)
+        assert g.adjacency[0] == (2, 5, 6) and g.adjacency[2] == (0, 1, 1, 5)
+
+    def test_build_graph_makes_no_per_edge_tuple(self):
+        rng = random.Random(40_000)
+        edges = {}
+        while len(edges) < 40_000:
+            a, b = sorted(rng.sample(range(1, 3001), 2))
+            edges[(a, b)] = rng.randint(1, 1000)
+        scene = scene_with([(a, b, w) for (a, b), w in edges.items()], range(1, 3001))
+        g, peak = traced_peak(lambda: build_graph(scene))
+
+        def appended(row):  # a row as the build grows it, one append at a time
+            out = []
+            for x in row:
+                out.append(x)
+            return sys.getsizeof(out)
+
+        rows = g.adjacency + g.weights
+        outer = sys.getsizeof(g.adjacency) + sys.getsizeof(g.weights)
+        graph = sys.getsizeof(g.ids) + outer + sum(map(sys.getsizeof, rows))
+        lists = outer + sum(map(appended, rows))
+        keys = sys.getsizeof(sorted(edges))
+        # the id -> node dict and the node ints above 256 take 0.21 MiB
+        margin = 256 * 1024
+        # bound 1.52 + 1.75 + 0.31 + 0.25 MiB, traced 2.29 MiB; one
+        # (neighbour, weight) tuple per edge end traced 6.95 MiB
+        bound = graph + lists + keys + margin
+        assert peak <= bound, f"build_graph peaked at {peak} bytes, bound {bound}"
 
 
 class TestPrune:
