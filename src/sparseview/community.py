@@ -86,21 +86,6 @@ def _aggregate(adj, wts, degree: list[int], community: list[int], k: int):
     return rows, [[row[c] for c in cs] for row, cs in zip(boundary, rows)], summed
 
 
-def _shuffled_range(n: int, rng: random.Random) -> list[int]:
-    """`rng.shuffle(list(range(n)))`, written out: the Fisher-Yates loop and
-    rejection draw of `Random.shuffle` and `Random._randbelow` on Python
-    3.10-3.13, so it consumes the same bits, without a method call per draw."""
-    getrandbits = rng.getrandbits
-    order = list(range(n))
-    for i in range(n - 1, 0, -1):
-        k = (i + 1).bit_length()
-        j = getrandbits(k)
-        while j > i:
-            j = getrandbits(k)
-        order[i], order[j] = order[j], order[i]
-    return order
-
-
 def _one_level(adj, wts, degree: list[int], two_m: int, rng: random.Random, resolution: float):
     """Local-move phase; returns node -> community after convergence.
 
@@ -125,7 +110,9 @@ def _one_level(adj, wts, degree: list[int], two_m: int, rng: random.Random, reso
     moved = True
     while moved:
         moved = False
-        for u in _shuffled_range(n, rng):
+        order = list(range(n))
+        rng.shuffle(order)
+        for u in order:
             if max(map(changed_at.__getitem__, cands[u])) <= evaluated[u]:
                 continue
             cu = community[u]

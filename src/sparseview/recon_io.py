@@ -278,11 +278,7 @@ def parse_match_graph(path: str, view_ids=None) -> dict[tuple[int, int], int]:
     """
     canon = None if view_ids is None else {v: v for v in view_ids}
     merged: dict[tuple[int, int], int] = {}
-    # not through `_content_tokens`: a generator resume per line is 5% of this parse
-    for line_no, raw in text_lines(path):
-        toks = raw.split()
-        if not toks or toks[0][0] == "#":
-            continue
+    for line_no, toks in _content_tokens(path):
         if len(toks) != 3:
             raise MalformedLine(line_no, "match line needs 3 fields", path)
         try:

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import by_view, edges_of, graph_of, random_graph
 from oracles import best_modularity_partition, modularity_direct
-from sparseview.community import _shuffled_range, louvain, modularity
+from sparseview.community import louvain, modularity
 from sparseview.errors import EmptyGraph, InvalidSpec
 from sparseview.synth import SynthSpec, gen_grid_scene, gen_ring_scene
 from sparseview.view_graph import build_graph
@@ -191,16 +191,3 @@ def test_all_zero_weight_graph_gives_singletons():
     got = louvain(g, seed=0)
     assert got.labels == [0, 1, 2]
     assert got.modularity == 0.0
-
-
-@pytest.mark.parametrize("n", [*range(65), 3000])
-def test_shuffled_range_is_random_shuffle(n):
-    """The written-out draw Louvain orders its sweeps by gives Random.shuffle's
-    permutation and leaves the generator in the same state, on whichever
-    interpreter runs this."""
-    for seed in range(20):
-        theirs, ours = random.Random(seed), random.Random(seed)
-        order = list(range(n))
-        theirs.shuffle(order)
-        assert _shuffled_range(n, ours) == order
-        assert ours.getstate() == theirs.getstate()
