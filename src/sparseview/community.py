@@ -86,37 +86,70 @@ def _aggregate(adj, wts, degree: list[int], community: list[int], k: int):
     return rows, [[row[c] for c in cs] for row, cs in zip(boundary, rows)], summed
 
 
+# A local move evaluates node u only when its choice can have changed since
+# its last evaluation. u's gain from community c is
+#     g(c) = links[c] - resolution * k_tot[c] * k_u / 2m
+# with u taken out of its own community, so the gains do not depend on where
+# u itself sits, and u keeps its community C while no g(c) passes g(C) (a
+# candidate must pass g(C) + 1e-12 to take u, so the epsilon only helps C).
+# An evaluation records the margin  min(g(C) - g2, g(C)),  g2 the highest gain
+# of u's other candidates, less a slack; the skip test is
+#     resolution * k_u * drift / 2m + harm < margin.
+# - Drift. `drift` sums the |change| of each community's k_tot. The k_tot
+#   terms can close g(C) - g(c) by at most resolution * k_u / 2m times the
+#   growth of the drift summed over u's candidates, C among them. A neighbour
+#   that moves changes the k_tot of the community it leaves, which is a
+#   candidate (every edge weighs at least 1), so while that sum has not grown
+#   nothing u sees has changed and u is skipped whatever its margin.
+# - Harm. A neighbour whose edge to u weighs w and that moves a -> b closes
+#   the links part of g(C) - g(c), for any c, by at most 2w if a is C (links[C]
+#   falls by w, links[b] rises by w), by nothing if b is C, and by at most w
+#   otherwise (links[b] rises by w). `harm` sums these since the evaluation.
+# - A community new to u's neighbours has g(c) <= links[c] (k_tot >= 0 and
+#   resolution > 0), weight that moved into it and so is counted in harm,
+#   while g(C) has fallen by at most the drift and harm terms: the g(C) half
+#   of the margin covers it.
+# - Slack. Each gain is a few roundings of |links| <= k_u and of
+#   resolution * k_tot * k_u / 2m <= resolution * k_u, so it is within about
+#   8 * 2**-53 * (1 + resolution) * k_u of its real value. The test compares
+#   four gains and rounds a few times more; (1 + resolution) * k_u * 2**-40
+#   covers that many times over, and 1e-12 on top covers gains that underflow.
+#   A C kept over a higher gain by the tie epsilon has a negative margin.
+# - NaN. A huge resolution overflows the k_tot terms to inf, and inf - inf in
+#   the margin is NaN. `x < margin` is false for a NaN on either side and for
+#   an inf test value, so such a node is evaluated.
+# Until its first evaluation a node's summed drift reads 1 above its record
+# and its margin is 0, which a test value of at least 0 never passes, so every
+# node is evaluated in the first sweep. Every sweep still shuffles, so the
+# seeded order, the sweeps and every result are those of evaluating every node.
 def _one_level(adj, wts, degree: list[int], two_m: int, rng: random.Random, resolution: float):
-    """Local-move phase; returns node -> community after convergence.
-
-    A node's choice depends only on its own community, its neighbours'
-    communities and its candidates' `k_tot`. A neighbour that moves changes
-    the `k_tot` of the community it leaves, which was one of the node's
-    candidates (every edge weighs at least 1), and so does the node itself
-    when it moves. So a node none of whose candidates' `k_tot` changed since
-    its last evaluation would choose its current community again, and is
-    skipped. The integer `k_tot` makes its gains bit-identical, so the skip
-    changes no result; every sweep still shuffles, so the seeded order is kept.
-    """
+    """Local-move phase; returns node -> community after convergence. A node
+    is evaluated only when its choice can have changed (see above)."""
     n = len(adj)
-    community = list(range(n))
+    nodes = list(range(n))  # each sweep shuffles a copy, which shares its ints
+    community = nodes[:]
     k_tot = list(degree)  # community -> summed degree
-    tick = 0  # moves so far
-    changed_at = [0] * n  # community -> tick its k_tot last changed
-    evaluated = [-1] * n  # node -> tick at its last evaluation (-1: none yet)
-    # node -> its candidates at that evaluation; before the first, (0,), whose
-    # tick is never <= -1, so no node is skipped before it is evaluated
-    cands: list[tuple[int, ...]] = [(0,)] * n
+    drift = [0] * n  # community -> summed |change| of its k_tot
+    # node -> its candidates at its last evaluation, their summed drift after
+    # it (-1 before the first), its margin less the slack (n doubles, with no
+    # float object per node), and its harm since
+    cands: list[tuple[int, ...]] = [()] * n
+    seen = [-1] * n
+    room = memoryview(bytearray(8 * n)).cast("d")
+    harm = [0] * n
+    scale = resolution / two_m
+    slack = (1.0 + resolution) * 2.0**-40
     moved = True
     while moved:
         moved = False
-        order = list(range(n))
+        order = nodes[:]
         rng.shuffle(order)
         for u in order:
-            if max(map(changed_at.__getitem__, cands[u])) <= evaluated[u]:
+            ku = degree[u]
+            d = sum(map(drift.__getitem__, cands[u])) - seen[u]
+            if not d or scale * ku * d + harm[u] < room[u]:
                 continue
             cu = community[u]
-            ku = degree[u]
             # weights from u into each neighboring community, u removed from its own
             k_tot[cu] -= ku
             links: dict[int, int] = {cu: 0}
@@ -124,22 +157,39 @@ def _one_level(adj, wts, degree: list[int], two_m: int, rng: random.Random, reso
                 cv = community[v]
                 links[cv] = links.get(cv, 0) + w
             # ascending candidate order + strict improvement = lowest-id tie-break
-            base = links[cu] - resolution * k_tot[cu] * ku / two_m
-            best_c, best_gain = cu, base
+            best_c, best_gain = cu, links[cu] - resolution * k_tot[cu] * ku / two_m
+            second = -math.inf  # the highest gain of the others
+            total = 0  # the candidates' summed drift
             for c in sorted(links):
+                total += drift[c]
                 if c == cu:
                     continue
                 gain = links[c] - resolution * k_tot[c] * ku / two_m
                 if gain > best_gain + 1e-12:
+                    if best_gain > second:
+                        second = best_gain
                     best_c, best_gain = c, gain
+                elif not gain <= second:  # a NaN gain too
+                    second = gain
             k_tot[best_c] += ku
-            evaluated[u] = tick
-            cands[u] = tuple(links)
             if best_c != cu:
-                tick += 1
-                changed_at[cu] = changed_at[best_c] = tick
                 community[u] = best_c
+                drift[cu] += ku
+                drift[best_c] += ku
+                total += ku + ku
+                for v, w in zip(adj[u], wts[u]):
+                    cv = community[v]
+                    if cv == cu:
+                        harm[v] += w + w
+                    elif cv != best_c:
+                        harm[v] += w
                 moved = True
+            cands[u] = tuple(links)
+            seen[u] = total
+            gap = best_gain - second
+            # min(gap, best_gain), but NaN if gap is
+            room[u] = (best_gain if best_gain <= gap else gap) - (slack * ku + 1e-12)
+            harm[u] = 0
     return community
 
 

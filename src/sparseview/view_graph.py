@@ -5,6 +5,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import compress
 from operator import not_
 
 from .errors import InvalidSpec, UnknownNode
@@ -83,9 +84,11 @@ def prune_edges(graph: ViewGraph, threshold: int) -> ViewGraph:
     A negative threshold is InvalidSpec."""
     if threshold < 0:
         raise InvalidSpec(f"threshold must be >= 0, got {threshold}")
-    keep = [[i for i, w in enumerate(wts) if w >= threshold] for wts in graph.weights]
-    adjacency = [tuple([nbrs[i] for i in k]) for nbrs, k in zip(graph.adjacency, keep)]
-    weights = [tuple([wts[i] for i in k]) for wts, k in zip(graph.weights, keep)]
+    adjacency, weights = [], []
+    for nbrs, wts in zip(graph.adjacency, graph.weights):
+        keep = [w >= threshold for w in wts]
+        adjacency.append(tuple(compress(nbrs, keep)))
+        weights.append(tuple(compress(wts, keep)))
     return ViewGraph(graph.ids, adjacency, weights)
 
 

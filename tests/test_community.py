@@ -1,10 +1,11 @@
 import hashlib
 import random
+import sys
 
 import pytest
 
-from conftest import by_view, edges_of, graph_of, random_graph
-from oracles import best_modularity_partition, modularity_direct
+from conftest import by_view, edges_of, graph_of, random_graph, traced_peak
+from oracles import best_modularity_partition, louvain_reference, modularity_direct
 from sparseview.community import louvain, modularity
 from sparseview.errors import EmptyGraph, InvalidSpec
 from sparseview.synth import SynthSpec, gen_grid_scene, gen_ring_scene
@@ -191,3 +192,58 @@ def test_all_zero_weight_graph_gives_singletons():
     got = louvain(g, seed=0)
     assert got.labels == [0, 1, 2]
     assert got.modularity == 0.0
+
+
+def _skip_rule_cases():
+    """420 seeded random graphs of 2-40 nodes, sparse to dense, with weights
+    up to 1, 3, 1000, 10**9 or 2**40 and resolutions from 0.01 to 10, 1 +- 1e-9
+    and 1e300, where every gain overflows to -inf."""
+    resolutions = (0.1, 1.0, 2.0, 1 + 1e-9, 1 - 1e-9, 1e300, None, None)  # None: drawn
+    for i in range(420):
+        rng = random.Random(i)
+        n = rng.randint(2, 40)
+        p = rng.choice((1.5, 3.0, 6.0, 0.6 * n)) / n
+        graph = random_graph(rng, n, p, max_w=(1, 3, 1000, 10**9, 2**40)[i % 5])
+        resolution = resolutions[i % 8] or rng.uniform(0.01, 10)
+        yield graph, i, resolution
+
+
+def test_skip_rule_matches_the_reference_on_seeded_graphs():
+    """Louvain that skips nodes gives the bits of the one that evaluates every
+    node; pure Python, so it runs on every interpreter the package claims."""
+    compared = 0
+    for graph, seed, resolution in _skip_rule_cases():
+        if graph.edge_count == 0:
+            continue
+        got = louvain(graph, seed, resolution)
+        rows = {u: tuple(zip(nbrs, wts)) for u, (nbrs, wts) in enumerate(zip(graph.adjacency, graph.weights))}
+        expected = louvain_reference(rows, seed, resolution)
+        assert (dict(enumerate(got.labels)), got.modularity, got.level_count, got.level_modularities) == expected, (
+            seed, resolution)
+        compared += 1
+    assert compared >= 400
+
+
+def test_louvain_working_memory_per_node():
+    """Louvain on a 3 000-view ring peaks early in level 0 with eleven rows of
+    n pointers or doubles alive (degree, labels, nodes, community, k_tot,
+    drift, cands, seen, harm, order, room), about five ints per node past the
+    small-int cache (degree, labels, nodes, drift, seen) and one candidate
+    tuple per node. Ints are counted at this interpreter's size: 28 traced
+    bytes on 3.10, 32 on 3.11-3.13."""
+    graph = build_graph(gen_ring_scene(SynthSpec(cluster_count=300, cluster_size=10)))
+    n = graph.node_count
+    # CPython keeps up to 2 000 freed tuples of each size below 20 for reuse,
+    # untraced; holding that many of each makes every tuple Louvain builds a
+    # traced allocation, whatever ran before
+    held = [tuple(range(size)) for size in range(1, 20) for _ in range(2_100)]
+    _, peak = traced_peak(lambda: louvain(graph, seed=1))
+    del held
+    pointers = sys.getsizeof([0] * n)
+    _, int_row = traced_peak(lambda: list(range(1 << 20, (1 << 20) + n)))
+    # 300 KiB for the candidate tuples, about 100 bytes a node this early, and
+    # the rng; 24 KiB margin. Traced 1.00 MiB on 3.11 against a 1.03 MiB
+    # bound; a float object per node adds 0.07 MiB, a second per-node
+    # snapshot list 0.08 MiB, and either fails
+    bound = 11 * pointers + 5 * (int_row - pointers) + 324 * 1024
+    assert peak <= bound, f"louvain peaked at {peak} bytes, bound {bound}"

@@ -624,11 +624,12 @@ def test_from_edge_weights_matches_the_tuple_row_reference(case):
 
 @st.composite
 def weighted_graphs(draw):
-    """2-80 nodes at densities 0.05-0.8, weights up to 1, 2, 5 or 1000, and
-    at least one edge; dense graphs are what move many nodes per sweep."""
+    """2-80 nodes at densities 0.05-0.8, weights up to 1, 2, 5, 1000, 10**9 or
+    2**40, and at least one edge; dense graphs are what move many nodes per
+    sweep."""
     n = draw(st.integers(2, 80))
     density = draw(st.sampled_from([0.05, 0.1, 0.2, 0.4, 0.8]))
-    max_w = draw(st.sampled_from([1, 2, 5, 1000]))
+    max_w = draw(st.sampled_from([1, 2, 5, 1000, 10**9, 2**40]))
     rng = random.Random(draw(st.integers(0, 2**32)))
     weights = {(u, v): rng.randint(1, max_w)
                for u in range(n) for v in range(u + 1, n) if rng.random() < density}
